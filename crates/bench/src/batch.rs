@@ -18,6 +18,7 @@
 use serde::Serialize;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
+use velodrome_cli::backend::{lookup, RunConfig};
 use velodrome_cli::batch::{BatchConfig, TraceStatus};
 use velodrome_events::{vbt, Trace};
 use velodrome_sim::{random_program, run_program, GenConfig, RandomScheduler};
@@ -118,14 +119,14 @@ impl LegResult {
 
 /// The json-serial leg: slurp + value-tree parse + one-at-a-time analysis.
 pub fn run_json_serial(corpus: &Corpus, backend: &str) -> LegResult {
+    let backend = lookup(backend).expect("backend is in the table");
     let start = std::time::Instant::now();
     let mut fingerprints = Vec::with_capacity(corpus.entries.len());
     for entry in &corpus.entries {
         let json = std::fs::read_to_string(&entry.json_path).expect("corpus json twin reads");
         let trace = Trace::from_json(&json).expect("corpus json twin parses");
-        let (warnings, _notes) =
-            velodrome_cli::batch::check_trace(&trace, backend).expect("serial analysis succeeds");
-        fingerprints.push(serde_json::to_string(&warnings).expect("warnings serialize"));
+        let analysis = (backend.run)(&trace, &RunConfig::default()).expect("serial analysis");
+        fingerprints.push(serde_json::to_string(&analysis.warnings).expect("warnings serialize"));
     }
     LegResult {
         millis: start.elapsed().as_millis() as u64,

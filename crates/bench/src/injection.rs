@@ -3,7 +3,6 @@
 //! Velodrome run detects the resulting atomicity defect, with and without
 //! Atomizer-guided adversarial scheduling.
 
-use crate::backend::{run, Backend};
 use crate::report;
 use serde::Serialize;
 use std::collections::{HashMap, HashSet};
@@ -187,8 +186,7 @@ fn site_is_eligible(workload: &Workload, site: usize) -> bool {
 }
 
 fn velodrome_labels(trace: &Trace) -> HashSet<String> {
-    run(Backend::Velodrome, trace)
-        .warnings
+    velodrome::check_trace(trace)
         .into_iter()
         .filter_map(|w| w.label.map(|l| trace.names().label(l)))
         .collect()

@@ -1,14 +1,14 @@
 //! Benchmark and experiment harness regenerating the paper's evaluation.
 //!
-//! * [`backend`] — a uniform driver over the compared back-ends
-//!   (Empty, Eraser, HB race detection, Atomizer, Velodrome with and
-//!   without merge);
 //! * [`table1`] — analysis overhead and node statistics (paper Table 1);
 //! * [`table2`] — warning counts and false-alarm classification against
 //!   ground truth (paper Table 2);
 //! * [`injection`] — the defect-injection / adversarial-scheduling study
 //!   (Section 6);
 //! * [`report`] — plain-text table rendering.
+//!
+//! Every back-end is run through the CLI's backend table,
+//! [`velodrome_cli::backend::BACKENDS`].
 //!
 //! Binaries `table1`, `table2`, `injection`, and `graph_stats` print the
 //! paper-style tables; `cargo bench -p velodrome-bench` runs the Criterion
@@ -21,7 +21,6 @@
 //! JSON-serial pipeline against the VBT-parallel `check-batch` runner and
 //! emits `BENCH_batch.json`.
 
-pub mod backend;
 pub mod batch;
 pub mod chaos;
 pub mod hotpath;

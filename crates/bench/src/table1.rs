@@ -7,11 +7,13 @@
 //! the paper's claim being relative ("competitive with Eraser and the
 //! Atomizer"), not absolute.
 
-use crate::backend::{run_with_spec, Backend};
 use crate::report;
 use serde::Serialize;
+use std::time::Instant;
+use velodrome_cli::backend::{lookup, RunConfig, BACKENDS};
 use velodrome_events::{Op, Trace};
 use velodrome_monitor::AtomicitySpec;
+use velodrome_telemetry::{names, Snapshot, Telemetry};
 use velodrome_workloads::Workload;
 
 /// One Table 1 row.
@@ -53,6 +55,22 @@ pub fn exclusion_spec(workload: &Workload, trace: &Trace) -> AtomicitySpec {
     AtomicitySpec::excluding(excluded)
 }
 
+/// Runs the named backend under `spec` with a live telemetry registry and
+/// returns the final snapshot. The node-statistics columns are read back
+/// from its `arena.*` gauges.
+pub fn snapshot_run(backend: &str, trace: &Trace, spec: AtomicitySpec) -> Snapshot {
+    let cfg = RunConfig {
+        telemetry: Telemetry::registry(),
+        spec: Some(spec),
+        ..RunConfig::default()
+    };
+    let backend = lookup(backend).expect("backend is in the table");
+    (backend.run)(trace, &cfg).expect("backend runs");
+    cfg.telemetry
+        .snapshot(0, trace.len() as u64)
+        .expect("telemetry registry enabled")
+}
+
 /// Runs the Table 1 measurement for one workload.
 ///
 /// `repeats` re-runs each timed backend and keeps the fastest measurement
@@ -61,14 +79,22 @@ pub fn measure(workload: &Workload, repeats: u32) -> Table1Row {
     let trace = workload.run_round_robin();
     let spec = exclusion_spec(workload, &trace);
 
+    let cfg = RunConfig {
+        spec: Some(spec.clone()),
+        ..RunConfig::default()
+    };
     let mut ns_per_op = [0.0f64; 4];
-    for (i, backend) in Backend::TABLE1.iter().enumerate() {
+    for backend in BACKENDS {
+        let Some(column) = backend.table1 else {
+            continue;
+        };
         let mut best = f64::INFINITY;
         for _ in 0..repeats.max(1) {
-            let outcome = run_with_spec(*backend, &trace, Some(spec.clone()));
-            best = best.min(outcome.ns_per_op(trace.len()));
+            let start = Instant::now();
+            (backend.run)(&trace, &cfg).expect("backend runs");
+            best = best.min(start.elapsed().as_nanos() as f64 / trace.len().max(1) as f64);
         }
-        ns_per_op[i] = best;
+        ns_per_op[column] = best;
     }
     let empty = ns_per_op[0].max(1e-9);
     let rel_overhead = [
@@ -78,12 +104,9 @@ pub fn measure(workload: &Workload, repeats: u32) -> Table1Row {
         ns_per_op[3] / empty,
     ];
 
-    let without = run_with_spec(Backend::VelodromeNoMerge, &trace, Some(spec.clone()))
-        .stats
-        .expect("velodrome stats");
-    let with = run_with_spec(Backend::Velodrome, &trace, Some(spec))
-        .stats
-        .expect("velodrome stats");
+    let without = snapshot_run("velodrome-nomerge", &trace, spec.clone());
+    let with = snapshot_run("velodrome", &trace, spec);
+    let gauge = |snap: &Snapshot, name: &str| snap.scalar(name).unwrap_or(0);
 
     Table1Row {
         name: workload.name.to_string(),
@@ -91,10 +114,10 @@ pub fn measure(workload: &Workload, repeats: u32) -> Table1Row {
         events: trace.len(),
         ns_per_op,
         rel_overhead,
-        alloc_without_merge: without.nodes_allocated,
-        alive_without_merge: without.max_alive,
-        alloc_with_merge: with.nodes_allocated,
-        alive_with_merge: with.max_alive,
+        alloc_without_merge: gauge(&without, names::ARENA_ALLOCATED),
+        alive_without_merge: gauge(&without, names::ARENA_MAX_ALIVE),
+        alloc_with_merge: gauge(&with, names::ARENA_ALLOCATED),
+        alive_with_merge: gauge(&with, names::ARENA_MAX_ALIVE),
     }
 }
 

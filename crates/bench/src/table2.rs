@@ -8,10 +8,12 @@
 //! method or a false alarm; "missed" counts Atomizer-confirmed real
 //! defects that Velodrome never observed.
 
-use crate::backend::{run, Backend};
 use crate::report;
 use serde::Serialize;
 use std::collections::HashSet;
+use velodrome::check_trace;
+use velodrome_atomizer::Atomizer;
+use velodrome_monitor::run_tool;
 use velodrome_workloads::Workload;
 
 /// One Table 2 row, with the paper's numbers alongside.
@@ -45,12 +47,12 @@ pub fn measure(workload: &Workload, runs: u64) -> Table2Row {
     let mut velodrome_labels: HashSet<String> = HashSet::new();
     for seed in 0..runs {
         let trace = workload.run(seed);
-        for w in run(Backend::Atomizer, &trace).warnings {
+        for w in run_tool(&mut Atomizer::new(), &trace) {
             if let Some(l) = w.label {
                 atomizer_labels.insert(trace.names().label(l));
             }
         }
-        for w in run(Backend::Velodrome, &trace).warnings {
+        for w in check_trace(&trace) {
             if let Some(l) = w.label {
                 velodrome_labels.insert(trace.names().label(l));
             }

@@ -21,14 +21,14 @@
 //!   `quarantined`, the panic message preserved); unreadable or malformed
 //!   files fail that trace (status `error`); neither aborts the batch.
 
-use crate::{analyze_with, err, io_err, read_trace_file, CliError, Options, USAGE};
+use crate::backend::{self, RunConfig};
+use crate::{err, io_err, read_trace_file, CliError, Options, USAGE};
 use serde::value::{Map, Number, Value};
 use serde::Serialize as _;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use velodrome_events::Trace;
 use velodrome_monitor::Warning;
 use velodrome_sim::WatchdogStats;
 use velodrome_telemetry::{names, MetricValue, Snapshot, Telemetry};
@@ -207,27 +207,6 @@ impl BatchReport {
     }
 }
 
-/// Analyzes one already-loaded trace exactly as the batch runner (and
-/// `velodrome trace`) would, returning the backend's warnings and notes.
-/// The serial leg of the `batch` bench uses this to prove the parallel
-/// runner's verdicts byte-identical.
-pub fn check_trace(trace: &Trace, backend: &str) -> Result<(Vec<Warning>, Vec<String>), CliError> {
-    let opts = Options {
-        backend: backend.to_owned(),
-        scale: 1,
-        metrics_interval: 10_000,
-        jobs: 1,
-        ..Default::default()
-    };
-    let analysis = analyze_with(
-        trace,
-        &opts,
-        &WatchdogStats::default(),
-        &Telemetry::disabled(),
-    )?;
-    Ok((analysis.warnings, analysis.notes))
-}
-
 /// Checks one trace file end to end: load (either format), analyze under a
 /// panic guard, snapshot the worker-private registry if metrics were
 /// requested.
@@ -252,15 +231,12 @@ fn check_one(path: &Path, cfg: &BatchConfig) -> (TraceOutcome, Option<Snapshot>)
     } else {
         Telemetry::disabled()
     };
-    let opts = Options {
-        backend: cfg.backend.clone(),
-        scale: 1,
-        metrics_interval: 10_000,
-        jobs: 1,
-        ..Default::default()
+    let run_cfg = RunConfig {
+        telemetry: telemetry.clone(),
+        ..RunConfig::default()
     };
     let analysis = match velodrome_monitor::isolate::run_isolated(|| {
-        analyze_with(&trace, &opts, &WatchdogStats::default(), &telemetry)
+        backend::resolve(&cfg.backend, false).and_then(|b| (b.run)(&trace, &run_cfg))
     }) {
         Err(panic) => {
             let msg = format!("analysis panicked: {panic}");
@@ -360,16 +336,8 @@ pub fn run_batch(cfg: &BatchConfig) -> Result<BatchReport, CliError> {
     if cfg.jobs == 0 {
         return Err(err("check-batch requires --jobs >= 1"));
     }
-    if cfg.collect_metrics
-        && !matches!(
-            cfg.backend.as_str(),
-            "velodrome" | "velodrome-nomerge" | "velodrome-hybrid" | "aerodrome" | "all"
-        )
-    {
-        return Err(err(format!(
-            "--metrics-out requires a velodrome or hybrid backend, not `{}`",
-            cfg.backend
-        )));
+    if cfg.collect_metrics {
+        backend::resolve(&cfg.backend, true)?;
     }
     type Slot = Option<(TraceOutcome, Option<Snapshot>)>;
     let start = std::time::Instant::now();

@@ -16,17 +16,14 @@
 //! velodrome compare <workload|FILE> [--scale=N] [--seed=S]
 //! ```
 
+pub mod backend;
 pub mod batch;
 
+use backend::{Analysis, RunConfig, BACKENDS};
 use std::fmt::Write as _;
-use velodrome::{HybridConfig, HybridVelodrome, Velodrome, VelodromeConfig};
-use velodrome_atomizer::Atomizer;
 use velodrome_events::{oracle, Trace, TraceStats};
-use velodrome_lockset::Eraser;
-use velodrome_monitor::{run_tool, EmptyTool, Tool, Warning};
 use velodrome_sim::{run_program, RandomScheduler, WatchdogStats};
-use velodrome_telemetry::{JsonlExporter, SnapshotRing, Telemetry};
-use velodrome_vclock::HbRaceDetector;
+use velodrome_telemetry::Telemetry;
 use velodrome_workloads::adversarial::adversarial_scheduler;
 
 /// What went wrong, determining the process exit code. Scripts (and
@@ -205,9 +202,10 @@ pub const USAGE: &str = "usage:
 trace files: JSON or binary VBT, sniffed by magic bytes; `convert`
   translates between the formats and every command accepts either
 backends: velodrome (default), velodrome-hybrid (vector-clock screen online,
-  graph engine on escalation; same warnings as velodrome), aerodrome
-  (linear-time vector-clock verdicts only), velodrome-nomerge, atomizer,
-  eraser, hb-race, fasttrack, s2pl, empty, all
+  graph engine replayed on escalation; same warnings as velodrome),
+  aerodrome (the same two-tier checker, verdicts only), velodrome-nomerge,
+  atomizer, eraser, hb-race, fasttrack, s2pl, empty, all (velodrome,
+  atomizer, eraser and hb-race in one run)
 velodrome flags: --no-merge (naive Figure 2 rule), --no-gc,
   --max-alive=N / --max-vars=N (resource budgets; tripping one degrades the
   analysis down an explicit ladder instead of growing without bound)
@@ -222,23 +220,6 @@ batch flags: --jobs=N (worker-pool size, default 4), --report=FILE (JSONL
   goes to stdout); with --metrics-out, check-batch writes one merged
   snapshot carrying batch.* gauges
 exit codes: 0 ok, 2 usage error, 3 I/O error, 4 malformed input file";
-
-/// Backend names `--backend=` accepts. `velodrome-bench`'s `Backend::ALL`
-/// display names must all appear here (an integration test enforces it),
-/// so a backend added to the bench matrix cannot silently miss the CLI.
-pub const BACKENDS: &[&str] = &[
-    "velodrome",
-    "velodrome-nomerge",
-    "velodrome-hybrid",
-    "aerodrome",
-    "atomizer",
-    "eraser",
-    "hb-race",
-    "fasttrack",
-    "s2pl",
-    "empty",
-    "all",
-];
 
 /// Executes a CLI invocation, returning the text to print on stdout.
 pub fn execute(args: &[String]) -> Result<String, CliError> {
@@ -314,86 +295,6 @@ fn produce_trace_with(
     Ok((result.trace, watchdog))
 }
 
-/// Warnings plus analysis-health notes (budget suppression, degradation)
-/// that the text renderer appends after the warning list.
-struct Analysis {
-    warnings: Vec<Warning>,
-    notes: Vec<String>,
-}
-
-/// A tool whose statistics surface can be mirrored into a telemetry
-/// registry between operations, making it meterable by
-/// [`run_engine_metered`]. Implemented for the always-on engine and for
-/// the two-tier hybrid checker (whose dormant engine publishes explicit
-/// zeros, keeping the snapshot schema identical across backends).
-trait MeteredTool: Tool {
-    fn publish(&self, telemetry: &Telemetry);
-}
-
-impl MeteredTool for Velodrome {
-    fn publish(&self, telemetry: &Telemetry) {
-        self.publish_telemetry_to(telemetry);
-    }
-}
-
-impl MeteredTool for HybridVelodrome {
-    fn publish(&self, telemetry: &Telemetry) {
-        self.publish_telemetry_to(telemetry);
-    }
-}
-
-/// Drives the tool over the trace one operation at a time, mirroring the
-/// registry into a JSONL file every `interval` events (plus a final
-/// snapshot, so at least one line is always written). Also keeps the last
-/// few snapshots in a [`SnapshotRing`], matching how a long-running monitor
-/// would retain recent history.
-fn run_engine_metered<T: MeteredTool>(
-    engine: &mut T,
-    trace: &Trace,
-    telemetry: &Telemetry,
-    watchdog: &WatchdogStats,
-    path: &str,
-    interval: u64,
-) -> Result<(Vec<Warning>, u64), CliError> {
-    let file = std::fs::File::create(path).map_err(|e| io_err(format!("creating {path}: {e}")))?;
-    let mut exporter = JsonlExporter::new(std::io::BufWriter::new(file));
-    let mut ring = SnapshotRing::new(64);
-    let mut seq = 0u64;
-    let emit = |engine: &T,
-                events: u64,
-                exporter: &mut JsonlExporter<std::io::BufWriter<std::fs::File>>,
-                ring: &mut SnapshotRing,
-                seq: &mut u64|
-     -> Result<(), CliError> {
-        engine.publish(telemetry);
-        watchdog.publish(telemetry);
-        if let Some(snap) = telemetry.snapshot(*seq, events) {
-            exporter
-                .export(&snap)
-                .map_err(|e| io_err(format!("writing {path}: {e}")))?;
-            ring.push(snap);
-            *seq += 1;
-        }
-        Ok(())
-    };
-    for (i, op) in trace.iter() {
-        engine.op(i, op);
-        let events = i as u64 + 1;
-        if events % interval == 0 {
-            emit(engine, events, &mut exporter, &mut ring, &mut seq)?;
-        }
-    }
-    engine.end_of_trace();
-    emit(
-        engine,
-        trace.len() as u64,
-        &mut exporter,
-        &mut ring,
-        &mut seq,
-    )?;
-    Ok((engine.take_warnings(), exporter.lines_written()))
-}
-
 fn analyze(trace: &Trace, opts: &Options, watchdog: &WatchdogStats) -> Result<Analysis, CliError> {
     let telemetry = if opts.metrics_out.is_some() {
         Telemetry::registry()
@@ -412,148 +313,23 @@ fn analyze_with(
     watchdog: &WatchdogStats,
     telemetry: &Telemetry,
 ) -> Result<Analysis, CliError> {
-    if opts.metrics_out.is_some()
-        && !matches!(
-            opts.backend.as_str(),
-            "velodrome" | "velodrome-nomerge" | "velodrome-hybrid" | "aerodrome" | "all"
-        )
-    {
-        return Err(err(format!(
-            "--metrics-out requires a velodrome or hybrid backend, not `{}`",
-            opts.backend
-        )));
-    }
-    let engine_config = |trace: &Trace, merge: bool| VelodromeConfig {
-        names: trace.names().clone(),
-        merge,
+    let backend = backend::resolve(&opts.backend, opts.metrics_out.is_some())?;
+    let cfg = RunConfig {
+        merge: !opts.no_merge,
         gc: !opts.no_gc,
         budget: velodrome_monitor::ResourceBudget {
             max_alive_nodes: opts.max_alive,
             max_tracked_vars: opts.max_vars,
             ..velodrome_monitor::ResourceBudget::UNLIMITED
         },
+        window: opts.window,
         telemetry: telemetry.clone(),
-        ..VelodromeConfig::default()
+        metrics_out: opts.metrics_out.clone(),
+        metrics_interval: opts.metrics_interval,
+        watchdog: *watchdog,
+        spec: None,
     };
-    let velodrome = |trace: &Trace, merge: bool| -> Result<Analysis, CliError> {
-        let mut engine = Velodrome::with_config(engine_config(trace, merge));
-        let mut notes = Vec::new();
-        let warnings = if let Some(path) = opts.metrics_out.as_deref() {
-            let (warnings, lines) = run_engine_metered(
-                &mut engine,
-                trace,
-                telemetry,
-                watchdog,
-                path,
-                opts.metrics_interval,
-            )?;
-            notes.push(format!("{lines} metric snapshots written to {path}"));
-            warnings
-        } else {
-            run_tool(&mut engine, trace)
-        };
-        // A caller-provided registry without --metrics-out (the batch
-        // runner) still wants the engine's final gauges for its merged
-        // snapshot.
-        if opts.metrics_out.is_none() && telemetry.is_enabled() {
-            engine.publish_telemetry_to(telemetry);
-        }
-        let stats = engine.stats();
-        if stats.warnings_suppressed > 0 {
-            notes.push(format!(
-                "{} warnings suppressed (budget)",
-                stats.warnings_suppressed
-            ));
-        }
-        if stats.ladder != velodrome_monitor::DegradationLevel::Full {
-            notes.push(format!(
-                "analysis degraded to {} ({} transitions, {} vars quarantined) — \
-                 warnings after the degradation point may be incomplete",
-                stats.ladder, stats.degradations, stats.vars_quarantined
-            ));
-        }
-        Ok(Analysis { warnings, notes })
-    };
-    let hybrid = |trace: &Trace, verdict_only: bool| -> Result<Analysis, CliError> {
-        let cfg = HybridConfig {
-            engine: engine_config(trace, !opts.no_merge),
-            max_window: opts.window,
-            verdict_only,
-        };
-        let mut checker = HybridVelodrome::with_config(cfg);
-        let mut notes = Vec::new();
-        let warnings = if let Some(path) = opts.metrics_out.as_deref() {
-            let (warnings, lines) = run_engine_metered(
-                &mut checker,
-                trace,
-                telemetry,
-                watchdog,
-                path,
-                opts.metrics_interval,
-            )?;
-            notes.push(format!("{lines} metric snapshots written to {path}"));
-            warnings
-        } else {
-            run_tool(&mut checker, trace)
-        };
-        if opts.metrics_out.is_none() && telemetry.is_enabled() {
-            checker.publish_telemetry_to(telemetry);
-        }
-        let stats = checker.stats();
-        match stats.escalated_at {
-            Some(at) => notes.push(format!(
-                "vector-clock screen escalated to the graph engine at event {at} \
-                 ({} buffered events replayed, {} graph operations)",
-                stats.buffered_peak,
-                stats.graph_ops()
-            )),
-            None => notes.push(format!(
-                "vector-clock screen held for all {} events: 0 graph operations, \
-                 {} epoch fast-path hits",
-                stats.ops, stats.screen.epoch_hits
-            )),
-        }
-        if stats.truncated > 0 {
-            notes.push(format!(
-                "{} events were evicted from the bounded escalation window \
-                 (--window={}); warnings may be incomplete",
-                stats.truncated, opts.window
-            ));
-        }
-        Ok(Analysis { warnings, notes })
-    };
-    let plain = |warnings: Vec<Warning>| Analysis {
-        warnings,
-        notes: Vec::new(),
-    };
-    Ok(match opts.backend.as_str() {
-        "velodrome" => velodrome(trace, !opts.no_merge)?,
-        "velodrome-nomerge" => velodrome(trace, false)?,
-        "velodrome-hybrid" => hybrid(trace, false)?,
-        "aerodrome" => hybrid(trace, true)?,
-        "atomizer" => plain(run_tool(&mut Atomizer::new(), trace)),
-        "eraser" => plain(run_tool(&mut Eraser::new(), trace)),
-        "hb-race" => plain(run_tool(&mut HbRaceDetector::new(), trace)),
-        "fasttrack" => plain(run_tool(&mut velodrome_vclock::FastTrack::new(), trace)),
-        "s2pl" => plain(run_tool(
-            &mut velodrome_lockset::StrictTwoPhase::new(),
-            trace,
-        )),
-        "empty" => plain(run_tool(&mut EmptyTool::new(), trace)),
-        "all" => {
-            let mut result = velodrome(trace, !opts.no_merge)?;
-            result
-                .warnings
-                .extend(run_tool(&mut Atomizer::new(), trace));
-            result.warnings.extend(run_tool(&mut Eraser::new(), trace));
-            result
-                .warnings
-                .extend(run_tool(&mut HbRaceDetector::new(), trace));
-            result.warnings.sort_by_key(|w| w.op_index);
-            result
-        }
-        other => return Err(err(format!("unknown backend `{other}`\n{USAGE}"))),
-    })
+    (backend.run)(trace, &cfg)
 }
 
 fn info(opts: &Options) -> Result<String, CliError> {
@@ -599,26 +375,19 @@ fn compare(opts: &Options) -> Result<String, CliError> {
         load_trace(opts)?
     };
     let mut out = format!("{} events; warnings per tool:\n", trace.len());
-    for backend in [
-        "velodrome",
-        "atomizer",
-        "s2pl",
-        "eraser",
-        "hb-race",
-        "fasttrack",
-    ] {
+    let cfg = RunConfig {
+        merge: !opts.no_merge,
+        gc: !opts.no_gc,
+        ..RunConfig::default()
+    };
+    for backend in BACKENDS.iter().filter(|b| b.compare) {
         let start = std::time::Instant::now();
-        let mut o = Options {
-            backend: backend.into(),
-            ..Default::default()
-        };
-        o.no_merge = opts.no_merge;
-        o.no_gc = opts.no_gc;
-        let analysis = analyze(&trace, &o, &WatchdogStats::default())?;
+        let analysis = (backend.run)(&trace, &cfg)?;
         let elapsed = start.elapsed();
         let _ = writeln!(
             out,
-            "  {backend:<10} {:>4} warnings   {:>8.2?}",
+            "  {:<10} {:>4} warnings   {:>8.2?}",
+            backend.name,
             analysis.warnings.len(),
             elapsed
         );
@@ -1024,16 +793,18 @@ mod tests {
     #[test]
     fn compare_lists_all_tools() {
         let out = run(&["compare", "jbb"]).unwrap();
-        for tool in [
-            "velodrome",
-            "atomizer",
-            "s2pl",
-            "eraser",
-            "hb-race",
-            "fasttrack",
-        ] {
-            assert!(out.contains(tool), "missing {tool}: {out}");
-        }
+        let rows: Vec<&str> = out
+            .lines()
+            .skip(1)
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        let compared: Vec<&str> = BACKENDS
+            .iter()
+            .filter(|b| b.compare)
+            .map(|b| b.name)
+            .collect();
+        assert_eq!(rows, compared, "{out}");
+        assert_eq!(rows.len(), 6, "{out}");
     }
 
     #[test]
@@ -1105,22 +876,30 @@ mod tests {
     fn metrics_flags_are_validated() {
         let e = run(&["check", "multiset", "--metrics-interval=0"]).unwrap_err();
         assert_eq!(e.kind, CliErrorKind::Usage, "{e}");
-        let e = run(&[
-            "check",
-            "multiset",
-            "--backend=eraser",
-            "--metrics-out=/tmp/x.jsonl",
-        ])
-        .unwrap_err();
-        assert_eq!(e.kind, CliErrorKind::Usage, "{e}");
-        assert!(e.message.contains("velodrome or hybrid backend"), "{e}");
+        let dir = std::env::temp_dir().join("velodrome-cli-metrics-validated");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("m.jsonl");
+        let metrics_out = format!("--metrics-out={}", path.display());
+        for backend in BACKENDS {
+            let flag = format!("--backend={}", backend.name);
+            let result = run(&["check", "multiset", &flag, &metrics_out]);
+            if backend.meterable {
+                let out = result.unwrap_or_else(|e| panic!("{}: {e}", backend.name));
+                assert!(out.contains("metric snapshots written"), "{out}");
+            } else {
+                let e = result.unwrap_err();
+                assert_eq!(e.kind, CliErrorKind::Usage, "{e}");
+                assert!(e.message.contains("velodrome or hybrid backend"), "{e}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn every_listed_backend_is_accepted() {
         for backend in BACKENDS {
-            let out = run(&["check", "jbb", &format!("--backend={backend}")]).unwrap();
-            assert!(out.contains("events analyzed"), "{backend}: {out}");
+            let out = run(&["check", "jbb", &format!("--backend={}", backend.name)]).unwrap();
+            assert!(out.contains("events analyzed"), "{}: {out}", backend.name);
         }
     }
 

@@ -335,20 +335,6 @@ impl Tool for HybridVelodrome {
     }
 }
 
-/// Runs the hybrid checker over a recorded trace with default
-/// configuration (names taken from the trace) and returns the warnings.
-pub fn check_trace_hybrid(trace: &velodrome_events::Trace) -> Vec<Warning> {
-    let cfg = HybridConfig {
-        engine: VelodromeConfig {
-            names: trace.names().clone(),
-            ..VelodromeConfig::default()
-        },
-        ..HybridConfig::default()
-    };
-    let mut h = HybridVelodrome::with_config(cfg);
-    velodrome_monitor::run_tool(&mut h, trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -57,6 +57,6 @@ pub mod step;
 
 pub use arena::{Arena, ArenaError, ArenaStats, CycleFound, EdgeInfo, NodeDesc};
 pub use engine::{check_trace, check_trace_with, Velodrome, VelodromeConfig, VelodromeStats};
-pub use hybrid::{check_trace_hybrid, HybridConfig, HybridStats, HybridVelodrome};
+pub use hybrid::{HybridConfig, HybridStats, HybridVelodrome};
 pub use report::{CycleReport, ReportEdge, ReportNode};
 pub use step::Step;

@@ -95,7 +95,6 @@ cargo run --release -q -p velodrome-cli -- metrics-verify "$tmp/batch/metrics.js
 echo "==> cross-backend differential suite + conformance corpus (fixed seeds)"
 cargo test -q -p velodrome-integration --test atomicity_differential >/dev/null
 cargo test -q -p velodrome-integration --test corpus_conformance >/dev/null
-cargo test -q -p velodrome-integration --test backend_registry >/dev/null
 
 echo "==> BENCH_hotpath.json carries the documented fields"
 if [[ -f BENCH_hotpath.json ]]; then
