@@ -17,7 +17,7 @@ use velodrome_monitor::{
     run_tool, AtomicitySpec, DegradationLevel, EmptyTool, ResourceBudget, SpecFilter, Tool, Warning,
 };
 use velodrome_sim::WatchdogStats;
-use velodrome_telemetry::{JsonlExporter, SnapshotRing, Telemetry};
+use velodrome_telemetry::{JsonlExporter, Telemetry};
 use velodrome_vclock::{FastTrack, HbRaceDetector};
 
 /// Warnings plus analysis-health notes (metrics output, budget
@@ -161,9 +161,7 @@ pub(crate) fn resolve(name: &str, metered: bool) -> Result<&'static Backend, Cli
 /// Feeds the whole trace to `tool`. With a metrics file configured, the
 /// tool's statistics are mirrored into the registry and exported every
 /// `metrics_interval` events plus once at the end, so at least one line is
-/// always written; the last few snapshots are also kept in a
-/// [`SnapshotRing`], as a long-running monitor would. Without one, the
-/// final statistics are published once.
+/// always written. Without one, the final statistics are published once.
 fn feed<T: Tool>(
     tool: &mut T,
     trace: &Trace,
@@ -179,7 +177,6 @@ fn feed<T: Tool>(
     };
     let file = std::fs::File::create(path).map_err(|e| io_err(format!("creating {path}: {e}")))?;
     let mut exporter = JsonlExporter::new(std::io::BufWriter::new(file));
-    let mut ring = SnapshotRing::new(64);
     let mut seq = 0u64;
     let mut emit = |tool: &T, events: u64| -> Result<(), CliError> {
         publish(tool, telemetry);
@@ -188,7 +185,6 @@ fn feed<T: Tool>(
             exporter
                 .export(&snap)
                 .map_err(|e| io_err(format!("writing {path}: {e}")))?;
-            ring.push(snap);
             seq += 1;
         }
         Ok(())

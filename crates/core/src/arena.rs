@@ -164,6 +164,15 @@ pub struct Arena {
     /// preserving the exact warnings and reports of the eliding mode while
     /// paying the unoptimized insertion cost — the differential baseline.
     elide: bool,
+    /// Collection work list, reused across cascades.
+    work: Vec<SlotIdx>,
+    /// Alive successors of collected nodes: the sweep's start set, then its
+    /// stack. Reused across cascades.
+    frontier: Vec<SlotIdx>,
+    /// Per-slot sweep visit stamps: a slot was visited by the current sweep
+    /// iff its entry equals `epoch`.
+    seen: Vec<u32>,
+    epoch: u32,
 }
 
 impl Default for Arena {
@@ -193,6 +202,10 @@ impl Arena {
             stats: ArenaStats::default(),
             gc_enabled,
             elide,
+            work: Vec::new(),
+            frontier: Vec::new(),
+            seen: Vec::new(),
+            epoch: 0,
         }
     }
 
@@ -437,40 +450,90 @@ impl Arena {
 
     /// Collects `idx` if it is finished with no incoming edges, cascading to
     /// successors whose last incoming edge disappears.
+    ///
+    /// The cascade runs in two phases. *Collect* drains the work list,
+    /// marking nodes dead, unlinking their out-edges and pushing their slots
+    /// to the free list, and records every alive successor it unlinks.
+    /// *Sweep* then removes the dead nodes from ancestor sets (edges into a
+    /// dead node can never be added again, so it cannot join a cycle). A
+    /// collected node had no in-edges, so only its descendants can list it
+    /// as an ancestor: the sweep visits only the alive descendants of the
+    /// recorded successors, each once, so a cascade costs O(those nodes and
+    /// their ancestor entries) and allocates nothing.
     pub fn maybe_collect(&mut self, idx: SlotIdx) {
         if !self.gc_enabled || !self.slots[idx as usize].collectible() {
             return;
         }
-        let mut work = vec![idx];
-        while let Some(v) = work.pop() {
+        let first_free = self.free.len();
+        self.work.push(idx);
+        while let Some(v) = self.work.pop() {
             if !self.slots[v as usize].collectible() {
                 continue;
             }
             let slot = &mut self.slots[v as usize];
             slot.alive = false;
             slot.floor = slot.counter;
-            let out: Vec<SlotIdx> = slot.out.keys().collect();
-            slot.out.clear();
             slot.anc.clear();
+            let mut out = std::mem::replace(&mut slot.out, SlotMap::new());
             self.stats.cur_alive -= 1;
             self.stats.collected += 1;
-            for succ in out {
+            for succ in out.keys() {
                 let s = &mut self.slots[succ as usize];
                 if s.alive {
                     s.inc.remove(v);
                     if s.collectible() {
-                        work.push(succ);
+                        self.work.push(succ);
                     }
+                    self.frontier.push(succ);
                 }
             }
-            // Remove the dead node from ancestor sets: edges into it can
-            // never be added again, so it cannot participate in a cycle.
-            for s in &mut self.slots {
-                if s.alive {
-                    s.anc.remove(v);
-                }
-            }
+            // Hand the emptied map back so the slot keeps its capacity.
+            out.clear();
+            self.slots[v as usize].out = out;
             self.free.push(v);
+        }
+        self.sweep_ancestors(first_free);
+    }
+
+    /// Sweep phase of [`Arena::maybe_collect`]: drops the nodes collected
+    /// since `free[first_free]` from the ancestor sets of the alive nodes
+    /// reachable from `frontier`, visiting each node once.
+    ///
+    /// Every alive descendant of a dead node is reached, either through an
+    /// alive successor or through a successor that died in the same cascade
+    /// and recorded its own successors. Implied edges are followed too,
+    /// which only revisits descendants that are reached anyway.
+    fn sweep_ancestors(&mut self, first_free: usize) {
+        if self.frontier.is_empty() {
+            return;
+        }
+        let single = match &self.free[first_free..] {
+            [d] => Some(*d),
+            _ => None,
+        };
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
+        self.seen.resize(self.slots.len(), 0);
+        while let Some(v) = self.frontier.pop() {
+            let vi = v as usize;
+            if !self.slots[vi].alive || self.seen[vi] == self.epoch {
+                continue;
+            }
+            self.seen[vi] = self.epoch;
+            let mut anc = std::mem::take(&mut self.slots[vi].anc);
+            // Ancestor sets hold only alive nodes, so after the collect
+            // phase an entry is stale exactly when its slot is dead.
+            match single {
+                Some(d) => {
+                    anc.remove(d);
+                }
+                None => anc.retain(|a| self.slots[a as usize].alive),
+            }
+            self.slots[vi].anc = anc;
+            self.frontier.extend(self.slots[vi].out.keys());
         }
     }
 
@@ -481,7 +544,9 @@ impl Arena {
     /// Implied (redundant) edges are skipped so reconstruction is identical
     /// whether the arena elides them or stores them tagged.
     pub fn find_path(&self, start: SlotIdx, goal: SlotIdx) -> Option<Vec<(SlotIdx, EdgeInfo)>> {
-        // Iterative DFS; graphs here are tiny (tens of alive nodes).
+        // Iterative DFS that only descends into the goal's ancestors. It is
+        // not bounded by a small graph: a long transaction can keep
+        // thousands of nodes alive.
         // Successor order is ascending by slot (intrinsic to the sorted-vec
         // adjacency), so reports are reproducible run to run.
         let mut visited = SlotSet::new();
@@ -944,5 +1009,133 @@ mod tests {
         // Closing any back edge must fail.
         assert!(a.add_edge(s3, s0, op(), 4).is_err());
         assert!(a.add_edge(s3, s1, op(), 5).is_err());
+    }
+
+    #[test]
+    fn partial_cascade_keeps_survivor_ancestors_exact() {
+        // n0 → n1 → n2 → n4 → n5, and a second root n3 → n4: when n0 ends,
+        // n0, n1 and n2 die in one cascade, while n4 (and n5 below it) stay
+        // alive through n3 and keep only the surviving ancestors.
+        let mut a = Arena::new();
+        let s: Vec<Step> = (0..6).map(|i| a.alloc(desc(i), true).unwrap()).collect();
+        let n: Vec<SlotIdx> = s.iter().map(|s| s.unpack().0).collect();
+        for (i, (f, t)) in [(0, 1), (1, 2), (2, 4), (3, 4), (4, 5)]
+            .into_iter()
+            .enumerate()
+        {
+            a.add_edge(s[f], s[t], op(), i).unwrap();
+        }
+        a.check_invariants();
+        for i in [1, 2, 4, 5] {
+            a.finish(n[i]);
+            a.check_invariants();
+        }
+        assert_eq!(a.alive_count(), 6, "every finished node has an in-edge");
+        a.finish(n[0]);
+        a.check_invariants();
+        assert_eq!(a.alive_count(), 3, "n0, n1 and n2 collected together");
+        for i in [0, 1, 2] {
+            assert_eq!(a.resolve(s[i]), Step::NONE);
+        }
+        assert!(a.happens_before(s[3], s[4]));
+        assert!(a.happens_before(s[4], s[5]));
+        assert!(a.happens_before(s[3], s[5]));
+        assert_eq!(
+            a.footprint(),
+            (2, 3),
+            "anc(n4) = {{n3}}, anc(n5) = {{n3, n4}}"
+        );
+        a.finish(n[3]);
+        a.check_invariants();
+        assert_eq!(a.alive_count(), 0);
+        assert_eq!(a.stats().collected, 6);
+    }
+
+    #[test]
+    fn baseline_diamond_cascade_follows_tagged_edges() {
+        // Diamond n0 → {n1, n2} → n3, with n0 → n3 implied (stored tagged in
+        // the baseline) and a second root n4 → n3 keeping n3 alive.
+        let mut recycled = Vec::new();
+        for elide in [true, false] {
+            let mut a = Arena::with_options(true, elide);
+            let s: Vec<Step> = (0..5).map(|i| a.alloc(desc(i), true).unwrap()).collect();
+            let n: Vec<SlotIdx> = s.iter().map(|s| s.unpack().0).collect();
+            for (i, (f, t)) in [(0, 1), (0, 2), (1, 3), (2, 3), (4, 3)]
+                .into_iter()
+                .enumerate()
+            {
+                a.add_edge(s[f], s[t], op(), i).unwrap();
+            }
+            assert_eq!(a.add_edge(s[0], s[3], op(), 5), Ok(!elide));
+            assert_eq!(a.edge(n[0], n[3]).is_some(), !elide);
+            for i in [1, 2, 3] {
+                a.finish(n[i]);
+                a.check_invariants();
+            }
+            a.finish(n[0]);
+            a.check_invariants();
+            assert_eq!(a.alive_count(), 2, "n3 survives through n4 (elide={elide})");
+            assert!(a.happens_before(s[4], s[3]));
+            assert_eq!(a.footprint().1, 1, "anc(n3) = {{n4}} (elide={elide})");
+            a.finish(n[4]);
+            a.check_invariants();
+            assert_eq!(a.alive_count(), 0);
+            // Slots are reused in the same order whether or not the implied
+            // edge was stored.
+            let order: Vec<SlotIdx> = (0..5)
+                .map(|i| a.alloc(desc(i), true).unwrap().unpack().0)
+                .collect();
+            recycled.push(order);
+        }
+        assert_eq!(recycled[0], recycled[1]);
+    }
+
+    /// One long transaction `long` orders `readers` short transactions of
+    /// another thread, which form a chain in thread order (the `longtxn`
+    /// benchmark's shape). Every reader stays alive until `long` ends.
+    fn long_transaction_round(readers: usize, check: bool) {
+        let mut a = Arena::new();
+        let long = a.alloc(desc(0), true).unwrap();
+        let write = a.bump(long.unpack().0).unwrap();
+        let mut prev = Step::NONE;
+        let mut first = Step::NONE;
+        for i in 0..readers {
+            let begin = a.alloc(desc(1), true).unwrap();
+            let node = begin.unpack().0;
+            a.add_edge(prev, begin, op(), 2 * i).unwrap();
+            let read = a.bump(node).unwrap();
+            a.add_edge(write, read, op(), 2 * i + 1).unwrap();
+            a.finish(node);
+            if check {
+                a.check_invariants();
+            }
+            prev = read;
+            if i == 0 {
+                first = begin;
+            }
+        }
+        assert_eq!(a.alive_count(), readers + 1);
+        a.finish(long.unpack().0);
+        if check {
+            a.check_invariants();
+        }
+        assert_eq!(a.alive_count(), 0, "the long end collects every reader");
+        assert_eq!(a.stats().collected, readers as u64 + 1);
+        assert_eq!(a.footprint(), (0, 0));
+        // A recycled slot's old incarnations resolve to ⊥.
+        let fresh = a.alloc(desc(2), true).unwrap();
+        let slot = fresh.unpack().0;
+        let old = [long, write, first, prev]
+            .into_iter()
+            .find(|s| s.slot() == Some(slot))
+            .expect("the last collected slot is reused first");
+        assert_eq!(a.resolve(old), Step::NONE);
+        assert_eq!(a.resolve(fresh), fresh);
+    }
+
+    #[test]
+    fn long_transaction_end_collects_all_readers() {
+        long_transaction_round(20, true);
+        long_transaction_round(3_000, false);
     }
 }

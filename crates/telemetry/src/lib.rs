@@ -15,8 +15,8 @@
 //!   (`Velodrome::advance`, `Arena::add_edge`, cycle check, GC cascade,
 //!   scheduler step) recording call count, total and max nanoseconds.
 //! * [`Snapshot`]s — a point-in-time copy of every registered metric,
-//!   collected periodically into a fixed-size [`SnapshotRing`] and written
-//!   out as JSON Lines by [`JsonlExporter`] (the CLI's `--metrics-out`).
+//!   taken periodically and written out as JSON Lines by [`JsonlExporter`]
+//!   (the CLI's `--metrics-out`).
 //!
 //! # Zero overhead when disabled
 //!
@@ -34,4 +34,4 @@ pub mod snapshot;
 
 pub use export::JsonlExporter;
 pub use registry::{Counter, Gauge, Histogram, PhaseGuard, PhaseTimer, Telemetry};
-pub use snapshot::{MetricValue, Snapshot, SnapshotRing};
+pub use snapshot::{MetricValue, Snapshot};

@@ -1,8 +1,7 @@
-//! Point-in-time metric snapshots and the fixed-size ring they live in.
+//! Point-in-time metric snapshots.
 
 use serde::value::{Map, Number, Value};
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 
 /// A copy of one metric at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,84 +124,9 @@ impl Snapshot {
     }
 }
 
-/// A fixed-capacity ring of the most recent snapshots. Keeps the latest
-/// `capacity` snapshots; older ones are evicted in FIFO order, so memory
-/// stays bounded no matter how long a run is.
-#[derive(Debug, Clone)]
-pub struct SnapshotRing {
-    capacity: usize,
-    ring: VecDeque<Snapshot>,
-}
-
-impl SnapshotRing {
-    /// Creates a ring holding at most `capacity` snapshots (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            capacity,
-            ring: VecDeque::with_capacity(capacity),
-        }
-    }
-
-    /// Appends a snapshot, evicting the oldest when full.
-    pub fn push(&mut self, snap: Snapshot) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(snap);
-    }
-
-    /// Number of retained snapshots.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Returns `true` when no snapshots are retained.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Maximum number of retained snapshots.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The most recent snapshot, if any.
-    pub fn latest(&self) -> Option<&Snapshot> {
-        self.ring.back()
-    }
-
-    /// Iterates oldest → newest.
-    pub fn iter(&self) -> impl Iterator<Item = &Snapshot> {
-        self.ring.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn snap(seq: u64) -> Snapshot {
-        let mut metrics = BTreeMap::new();
-        metrics.insert("a.count".to_owned(), MetricValue::Counter(seq * 10));
-        Snapshot {
-            seq,
-            events: seq * 100,
-            metrics,
-        }
-    }
-
-    #[test]
-    fn ring_evicts_oldest() {
-        let mut ring = SnapshotRing::new(2);
-        ring.push(snap(0));
-        ring.push(snap(1));
-        ring.push(snap(2));
-        assert_eq!(ring.len(), 2);
-        let seqs: Vec<u64> = ring.iter().map(|s| s.seq).collect();
-        assert_eq!(seqs, vec![1, 2]);
-        assert_eq!(ring.latest().unwrap().seq, 2);
-    }
 
     #[test]
     fn json_line_round_trips() {

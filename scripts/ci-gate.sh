@@ -21,6 +21,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 echo "==> cargo test"
 cargo test -q
 
+echo "==> vendored serde_json unit tests (not a workspace member)"
+cargo test -q -p serde_json
+
+echo "==> perfbench tests (benchmark build + engine-independent reference checks)"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> chaos suite (fault injection against the live runtime)"
 cargo test -q -p velodrome-monitor --test chaos
 
