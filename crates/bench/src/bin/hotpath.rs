@@ -89,11 +89,12 @@ struct WorkloadResult {
 }
 
 fn run_engine(trace: &Trace, elide: bool) -> (EngineRun, String) {
-    // The timed run keeps telemetry fully disabled — an enabled registry
-    // arms the per-op phase timers, whose clock reads would taint the
-    // throughput comparison across PRs. The run's numbers are still read
-    // back through registry gauges: `publish_telemetry_to` mirrors the
-    // stats surface into a registry attached only after the clock stops.
+    // The timed run keeps telemetry disabled, the production default, so
+    // its throughput is the engine alone: an enabled registry adds the
+    // phase bookkeeping (an exact count per op and edge, a sampled clock
+    // read, a timed GC cascade). The run's numbers are still read back
+    // through registry gauges: `publish_telemetry_to` mirrors the stats
+    // surface into a registry attached only after the clock stops.
     let cfg = VelodromeConfig {
         elide_redundant_edges: elide,
         names: trace.names().clone(),

@@ -21,7 +21,7 @@
 //!   `quarantined`, the panic message preserved); unreadable or malformed
 //!   files fail that trace (status `error`); neither aborts the batch.
 
-use crate::backend::{self, RunConfig};
+use crate::backend::{self, Backend, RunConfig};
 use crate::{err, io_err, read_trace_file, CliError, Options, USAGE};
 use serde::value::{Map, Number, Value};
 use serde::Serialize as _;
@@ -40,7 +40,8 @@ pub struct BatchConfig {
     pub paths: Vec<PathBuf>,
     /// Worker-pool size (`--jobs`), at least 1.
     pub jobs: usize,
-    /// Backend name, as `--backend` accepts.
+    /// Backend name, as `--backend` accepts. [`run_batch`] resolves it once,
+    /// before any worker starts; an unknown name is a usage error.
     pub backend: String,
     /// Collect per-trace telemetry and merge it into one batch snapshot.
     /// Requires a velodrome-family backend (the same restriction
@@ -80,6 +81,10 @@ pub struct TraceOutcome {
     pub events: usize,
     /// Wall milliseconds spent loading + analyzing this trace.
     pub millis: u64,
+    /// The part of `millis` spent reading and decoding the file.
+    pub decode_ms: u64,
+    /// The part of `millis` spent in the backend's analysis.
+    pub analyze_ms: u64,
     /// The backend's warnings, byte-identical to a serial run.
     pub warnings: Vec<Warning>,
     /// Analysis-health notes (degradation, escalation, …).
@@ -154,6 +159,8 @@ impl BatchReport {
                 TraceStatus::Ok => {
                     m.insert("events".into(), num(o.events as u64));
                     m.insert("millis".into(), num(o.millis));
+                    m.insert("decode_ms".into(), num(o.decode_ms));
+                    m.insert("analyze_ms".into(), num(o.analyze_ms));
                     m.insert("serializable".into(), Value::Bool(o.warnings.is_empty()));
                     m.insert("warnings".into(), o.warnings.serialize_value());
                     m.insert(
@@ -210,23 +217,30 @@ impl BatchReport {
 /// Checks one trace file end to end: load (either format), analyze under a
 /// panic guard, snapshot the worker-private registry if metrics were
 /// requested.
-fn check_one(path: &Path, cfg: &BatchConfig) -> (TraceOutcome, Option<Snapshot>) {
+fn check_one(
+    path: &Path,
+    backend: &Backend,
+    collect_metrics: bool,
+) -> (TraceOutcome, Option<Snapshot>) {
     let start = std::time::Instant::now();
     let path_str = path.display().to_string();
-    let fail = |status: TraceStatus, message: String, start: std::time::Instant| TraceOutcome {
+    let fail = |status: TraceStatus, message: String| TraceOutcome {
         path: path_str.clone(),
         status,
         events: 0,
         millis: start.elapsed().as_millis() as u64,
+        decode_ms: 0,
+        analyze_ms: 0,
         warnings: Vec::new(),
         notes: Vec::new(),
         message: Some(message),
     };
     let trace = match read_trace_file(&path_str) {
         Ok(t) => t,
-        Err(e) => return (fail(TraceStatus::Error, e.message, start), None),
+        Err(e) => return (fail(TraceStatus::Error, e.message), None),
     };
-    let telemetry = if cfg.collect_metrics {
+    let decoded = start.elapsed();
+    let telemetry = if collect_metrics {
         Telemetry::registry()
     } else {
         Telemetry::disabled()
@@ -235,17 +249,17 @@ fn check_one(path: &Path, cfg: &BatchConfig) -> (TraceOutcome, Option<Snapshot>)
         telemetry: telemetry.clone(),
         ..RunConfig::default()
     };
-    let analysis = match velodrome_monitor::isolate::run_isolated(|| {
-        backend::resolve(&cfg.backend, false).and_then(|b| (b.run)(&trace, &run_cfg))
-    }) {
-        Err(panic) => {
-            let msg = format!("analysis panicked: {panic}");
-            return (fail(TraceStatus::Quarantined, msg, start), None);
-        }
-        Ok(Err(e)) => return (fail(TraceStatus::Error, e.message, start), None),
-        Ok(Ok(analysis)) => analysis,
-    };
-    let snapshot = if cfg.collect_metrics {
+    let analysis =
+        match velodrome_monitor::isolate::run_isolated(|| (backend.run)(&trace, &run_cfg)) {
+            Err(panic) => {
+                let msg = format!("analysis panicked: {panic}");
+                return (fail(TraceStatus::Quarantined, msg), None);
+            }
+            Ok(Err(e)) => return (fail(TraceStatus::Error, e.message), None),
+            Ok(Ok(analysis)) => analysis,
+        };
+    let analyzed = start.elapsed();
+    let snapshot = if collect_metrics {
         // Batch runs have no scheduler, but the single-trace snapshot
         // contract includes the watchdog gauges; publish explicit zeros so
         // `metrics-verify` holds for batch metrics too.
@@ -259,6 +273,8 @@ fn check_one(path: &Path, cfg: &BatchConfig) -> (TraceOutcome, Option<Snapshot>)
         status: TraceStatus::Ok,
         events: trace.len(),
         millis: start.elapsed().as_millis() as u64,
+        decode_ms: decoded.as_millis() as u64,
+        analyze_ms: (analyzed - decoded).as_millis() as u64,
         warnings: analysis.warnings,
         notes: analysis.notes,
         message: None,
@@ -336,9 +352,7 @@ pub fn run_batch(cfg: &BatchConfig) -> Result<BatchReport, CliError> {
     if cfg.jobs == 0 {
         return Err(err("check-batch requires --jobs >= 1"));
     }
-    if cfg.collect_metrics {
-        backend::resolve(&cfg.backend, true)?;
-    }
+    let backend = backend::resolve(&cfg.backend, cfg.collect_metrics)?;
     type Slot = Option<(TraceOutcome, Option<Snapshot>)>;
     let start = std::time::Instant::now();
     let n = cfg.paths.len();
@@ -351,7 +365,7 @@ pub fn run_batch(cfg: &BatchConfig) -> Result<BatchReport, CliError> {
                 if i >= n {
                     break;
                 }
-                let result = check_one(&cfg.paths[i], cfg);
+                let result = check_one(&cfg.paths[i], backend, cfg.collect_metrics);
                 slots.lock().expect("batch results poisoned")[i] = Some(result);
             });
         }
@@ -621,6 +635,16 @@ mod tests {
             let v: serde_json::Value = serde_json::from_str(line).unwrap();
             assert_eq!(v["status"], "ok", "{line}");
             assert!(v["events"].as_u64().unwrap() > 0, "{line}");
+            // The load/analysis split sits right after `millis` and never
+            // exceeds it.
+            let millis = v["millis"].as_u64().unwrap();
+            let decode = v["decode_ms"].as_u64().expect("decode_ms");
+            let analyze = v["analyze_ms"].as_u64().expect("analyze_ms");
+            assert!(decode + analyze <= millis, "{line}");
+            let at = |key: &str| line.find(&format!("\"{key}\":")).unwrap();
+            assert!(at("millis") < at("decode_ms"), "{line}");
+            assert!(at("decode_ms") < at("analyze_ms"), "{line}");
+            assert!(at("analyze_ms") < at("serializable"), "{line}");
             per_trace.push(v);
         }
         // Paths are in sorted input order; json/vbt twins agree exactly.
@@ -702,6 +726,33 @@ mod tests {
         assert_eq!(gauge("batch.traces_checked"), Some(4), "{snap:?}");
         assert_eq!(gauge("batch.traces_failed"), Some(1), "{snap:?}");
         assert_eq!(gauge("batch.jobs"), Some(2), "{snap:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn check_batch_rejects_an_unknown_backend_before_checking() {
+        let dir = scratch_dir("batch-unknown-backend");
+        record_corpus(&dir);
+        let report = dir.join("report.jsonl");
+        let e = run(&[
+            "check-batch",
+            dir.to_str().unwrap(),
+            "--backend=NOPE",
+            &format!("--report={}", report.display()),
+        ])
+        .unwrap_err();
+        assert_eq!(e.kind, crate::CliErrorKind::Usage, "{e}");
+        assert_eq!(e.exit_code(), 2);
+        assert!(e.message.starts_with("unknown backend `NOPE`"), "{e}");
+        assert!(!report.exists(), "no report is written");
+        let cfg = BatchConfig {
+            paths: vec![dir.join("a-multiset.json")],
+            jobs: 2,
+            backend: "NOPE".to_owned(),
+            collect_metrics: false,
+        };
+        let e = run_batch(&cfg).unwrap_err();
+        assert_eq!(e.kind, crate::CliErrorKind::Usage, "{e}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use velodrome_events::{Label, LockId, Op, SymbolTable, ThreadId, Trace, VarId};
 use velodrome_monitor::budget::{DegradationLevel, ResourceBudget};
 use velodrome_monitor::tool::{PerLabelDedup, Tool, Warning, WarningCategory};
-use velodrome_telemetry::{names, Counter, Gauge, PhaseTimer, Telemetry};
+use velodrome_telemetry::{names, Counter, Gauge, PhaseStat, Telemetry};
 
 /// Configuration of the [`Velodrome`] engine.
 #[derive(Debug, Clone)]
@@ -90,10 +90,10 @@ pub struct VelodromeConfig {
     pub names: SymbolTable,
     /// Telemetry registry the engine reports into (default: the disabled
     /// no-op handle — zero overhead, see the `velodrome-telemetry` crate).
-    /// When enabled, the engine registers phase timers around its hot spots
-    /// plus counters for arena capacity failures and ladder transitions,
-    /// and [`Velodrome::publish_telemetry`] mirrors the full
-    /// [`VelodromeStats`]/[`crate::arena::ArenaStats`] surface as gauges.
+    /// When enabled, the engine keeps phase records of its hot spots and
+    /// counters for arena capacity failures and ladder transitions, and
+    /// [`Velodrome::publish_telemetry`] mirrors the phases and the full
+    /// [`VelodromeStats`]/[`crate::arena::ArenaStats`] surface.
     pub telemetry: Telemetry,
 }
 
@@ -112,18 +112,28 @@ impl Default for VelodromeConfig {
     }
 }
 
-/// Pre-resolved telemetry handles for the engine's hot paths. All handles
-/// are no-ops when the configured [`Telemetry`] is disabled.
+/// Calls of the per-op phases (`advance`, `add_edge`) per clock read. Two
+/// clock reads cost about as much as a whole engine op, so these phases
+/// are counted on every call but timed on one in this many.
+const PHASE_SAMPLE_PERIOD: u64 = 64;
+
+/// The engine's telemetry state. Phases are plain integers owned by the
+/// engine and published at snapshot time; the counters are live registry
+/// handles (no-ops when the configured [`Telemetry`] is disabled).
 #[derive(Debug)]
 struct EngineTele {
-    /// Span timer per operation reaching the happens-before machinery.
-    advance: PhaseTimer,
-    /// Span timer around `Arena::add_edge`.
-    add_edge: PhaseTimer,
-    /// Span timer around cycle reconstruction and blame assignment.
-    cycle_check: PhaseTimer,
-    /// Span timer around GC cascades (`Arena::finish`).
-    gc: PhaseTimer,
+    /// A registry is attached. Gates all phase bookkeeping, so a disabled
+    /// engine pays one never-taken branch per op.
+    on: bool,
+    /// Operations reaching the happens-before machinery (sampled timing).
+    advance: PhaseStat,
+    /// `Arena::add_edge` calls (sampled timing).
+    add_edge: PhaseStat,
+    /// Cycle reconstruction and blame assignment (every call timed).
+    cycle_check: PhaseStat,
+    /// GC cascades, `Arena::finish` (every call timed: the max is the
+    /// longest GC stall).
+    gc: PhaseStat,
     /// Arena slot-exhaustion events.
     exhausted: Counter,
     /// Arena 48-bit timestamp overflows.
@@ -137,10 +147,11 @@ struct EngineTele {
 impl EngineTele {
     fn new(t: &Telemetry) -> Self {
         Self {
-            advance: t.phase(names::PHASE_ADVANCE),
-            add_edge: t.phase(names::PHASE_ADD_EDGE),
-            cycle_check: t.phase(names::PHASE_CYCLE_CHECK),
-            gc: t.phase(names::PHASE_GC),
+            on: t.is_enabled(),
+            advance: PhaseStat::default(),
+            add_edge: PhaseStat::default(),
+            cycle_check: PhaseStat::default(),
+            gc: PhaseStat::default(),
             exhausted: t.counter(names::ARENA_EXHAUSTED),
             ts_overflow: t.counter(names::ARENA_TS_OVERFLOW),
             degradations: t.counter(names::ENGINE_DEGRADATIONS),
@@ -348,20 +359,22 @@ impl Velodrome {
     }
 
     /// Mirrors the engine's statistics surface into the configured
-    /// telemetry registry as gauges under the stable names in
-    /// [`velodrome_telemetry::names`]. The counters the engine updates live
+    /// telemetry registry under the stable names in
+    /// [`velodrome_telemetry::names`]: the stats as gauges and the four
+    /// `phase.*` records as phases. The counters the engine updates live
     /// (`arena.exhausted`, `arena.ts_overflow`, `engine.degradations`) are
     /// not touched. A no-op when telemetry is disabled; callers invoke this
     /// before each snapshot (pull-model publishing keeps the hot path free
-    /// of per-op gauge stores).
+    /// of per-op registry writes).
     pub fn publish_telemetry(&self) {
         self.publish_telemetry_to(&self.cfg.telemetry);
     }
 
     /// [`publish_telemetry`](Self::publish_telemetry) into an explicit
     /// registry. Lets a benchmark run the engine with telemetry fully
-    /// disabled (no per-op phase-timer clock reads) and still read the
-    /// run's final numbers back through registry gauges.
+    /// disabled (no phase bookkeeping) and still read the run's final
+    /// numbers back through registry gauges; the phases then publish as
+    /// zeros.
     pub fn publish_telemetry_to(&self, t: &Telemetry) {
         if !t.is_enabled() {
             return;
@@ -383,6 +396,11 @@ impl Velodrome {
         t.set_gauge(names::ENGINE_WARNINGS_SUPPRESSED, s.warnings_suppressed);
         t.set_gauge(names::ENGINE_VARS_QUARANTINED, s.vars_quarantined);
         t.set_gauge(names::ENGINE_LADDER, s.ladder.rung());
+        let p = &self.tele;
+        p.advance.publish(t, names::PHASE_ADVANCE);
+        p.add_edge.publish(t, names::PHASE_ADD_EDGE);
+        p.cycle_check.publish(t, names::PHASE_CYCLE_CHECK);
+        p.gc.publish(t, names::PHASE_GC);
     }
 
     /// Full cycle reports collected so far (not drained by
@@ -435,16 +453,26 @@ impl Velodrome {
         !self.thread_mut(t).stack.is_empty()
     }
 
-    /// Timed wrapper around [`Arena::add_edge`].
+    /// [`Arena::add_edge`], recorded as `phase.add_edge`.
     fn add_edge(&mut self, from: Step, to: Step, op: Op, idx: usize) -> Result<bool, CycleFound> {
-        let _span = self.tele.add_edge.start();
-        self.arena.add_edge(from, to, op, idx)
+        if !self.tele.on {
+            return self.arena.add_edge(from, to, op, idx);
+        }
+        let start = self.tele.add_edge.begin(PHASE_SAMPLE_PERIOD);
+        let added = self.arena.add_edge(from, to, op, idx);
+        self.tele.add_edge.end(start);
+        added
     }
 
-    /// Timed wrapper around [`Arena::finish`] (the GC cascade entry point).
+    /// [`Arena::finish`] (the GC cascade entry point), recorded as
+    /// `phase.gc`.
     fn finish_node(&mut self, slot: SlotIdx) {
-        let _span = self.tele.gc.start();
+        if !self.tele.on {
+            return self.arena.finish(slot);
+        }
+        let start = self.tele.gc.begin(1);
         self.arena.finish(slot);
+        self.tele.gc.end(start);
     }
 
     /// Maps a recoverable arena capacity failure onto the degradation
@@ -827,8 +855,33 @@ impl Velodrome {
         false
     }
 
+    /// Applies one operation to the instrumentation store and the graph.
+    #[inline]
+    fn dispatch(&mut self, index: usize, op: Op) {
+        match op {
+            Op::Read { t, x } => self.on_read(t, x, op, index),
+            Op::Write { t, x } => self.on_write(t, x, op, index),
+            Op::Acquire { t, m } => self.on_acquire(t, m, op, index),
+            Op::Release { t, m } => self.on_release(t, m, op, index),
+            Op::Begin { t, l } => self.on_begin(t, l, index),
+            Op::End { t } => self.on_end(t, index),
+            Op::Fork { t, child } => self.on_fork(t, child, op, index),
+            Op::Join { t, child } => self.on_join(t, child, op, index),
+        }
+    }
+
+    /// Reports a detected cycle (path reconstruction, blame, warning),
+    /// timed as `phase.cycle_check`.
     fn report_cycle(&mut self, c: CycleFound, t: ThreadId, op: Op, idx: usize) {
-        let _span = self.tele.cycle_check.start();
+        if !self.tele.on {
+            return self.record_cycle(c, t, op, idx);
+        }
+        let start = self.tele.cycle_check.begin(1);
+        self.record_cycle(c, t, op, idx);
+        self.tele.cycle_check.end(start);
+    }
+
+    fn record_cycle(&mut self, c: CycleFound, t: ThreadId, op: Op, idx: usize) {
         self.stats.cycles_detected += 1;
         // Reconstruct the existing path current-txn →* edge-source; the
         // rejected edge closes the cycle.
@@ -930,16 +983,12 @@ impl Tool for Velodrome {
         if !self.cfg.budget.is_unlimited() && self.enforce_budgets(op, index) {
             return;
         }
-        let _span = self.tele.advance.start();
-        match op {
-            Op::Read { t, x } => self.on_read(t, x, op, index),
-            Op::Write { t, x } => self.on_write(t, x, op, index),
-            Op::Acquire { t, m } => self.on_acquire(t, m, op, index),
-            Op::Release { t, m } => self.on_release(t, m, op, index),
-            Op::Begin { t, l } => self.on_begin(t, l, index),
-            Op::End { t } => self.on_end(t, index),
-            Op::Fork { t, child } => self.on_fork(t, child, op, index),
-            Op::Join { t, child } => self.on_join(t, child, op, index),
+        if self.tele.on {
+            let start = self.tele.advance.begin(PHASE_SAMPLE_PERIOD);
+            self.dispatch(index, op);
+            self.tele.advance.end(start);
+        } else {
+            self.dispatch(index, op);
         }
     }
 

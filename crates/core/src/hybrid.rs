@@ -230,9 +230,9 @@ impl HybridVelodrome {
 
     /// Mirrors the checker's statistics into a telemetry registry under
     /// the stable names in [`velodrome_telemetry::names`]. The engine's
-    /// gauge surface is always published — zeroed while the screen holds —
-    /// so metrics contracts written against pure Velodrome keep verifying
-    /// against hybrid runs.
+    /// gauges and phases are always published — zeroed while the screen
+    /// holds — so metrics contracts written against pure Velodrome keep
+    /// verifying against hybrid runs.
     pub fn publish_telemetry_to(&self, t: &Telemetry) {
         if !t.is_enabled() {
             return;
@@ -251,7 +251,8 @@ impl HybridVelodrome {
         match &self.engine {
             Some(e) => e.publish_telemetry_to(t),
             None => {
-                // Dormant engine: publish its surface as explicit zeros.
+                // Dormant engine: publish its gauges and phases as
+                // explicit zeros.
                 for name in [
                     names::ARENA_ALLOCATED,
                     names::ARENA_MAX_ALIVE,
@@ -269,6 +270,14 @@ impl HybridVelodrome {
                     names::ENGINE_LADDER,
                 ] {
                     t.set_gauge(name, 0);
+                }
+                for name in [
+                    names::PHASE_ADVANCE,
+                    names::PHASE_ADD_EDGE,
+                    names::PHASE_CYCLE_CHECK,
+                    names::PHASE_GC,
+                ] {
+                    t.set_phase(name, 0, 0, 0);
                 }
                 // The op count is real even while the engine is dormant.
                 t.set_gauge(names::ENGINE_OPS, self.ops);
@@ -497,5 +506,13 @@ mod tests {
         assert_eq!(get(names::ARENA_ALLOCATED), 0);
         assert_eq!(get(names::ENGINE_OPS), h.stats().ops);
         assert!(get(names::AERODROME_JOINS) > 0);
+        assert_eq!(
+            snap.metrics.get(names::PHASE_ADVANCE),
+            Some(&velodrome_telemetry::MetricValue::Phase {
+                count: 0,
+                total_nanos: 0,
+                max_nanos: 0
+            })
+        );
     }
 }

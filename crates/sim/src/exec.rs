@@ -17,7 +17,7 @@ use crate::ir::{Program, Stmt};
 use crate::sched::{SchedView, Scheduler};
 use std::collections::HashMap;
 use velodrome_events::{LockId, Op, ThreadId, Trace};
-use velodrome_telemetry::{names, PhaseTimer, Telemetry};
+use velodrome_telemetry::{names, PhaseStat, Telemetry};
 
 /// What a thread would do on its next step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,9 +184,11 @@ pub struct Executor<'p, S> {
     trace: Trace,
     steps: u64,
     max_steps: u64,
-    /// Span timer around scheduler picks (`phase.scheduler_step`); the
-    /// disabled no-op handle unless telemetry is attached.
-    sched_timer: PhaseTimer,
+    /// Registry `phase.scheduler_step` is published to when the run
+    /// ends; the disabled handle unless telemetry is attached.
+    telemetry: Telemetry,
+    /// Scheduler picks, each timed (kept only when telemetry is attached).
+    sched_step: PhaseStat,
 }
 
 impl<'p, S: Scheduler> Executor<'p, S> {
@@ -209,7 +211,8 @@ impl<'p, S: Scheduler> Executor<'p, S> {
             trace,
             steps: 0,
             max_steps: 1 << 32,
-            sched_timer: PhaseTimer::disabled(),
+            telemetry: Telemetry::disabled(),
+            sched_step: PhaseStat::default(),
         };
         exec.settle_main();
         exec
@@ -221,10 +224,11 @@ impl<'p, S: Scheduler> Executor<'p, S> {
         self
     }
 
-    /// Attaches a telemetry registry: each scheduler pick is recorded as a
-    /// `phase.scheduler_step` span.
+    /// Attaches a telemetry registry: each scheduler pick is counted and
+    /// timed, and [`run`](Self::run) publishes the totals as
+    /// `phase.scheduler_step` when it returns.
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.sched_timer = telemetry.phase(names::PHASE_SCHEDULER_STEP);
+        self.telemetry = telemetry.clone();
         self
     }
 
@@ -443,15 +447,24 @@ impl<'p, S: Scheduler> Executor<'p, S> {
 
     /// Runs the program to completion, returning the trace.
     pub fn run(mut self) -> RunResult {
+        let deadlocked = self.run_steps();
+        self.sched_step
+            .publish(&self.telemetry, names::PHASE_SCHEDULER_STEP);
+        RunResult {
+            trace: self.trace,
+            deadlocked,
+            steps: self.steps,
+        }
+    }
+
+    /// Steps until every thread is done, none can run (returns whether any
+    /// thread was left unfinished: a deadlock), or the step limit is hit.
+    fn run_steps(&mut self) -> bool {
         let mut runnable_ids: Vec<ThreadId> = Vec::new();
         let mut next_ops: Vec<Option<Op>> = Vec::new();
         loop {
             if self.steps >= self.max_steps {
-                return RunResult {
-                    trace: self.trace,
-                    deadlocked: false,
-                    steps: self.steps,
-                };
+                return false;
             }
             runnable_ids.clear();
             next_ops.clear();
@@ -470,21 +483,22 @@ impl<'p, S: Scheduler> Executor<'p, S> {
                 }
             }
             if runnable_ids.is_empty() {
-                return RunResult {
-                    trace: self.trace,
-                    deadlocked: any_unfinished,
-                    steps: self.steps,
-                };
+                return any_unfinished;
             }
             let view = SchedView {
                 runnable: &runnable_ids,
                 next_ops: &next_ops,
                 step: self.steps,
             };
-            let span = self.sched_timer.start();
-            let choice = self.scheduler.pick(&view).min(runnable_ids.len() - 1);
-            drop(span);
-            let t = runnable_ids[choice];
+            let choice = if self.telemetry.is_enabled() {
+                let start = self.sched_step.begin(1);
+                let choice = self.scheduler.pick(&view);
+                self.sched_step.end(start);
+                choice
+            } else {
+                self.scheduler.pick(&view)
+            };
+            let t = runnable_ids[choice.min(runnable_ids.len() - 1)];
             self.step(t);
         }
     }
@@ -495,8 +509,8 @@ pub fn run_program<S: Scheduler>(program: &Program, scheduler: S) -> RunResult {
     Executor::new(program, scheduler).run()
 }
 
-/// Like [`run_program`], with scheduler picks timed into `telemetry` as
-/// `phase.scheduler_step` spans.
+/// Like [`run_program`], with scheduler picks counted and timed, and
+/// published into `telemetry` as `phase.scheduler_step` on return.
 pub fn run_program_with_telemetry<S: Scheduler>(
     program: &Program,
     scheduler: S,

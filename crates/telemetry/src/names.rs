@@ -7,7 +7,9 @@
 //! atomicity screen), `hybrid` (the two-tier screen-then-diagnose
 //! checker), `watchdog` (the adversarial scheduler's pause watchdog),
 //! `runtime` (the live-monitoring shim), `batch` (the parallel
-//! `check-batch` runner), and `phase` (hot-path span timers). Renaming an
+//! `check-batch` runner), and `phase` (hot-path phase records, see
+//! [`crate::PhaseStat`]: an exact call count, a total estimated from the
+//! timed calls, and the max over the timed calls). Renaming an
 //! entry here is a breaking change to the exported JSONL schema — add,
 //! don't rename.
 
@@ -112,14 +114,17 @@ pub const BATCH_WARNINGS_TOTAL: &str = "batch.warnings_total";
 /// Size of the worker pool the batch ran with.
 pub const BATCH_JOBS: &str = "batch.jobs";
 
-/// Span timer around `Velodrome::advance` (one span per operation that
-/// reaches the happens-before machinery).
+/// Engine operations that reach the happens-before machinery (every op
+/// except those dropped in recorder-only mode or by a budget check).
+/// Counted exactly; timed on 1 call in 64.
 pub const PHASE_ADVANCE: &str = "phase.advance";
-/// Span timer around `Arena::add_edge` calls.
+/// `Arena::add_edge` calls. Counted exactly; timed on 1 call in 64.
 pub const PHASE_ADD_EDGE: &str = "phase.add_edge";
-/// Span timer around cycle reconstruction and blame assignment.
+/// Cycle reconstruction and blame assignment, once per detected cycle.
+/// Timed on every call.
 pub const PHASE_CYCLE_CHECK: &str = "phase.cycle_check";
-/// Span timer around GC cascades (`Arena::finish`).
+/// GC cascades (`Arena::finish` calls). Timed on every call, so the max
+/// is the longest GC stall.
 pub const PHASE_GC: &str = "phase.gc";
-/// Span timer around scheduler picks in the simulator.
+/// Scheduler picks in the simulator. Timed on every call.
 pub const PHASE_SCHEDULER_STEP: &str = "phase.scheduler_step";

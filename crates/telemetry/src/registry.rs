@@ -1,15 +1,16 @@
 //! The metric registry and its lock-cheap update handles.
 //!
-//! The registry mutex is taken only when a metric is (re-)registered or a
-//! snapshot is collected; [`Counter`], [`Gauge`], [`Histogram`], and
-//! [`PhaseTimer`] handles hold an `Arc` straight to the metric's atomic
-//! storage, so hot-path updates are contention-free relaxed atomics.
+//! The registry mutex is taken only when a metric is (re-)registered, a
+//! phase is published, or a snapshot is collected; [`Counter`], [`Gauge`]
+//! and [`Histogram`] handles hold an `Arc` straight to the metric's atomic
+//! storage, so their updates are contention-free relaxed atomics. Phases
+//! are not live handles: their owners keep a [`crate::PhaseStat`] and
+//! publish it with [`Telemetry::set_phase`].
 
 use crate::snapshot::{MetricValue, Snapshot};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Number of power-of-two histogram buckets: bucket 0 holds zeros, bucket
 /// `i` holds values whose highest set bit is `i - 1` (so `1 << 63` lands in
@@ -63,10 +64,10 @@ impl PhaseInner {
         }
     }
 
-    fn record(&self, nanos: u64) {
-        self.count.fetch_add(1, Relaxed);
-        self.total_nanos.fetch_add(nanos, Relaxed);
-        self.max_nanos.fetch_max(nanos, Relaxed);
+    fn store(&self, count: u64, total_nanos: u64, max_nanos: u64) {
+        self.count.store(count, Relaxed);
+        self.total_nanos.store(total_nanos, Relaxed);
+        self.max_nanos.store(max_nanos, Relaxed);
     }
 }
 
@@ -104,7 +105,7 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// The no-op handle: every metric it hands out discards updates, and
-    /// phase timers never read the clock. This is the default everywhere,
+    /// publishing into it does nothing. This is the default everywhere,
     /// so telemetry costs one never-taken branch unless a registry is
     /// explicitly attached.
     pub fn disabled() -> Self {
@@ -180,24 +181,25 @@ impl Telemetry {
         }
     }
 
-    /// Registers (or resolves) the phase timer `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different metric kind.
-    pub fn phase(&self, name: &str) -> PhaseTimer {
-        match self.register(name, || Metric::Phase(Arc::new(PhaseInner::new()))) {
-            Some(Metric::Phase(p)) => PhaseTimer(Some(p)),
-            Some(other) => panic!("metric `{name}` already registered as {}", other.kind()),
-            None => PhaseTimer(None),
-        }
-    }
-
     /// Registers `name` as a gauge (if needed) and sets it — the one-shot
     /// publish path used by stat surfaces that push a whole struct at once.
     pub fn set_gauge(&self, name: &str, value: u64) {
         if self.inner.is_some() {
             self.gauge(name).set(value);
+        }
+    }
+
+    /// Registers `name` as a phase (if needed) and overwrites it with an
+    /// owner's totals — the publish path of [`crate::PhaseStat`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered as a different metric kind.
+    pub fn set_phase(&self, name: &str, count: u64, total_nanos: u64, max_nanos: u64) {
+        match self.register(name, || Metric::Phase(Arc::new(PhaseInner::new()))) {
+            Some(Metric::Phase(p)) => p.store(count, total_nanos, max_nanos),
+            Some(other) => panic!("metric `{name}` already registered as {}", other.kind()),
+            None => {}
         }
     }
 
@@ -318,53 +320,6 @@ impl Histogram {
     }
 }
 
-/// A span-style timer: each completed span records its duration (count,
-/// total, max nanoseconds). On the disabled handle, [`start`](Self::start)
-/// never reads the clock.
-#[derive(Debug, Clone, Default)]
-pub struct PhaseTimer(Option<Arc<PhaseInner>>);
-
-impl PhaseTimer {
-    /// A no-op timer (what the disabled registry hands out).
-    pub fn disabled() -> Self {
-        Self(None)
-    }
-
-    /// Opens a span; the returned guard records the duration when dropped.
-    /// The guard owns its storage, so it outlives any borrow of `self`.
-    pub fn start(&self) -> PhaseGuard {
-        PhaseGuard(self.0.as_ref().map(|p| (Arc::clone(p), Instant::now())))
-    }
-
-    /// Times one closure call as a span.
-    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _guard = self.start();
-        f()
-    }
-
-    /// Spans completed so far (0 on the disabled handle).
-    pub fn count(&self) -> u64 {
-        self.0.as_ref().map_or(0, |p| p.count.load(Relaxed))
-    }
-
-    /// Total nanoseconds across completed spans (0 on the disabled handle).
-    pub fn total_nanos(&self) -> u64 {
-        self.0.as_ref().map_or(0, |p| p.total_nanos.load(Relaxed))
-    }
-}
-
-/// Guard returned by [`PhaseTimer::start`]; records the span on drop.
-#[derive(Debug)]
-pub struct PhaseGuard(Option<(Arc<PhaseInner>, Instant)>);
-
-impl Drop for PhaseGuard {
-    fn drop(&mut self) {
-        if let Some((phase, start)) = self.0.take() {
-            phase.record(start.elapsed().as_nanos() as u64);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,9 +334,8 @@ mod tests {
         t.gauge("g").set(7);
         assert_eq!(t.gauge("g").get(), 0);
         assert!(t.snapshot(0, 0).is_none());
-        let p = t.phase("p");
-        p.time(|| ());
-        assert_eq!(p.count(), 0);
+        t.set_phase("p", 1, 2, 3);
+        assert!(t.snapshot(0, 0).is_none());
     }
 
     #[cfg(feature = "enabled")]
@@ -396,23 +350,6 @@ mod tests {
         let t2 = t.clone();
         t2.gauge("depth").set(9);
         assert_eq!(t.gauge("depth").get(), 9);
-    }
-
-    #[cfg(feature = "enabled")]
-    #[test]
-    fn phase_timer_records_spans() {
-        let t = Telemetry::registry();
-        let p = t.phase("work");
-        p.time(|| std::hint::black_box(41 + 1));
-        {
-            let _g = p.start();
-        }
-        assert_eq!(p.count(), 2);
-        let snap = t.snapshot(0, 10).unwrap();
-        match &snap.metrics["work"] {
-            MetricValue::Phase { count, .. } => assert_eq!(*count, 2),
-            other => panic!("expected phase, got {other:?}"),
-        }
     }
 
     #[cfg(feature = "enabled")]
@@ -453,5 +390,14 @@ mod tests {
         let t = Telemetry::registry();
         t.counter("x");
         t.gauge("x");
+    }
+
+    #[cfg(feature = "enabled")]
+    #[test]
+    #[should_panic(expected = "already registered")]
+    fn phase_over_a_gauge_panics() {
+        let t = Telemetry::registry();
+        t.set_gauge("x", 1);
+        t.set_phase("x", 1, 0, 0);
     }
 }

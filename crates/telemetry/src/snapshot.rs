@@ -10,13 +10,14 @@ pub enum MetricValue {
     Counter(u64),
     /// A last-write-wins value.
     Gauge(u64),
-    /// A span-timer summary.
+    /// A phase summary (see [`crate::PhaseStat`]).
     Phase {
-        /// Spans completed.
+        /// Calls of the phase (exact).
         count: u64,
-        /// Total nanoseconds across completed spans.
+        /// Nanoseconds across all calls, estimated from the timed calls
+        /// (exact for phases timed on every call).
         total_nanos: u64,
-        /// Longest single span, in nanoseconds.
+        /// Longest timed call, in nanoseconds.
         max_nanos: u64,
     },
     /// A power-of-two-bucketed distribution.
@@ -35,7 +36,7 @@ pub enum MetricValue {
 }
 
 impl MetricValue {
-    /// The headline scalar for this metric: counter/gauge value, phase span
+    /// The headline scalar for this metric: counter/gauge value, phase call
     /// count, or histogram sample count. What consumers that only want "the
     /// number" (bench bins, smoke checks) read.
     pub fn scalar(&self) -> u64 {

@@ -50,7 +50,9 @@ fi
 echo "==> metrics smoke (fixed-seed workload, JSONL snapshot contract)"
 cargo run --release -q -p velodrome-cli -- check multiset --seed=1 --scale=4 \
     --metrics-out="$tmp/metrics.jsonl" --metrics-interval=200 >/dev/null
-cargo run --release -q -p velodrome-cli -- metrics-verify "$tmp/metrics.jsonl" >/dev/null
+phases=phase.advance,phase.add_edge,phase.cycle_check,phase.gc
+cargo run --release -q -p velodrome-cli -- metrics-verify "$tmp/metrics.jsonl" \
+    --require="$phases,phase.scheduler_step" >/dev/null
 for name in arena.allocated arena.cur_alive engine.ops engine.ladder watchdog.pauses_issued; do
     if ! grep -q "\"$name\"" "$tmp/metrics.jsonl"; then
         echo "metrics smoke: required metric $name missing from snapshots" >&2
@@ -63,7 +65,7 @@ cargo run --release -q -p velodrome-cli -- check multiset --seed=1 --scale=4 \
     --backend=velodrome-hybrid \
     --metrics-out="$tmp/hybrid.jsonl" --metrics-interval=200 >/dev/null
 cargo run --release -q -p velodrome-cli -- metrics-verify "$tmp/hybrid.jsonl" \
-    --require=aerodrome.joins,aerodrome.epoch_hits,hybrid.escalations,hybrid.graph_ops \
+    --require="aerodrome.joins,aerodrome.epoch_hits,hybrid.escalations,hybrid.graph_ops,$phases" \
     >/dev/null
 for name in aerodrome.joins hybrid.escalations; do
     if ! grep -q "\"$name\"" "$tmp/hybrid.jsonl"; then
@@ -87,7 +89,8 @@ if [[ "$(wc -l < "$tmp/batch/report.jsonl")" -ne 4 ]]; then
     cat "$tmp/batch/report.jsonl" >&2
     exit 1
 fi
-for field in '"path"' '"status":"ok"' '"warnings"' '"summary"' '"events_per_sec"'; do
+for field in '"path"' '"status":"ok"' '"decode_ms"' '"analyze_ms"' '"warnings"' '"summary"' \
+             '"events_per_sec"'; do
     if ! grep -q "$field" "$tmp/batch/report.jsonl"; then
         echo "batch smoke: JSONL report is missing $field" >&2
         cat "$tmp/batch/report.jsonl" >&2
@@ -95,8 +98,20 @@ for field in '"path"' '"status":"ok"' '"warnings"' '"summary"' '"events_per_sec"
     fi
 done
 cargo run --release -q -p velodrome-cli -- metrics-verify "$tmp/batch/metrics.jsonl" \
-    --require=batch.traces_checked,batch.traces_failed,batch.traces_quarantined,batch.events_total,batch.events_per_sec,batch.warnings_total,batch.jobs \
+    --require="batch.traces_checked,batch.traces_failed,batch.traces_quarantined,batch.events_total,batch.events_per_sec,batch.warnings_total,batch.jobs,$phases" \
     >/dev/null
+
+echo "==> check-batch rejects an unknown backend with exit code 2, before checking"
+set +e
+cargo run --release -q -p velodrome-cli -- check-batch "$tmp/batch" --backend=NOPE \
+    --report="$tmp/batch/nope.jsonl" >/dev/null 2>"$tmp/err"
+code=$?
+set -e
+if [[ "$code" -ne 2 || -e "$tmp/batch/nope.jsonl" ]]; then
+    echo "expected exit code 2 and no report for an unknown backend, got $code" >&2
+    cat "$tmp/err" >&2
+    exit 1
+fi
 
 echo "==> cross-backend differential suite + conformance corpus (fixed seeds)"
 cargo test -q -p velodrome-integration --test atomicity_differential >/dev/null

@@ -1,0 +1,372 @@
+//! Telemetry contract tests over the golden corpus.
+//!
+//! * The engine's `phase.*` records count exactly: `phase.advance` once per
+//!   operation that reaches the happens-before machinery, `phase.gc` once
+//!   per `Arena::finish`, `phase.cycle_check` once per detected cycle, and
+//!   nothing at all when telemetry is disabled.
+//! * Attaching a registry never changes what the checker reports: text,
+//!   `--json` and `--dot` output and the analysis notes are byte-identical
+//!   with and without one.
+//! * The metric-name set of a `--metrics-out` snapshot is pinned per
+//!   meterable backend, and the merged `check-batch` snapshot sums the
+//!   per-trace phase counts.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::PathBuf;
+use velodrome::{check_trace_with, VelodromeConfig};
+use velodrome_cli::backend::{lookup, RunConfig, BACKENDS};
+use velodrome_cli::execute;
+use velodrome_events::{read_json_trace, vbt, Op, Trace};
+use velodrome_monitor::DegradationLevel;
+use velodrome_telemetry::{names, MetricValue, Telemetry};
+
+const PHASES: [&str; 4] = [
+    names::PHASE_ADVANCE,
+    names::PHASE_ADD_EDGE,
+    names::PHASE_CYCLE_CHECK,
+    names::PHASE_GC,
+];
+
+fn corpus_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus")
+}
+
+/// Every corpus trace file, both encodings, sorted.
+fn corpus_files() -> Vec<String> {
+    let mut files: Vec<String> = std::fs::read_dir(corpus_dir())
+        .expect("corpus dir exists")
+        .map(|e| e.unwrap().path().display().to_string())
+        .filter(|p| p.ends_with(".trace.json") || p.ends_with(".trace.vbt"))
+        .collect();
+    files.sort();
+    assert!(files.len() >= 40, "corpus shrank to {}", files.len());
+    files
+}
+
+fn corpus_path(name: &str) -> String {
+    corpus_dir().join(name).display().to_string()
+}
+
+fn run(args: &[&str]) -> String {
+    let args: Vec<String> = args.iter().map(|s| (*s).to_string()).collect();
+    execute(&args).unwrap_or_else(|e| panic!("{args:?} failed: {e}"))
+}
+
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("velodrome-telemetry-{name}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Reads a corpus trace in either encoding.
+fn load(path: &str) -> Trace {
+    let file = std::fs::File::open(path).unwrap();
+    let read = if path.ends_with(".vbt") {
+        vbt::read_vbt(file)
+    } else {
+        read_json_trace(file)
+    };
+    read.unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// The phase counts a registry holds after `publish`.
+fn phase_counts(t: &Telemetry, events: u64) -> BTreeMap<&'static str, u64> {
+    let snap = t.snapshot(0, events).expect("registry enabled");
+    PHASES
+        .iter()
+        .map(|&name| match snap.metrics.get(name) {
+            Some(MetricValue::Phase { count, .. }) => (name, *count),
+            other => panic!("{name}: expected a phase, got {other:?}"),
+        })
+        .collect()
+}
+
+/// Outermost-block `end`s: each finishes a transaction node, which is the
+/// only `Arena::finish` call site under the merge rule.
+fn outermost_ends(trace: &Trace) -> u64 {
+    let mut depth: BTreeMap<usize, u32> = BTreeMap::new();
+    let mut ends = 0;
+    for (_, op) in trace.iter() {
+        match op {
+            Op::Begin { t, .. } => *depth.entry(t.index()).or_default() += 1,
+            Op::End { t } => {
+                let d = depth.entry(t.index()).or_default();
+                if *d == 1 {
+                    ends += 1;
+                }
+                *d = d.saturating_sub(1);
+            }
+            _ => {}
+        }
+    }
+    ends
+}
+
+#[test]
+fn engine_phase_counts_are_exact_on_the_corpus() {
+    for path in corpus_files().iter().filter(|p| p.ends_with(".json")) {
+        let trace = load(path);
+        let telemetry = Telemetry::registry();
+        let cfg = VelodromeConfig {
+            names: trace.names().clone(),
+            telemetry: telemetry.clone(),
+            ..VelodromeConfig::default()
+        };
+        let (_, engine) = check_trace_with(&trace, cfg);
+        engine.publish_telemetry();
+        let stats = engine.stats();
+        // Unbudgeted and never degraded: every op reaches the machinery.
+        assert_eq!(stats.ladder, DegradationLevel::Full, "{path}");
+        let counts = phase_counts(&telemetry, trace.len() as u64);
+        assert_eq!(counts[names::PHASE_ADVANCE], stats.ops, "{path}");
+        assert_eq!(counts[names::PHASE_GC], outermost_ends(&trace), "{path}");
+        assert_eq!(
+            counts[names::PHASE_CYCLE_CHECK],
+            stats.cycles_detected,
+            "{path}"
+        );
+        // Every stored, elided or cycle-closing edge came from one call.
+        assert!(
+            counts[names::PHASE_ADD_EDGE]
+                >= stats.edges_added + stats.edges_elided + stats.cycles_detected,
+            "{path}: {counts:?} {stats:?}"
+        );
+    }
+}
+
+#[test]
+fn disabled_telemetry_keeps_no_phase_records() {
+    let trace = load(&corpus_path("multiset_small.trace.json"));
+    let cfg = VelodromeConfig {
+        names: trace.names().clone(),
+        telemetry: Telemetry::disabled(),
+        ..VelodromeConfig::default()
+    };
+    let (_, engine) = check_trace_with(&trace, cfg);
+    assert!(engine.stats().ops > 0);
+    // Published into a registry after the run, the phases read zero: the
+    // disabled engine never counted a call or read the clock.
+    let registry = Telemetry::registry();
+    engine.publish_telemetry_to(&registry);
+    let snap = registry.snapshot(0, 0).unwrap();
+    for name in PHASES {
+        assert_eq!(
+            snap.metrics[name],
+            MetricValue::Phase {
+                count: 0,
+                total_nanos: 0,
+                max_nanos: 0
+            },
+            "{name}"
+        );
+    }
+}
+
+/// Drops the note `--metrics-out` adds; everything else must match.
+fn without_metrics_note(out: &str) -> String {
+    out.lines()
+        .filter(|l| !l.contains("metric snapshots written to"))
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+#[test]
+fn telemetry_never_changes_a_verdict() {
+    let dir = scratch_dir("verdicts");
+    let metrics = dir.join("m.jsonl").display().to_string();
+    let metrics_flag = format!("--metrics-out={metrics}");
+    for path in corpus_files() {
+        for backend in ["velodrome", "velodrome-hybrid"] {
+            let backend_flag = format!("--backend={backend}");
+            for format in ["--text", "--json", "--dot"] {
+                let mut args = vec!["trace", path.as_str(), backend_flag.as_str()];
+                if format != "--text" {
+                    args.push(format);
+                }
+                let plain = run(&args);
+                args.push(&metrics_flag);
+                let metered = run(&args);
+                assert_eq!(
+                    without_metrics_note(&metered),
+                    plain,
+                    "{path} {backend} {format}"
+                );
+            }
+            // The same through the backend table, notes included.
+            let trace = load(&path);
+            let entry = lookup(backend).unwrap();
+            let with = |telemetry: Telemetry| {
+                let cfg = RunConfig {
+                    telemetry,
+                    ..RunConfig::default()
+                };
+                let a = (entry.run)(&trace, &cfg).unwrap();
+                (serde_json::to_string(&a.warnings).unwrap(), a.notes)
+            };
+            assert_eq!(
+                with(Telemetry::registry()),
+                with(Telemetry::disabled()),
+                "{path} {backend}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Sorted metric names of the last snapshot in a `--metrics-out` file.
+fn snapshot_names(path: &str) -> Vec<String> {
+    let text = std::fs::read_to_string(path).unwrap();
+    let last = text.lines().last().expect("at least one snapshot");
+    let v: serde_json::Value = serde_json::from_str(last).unwrap();
+    let mut names: Vec<String> = v["metrics"]
+        .as_object()
+        .unwrap()
+        .iter()
+        .map(|(k, _)| k.clone())
+        .collect();
+    names.sort();
+    names
+}
+
+const ENGINE_NAMES: [&str; 18] = [
+    "arena.allocated",
+    "arena.collected",
+    "arena.cur_alive",
+    "arena.edges_added",
+    "arena.edges_elided",
+    "arena.edges_replaced",
+    "arena.exhausted",
+    "arena.max_alive",
+    "arena.ts_overflow",
+    "engine.cycles_detected",
+    "engine.degradations",
+    "engine.epoch_hits",
+    "engine.ladder",
+    "engine.merges_bottom",
+    "engine.merges_reused",
+    "engine.ops",
+    "engine.vars_quarantined",
+    "engine.warnings_suppressed",
+];
+
+const WATCHDOG_NAMES: [&str; 4] = [
+    "watchdog.forced_all_paused",
+    "watchdog.forced_deadline",
+    "watchdog.forced_sole_runnable",
+    "watchdog.pauses_issued",
+];
+
+const SCREEN_NAMES: [&str; 10] = [
+    "aerodrome.epoch_hits",
+    "aerodrome.events",
+    "aerodrome.joins",
+    "aerodrome.live_joins",
+    "aerodrome.potential_flags",
+    "aerodrome.violations",
+    "hybrid.buffered_events",
+    "hybrid.escalations",
+    "hybrid.graph_ops",
+    "hybrid.truncated_events",
+];
+
+/// The live counters a graph engine registers when it is built; a hybrid
+/// whose screen never escalated has none.
+const LIVE_COUNTERS: [&str; 3] = [
+    "arena.exhausted",
+    "arena.ts_overflow",
+    "engine.degradations",
+];
+
+fn sorted(names: impl IntoIterator<Item = &'static str>) -> Vec<String> {
+    let set: BTreeSet<String> = names.into_iter().map(str::to_owned).collect();
+    set.into_iter().collect()
+}
+
+#[test]
+fn snapshot_name_sets_are_pinned() {
+    let velodrome = || ENGINE_NAMES.into_iter().chain(PHASES).chain(WATCHDOG_NAMES);
+    let escalated = sorted(velodrome().chain(SCREEN_NAMES));
+    let dormant = sorted(
+        velodrome()
+            .chain(SCREEN_NAMES)
+            .filter(|n| !LIVE_COUNTERS.contains(n)),
+    );
+    assert_eq!(sorted(velodrome()).len(), 26);
+    let dir = scratch_dir("schema");
+    let metrics = dir.join("m.jsonl").display().to_string();
+    let metrics_flag = format!("--metrics-out={metrics}");
+    // The violation escalates the hybrid's screen; the clean trace does not.
+    let violating = corpus_path("figure1_rmw_violation.trace.json");
+    let clean = corpus_path("figure1_serializable.trace.json");
+    let mut checked = 0;
+    for backend in BACKENDS.iter().filter(|b| b.meterable) {
+        let (on_violation, on_clean) = match backend.name {
+            "velodrome" | "velodrome-nomerge" | "all" => (sorted(velodrome()), sorted(velodrome())),
+            "velodrome-hybrid" | "aerodrome" => (escalated.clone(), dormant.clone()),
+            other => panic!("meterable backend {other} has no pinned name set"),
+        };
+        let backend_flag = format!("--backend={}", backend.name);
+        for (trace, expected) in [(&violating, on_violation), (&clean, on_clean)] {
+            run(&["trace", trace, &backend_flag, &metrics_flag]);
+            assert_eq!(
+                snapshot_names(&metrics),
+                expected,
+                "{} {trace}",
+                backend.name
+            );
+        }
+        checked += 1;
+    }
+    assert_eq!(checked, 5);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The phase counts of a snapshot line, by name.
+fn line_phase_counts(line: &str) -> BTreeMap<String, u64> {
+    let v: serde_json::Value = serde_json::from_str(line).unwrap();
+    PHASES
+        .iter()
+        .map(|&name| {
+            let m = &v["metrics"][name];
+            assert_eq!(m["type"], "phase", "{name} in {line}");
+            (name.to_owned(), m["count"].as_u64().unwrap())
+        })
+        .collect()
+}
+
+#[test]
+fn batch_snapshot_sums_phase_counts() {
+    let dir = scratch_dir("batch");
+    let merged = dir.join("merged.jsonl").display().to_string();
+    let single = dir.join("single.jsonl").display().to_string();
+    let corpus = corpus_dir().display().to_string();
+    for backend in ["velodrome", "velodrome-hybrid"] {
+        let backend_flag = format!("--backend={backend}");
+        run(&[
+            "check-batch",
+            &corpus,
+            "--jobs=2",
+            &backend_flag,
+            &format!("--metrics-out={merged}"),
+        ]);
+        let mut expected: BTreeMap<String, u64> = BTreeMap::new();
+        for path in corpus_files() {
+            run(&[
+                "trace",
+                &path,
+                &backend_flag,
+                &format!("--metrics-out={single}"),
+            ]);
+            let text = std::fs::read_to_string(&single).unwrap();
+            for (name, count) in line_phase_counts(text.lines().last().unwrap()) {
+                *expected.entry(name).or_default() += count;
+            }
+        }
+        let text = std::fs::read_to_string(&merged).unwrap();
+        let got = line_phase_counts(text.lines().next().unwrap());
+        assert_eq!(got, expected, "{backend}");
+        assert!(got[names::PHASE_ADVANCE] > 0, "{backend}: {got:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
