@@ -29,7 +29,7 @@ fn backend_overhead(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::from_parameter(backend.name),
                 &backend.run,
-                |bench, run| bench.iter(|| run(&trace, &cfg)),
+                |bench, run| bench.iter(|| run((&trace).into(), &cfg)),
             );
         }
         group.finish();

@@ -5,8 +5,9 @@
 //! and then checks the whole corpus two ways:
 //!
 //! 1. **json-serial** — the pre-batch pipeline: slurp each `.json` file,
-//!    parse it through the serde value tree ([`Trace::from_json`]), and
-//!    analyze traces one at a time on the calling thread;
+//!    parse it with [`Trace::from_json`] (the streaming JSON reader, over
+//!    the in-memory text), and analyze traces one at a time on the calling
+//!    thread;
 //! 2. **vbt-parallel** — the `check-batch` pipeline: stream each `.vbt`
 //!    twin through the zero-copy reader and fan the corpus over
 //!    [`velodrome_cli::batch::run_batch`]'s worker pool.
@@ -117,7 +118,7 @@ impl LegResult {
     }
 }
 
-/// The json-serial leg: slurp + value-tree parse + one-at-a-time analysis.
+/// The json-serial leg: slurp + parse + one-at-a-time analysis.
 pub fn run_json_serial(corpus: &Corpus, backend: &str) -> LegResult {
     let backend = lookup(backend).expect("backend is in the table");
     let start = std::time::Instant::now();
@@ -125,7 +126,8 @@ pub fn run_json_serial(corpus: &Corpus, backend: &str) -> LegResult {
     for entry in &corpus.entries {
         let json = std::fs::read_to_string(&entry.json_path).expect("corpus json twin reads");
         let trace = Trace::from_json(&json).expect("corpus json twin parses");
-        let analysis = (backend.run)(&trace, &RunConfig::default()).expect("serial analysis");
+        let analysis =
+            (backend.run)((&trace).into(), &RunConfig::default()).expect("serial analysis");
         fingerprints.push(serde_json::to_string(&analysis.warnings).expect("warnings serialize"));
     }
     LegResult {

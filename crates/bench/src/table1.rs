@@ -65,7 +65,7 @@ pub fn snapshot_run(backend: &str, trace: &Trace, spec: AtomicitySpec) -> Snapsh
         ..RunConfig::default()
     };
     let backend = lookup(backend).expect("backend is in the table");
-    (backend.run)(trace, &cfg).expect("backend runs");
+    (backend.run)(trace.into(), &cfg).expect("backend runs");
     cfg.telemetry
         .snapshot(0, trace.len() as u64)
         .expect("telemetry registry enabled")
@@ -91,7 +91,7 @@ pub fn measure(workload: &Workload, repeats: u32) -> Table1Row {
         let mut best = f64::INFINITY;
         for _ in 0..repeats.max(1) {
             let start = Instant::now();
-            (backend.run)(&trace, &cfg).expect("backend runs");
+            (backend.run)((&trace).into(), &cfg).expect("backend runs");
             best = best.min(start.elapsed().as_nanos() as f64 / trace.len().max(1) as f64);
         }
         ns_per_op[column] = best;

@@ -5,16 +5,19 @@
 //! tests iterate is one entry of [`BACKENDS`]. An entry pairs a stable name
 //! with a `run` function and the capability flags callers branch on. `run`
 //! builds the concrete tool from the shared [`RunConfig`] and drives it
-//! over the trace with static dispatch, so the per-event loop never goes
-//! through a trait object.
+//! over an [`Events`] source with static dispatch, so the per-event loop
+//! never goes through a trait object. The source is an in-memory trace or
+//! a trace file; a file is decoded one block at a time, and each block is
+//! analyzed before the next is read.
 
 use crate::{err, io_err, CliError, USAGE};
+use std::time::{Duration, Instant};
 use velodrome::{HybridConfig, HybridVelodrome, Velodrome, VelodromeConfig};
 use velodrome_atomizer::Atomizer;
-use velodrome_events::Trace;
+use velodrome_events::{Op, SymbolTable, Trace};
 use velodrome_lockset::{Eraser, StrictTwoPhase};
 use velodrome_monitor::{
-    run_tool, AtomicitySpec, DegradationLevel, EmptyTool, ResourceBudget, SpecFilter, Tool, Warning,
+    AtomicitySpec, DegradationLevel, EmptyTool, ResourceBudget, SpecFilter, Tool, Warning,
 };
 use velodrome_sim::WatchdogStats;
 use velodrome_telemetry::{JsonlExporter, Telemetry};
@@ -29,11 +32,74 @@ pub struct Analysis {
     pub warnings: Vec<Warning>,
     /// Analysis-health notes, in print order.
     pub notes: Vec<String>,
+    /// Events analyzed.
+    pub events: usize,
+    /// Time spent reading and decoding a trace file between the blocks
+    /// the tool analyzed (zero for an in-memory trace).
+    pub decode: Duration,
+}
+
+/// Where a backend's events come from.
+#[derive(Debug, Clone, Copy)]
+pub enum Events<'a> {
+    /// A trace already in memory.
+    Trace(&'a Trace),
+    /// A trace file in either format, decoded in blocks of at most
+    /// [`velodrome_events::FRAME_OPS`] operations. Each block is analyzed
+    /// before the next is read, so no [`Trace`] is built.
+    File(&'a str),
+}
+
+impl<'a> From<&'a Trace> for Events<'a> {
+    fn from(trace: &'a Trace) -> Self {
+        Self::Trace(trace)
+    }
+}
+
+/// What [`Events::stream`] knows once the last block is consumed.
+struct Streamed {
+    /// The symbol table. A JSON file may carry it after its last op.
+    names: SymbolTable,
+    events: usize,
+    /// See [`Analysis::decode`].
+    decode: Duration,
+}
+
+impl Events<'_> {
+    /// Hands the operations to `on_block(first_index, ops)` in order. A
+    /// malformed file fails here, possibly after some blocks were
+    /// consumed; the caller then discards what it built from them.
+    fn stream(self, mut on_block: impl FnMut(usize, &[Op])) -> Result<Streamed, CliError> {
+        match self {
+            Self::Trace(trace) => {
+                on_block(0, trace.ops());
+                Ok(Streamed {
+                    names: trace.names().clone(),
+                    events: trace.len(),
+                    decode: Duration::ZERO,
+                })
+            }
+            Self::File(path) => {
+                let start = Instant::now();
+                let mut analyzing = Duration::ZERO;
+                let summary = crate::stream_trace_file(path, |first, ops| {
+                    let block = Instant::now();
+                    on_block(first, ops);
+                    analyzing += block.elapsed();
+                })?;
+                Ok(Streamed {
+                    names: summary.names,
+                    events: summary.ops,
+                    decode: start.elapsed().saturating_sub(analyzing),
+                })
+            }
+        }
+    }
 }
 
 /// The one config every backend is built from. A backend ignores the
 /// fields it has no use for (a race detector has no merge rule); symbol
-/// names always come from the trace being checked.
+/// names always come from the events being checked.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Apply the merge optimization (`--no-merge` clears it).
@@ -74,14 +140,14 @@ impl Default for RunConfig {
     }
 }
 
-/// How an entry runs: build the tool from the config, check the trace.
-pub type RunFn = fn(&Trace, &RunConfig) -> Result<Analysis, CliError>;
+/// How an entry runs: build the tool from the config, check the events.
+pub type RunFn = fn(Events<'_>, &RunConfig) -> Result<Analysis, CliError>;
 
 /// One analysis backend.
 pub struct Backend {
     /// Stable name, as `--backend=` accepts it.
     pub name: &'static str,
-    /// Builds the tool from the shared config and runs it over a trace.
+    /// Builds the tool from the shared config and runs it over the events.
     pub run: RunFn,
     /// Accepts `--metrics-out`: the tool publishes the engine's gauges.
     pub meterable: bool,
@@ -120,23 +186,23 @@ impl Backend {
 
 /// Every backend, in the order `compare` prints its rows.
 pub static BACKENDS: &[Backend] = &[
-    Backend::new("velodrome", |t, c| velodrome(t, c, c.merge))
+    Backend::new("velodrome", |e, c| velodrome(e, c, c.merge))
         .metered()
         .in_table1(3)
         .compared(),
-    Backend::new("velodrome-nomerge", |t, c| velodrome(t, c, false)).metered(),
-    Backend::new("velodrome-hybrid", |t, c| hybrid(t, c, false)).metered(),
-    Backend::new("aerodrome", |t, c| hybrid(t, c, true)).metered(),
-    Backend::new("atomizer", |t, c| plain(t, c, Atomizer::new()))
+    Backend::new("velodrome-nomerge", |e, c| velodrome(e, c, false)).metered(),
+    Backend::new("velodrome-hybrid", |e, c| hybrid(e, c, false)).metered(),
+    Backend::new("aerodrome", |e, c| hybrid(e, c, true)).metered(),
+    Backend::new("atomizer", |e, c| plain(e, c, Atomizer::new()))
         .in_table1(2)
         .compared(),
-    Backend::new("s2pl", |t, c| plain(t, c, StrictTwoPhase::new())).compared(),
-    Backend::new("eraser", |t, c| plain(t, c, Eraser::new()))
+    Backend::new("s2pl", |e, c| plain(e, c, StrictTwoPhase::new())).compared(),
+    Backend::new("eraser", |e, c| plain(e, c, Eraser::new()))
         .in_table1(1)
         .compared(),
-    Backend::new("hb-race", |t, c| plain(t, c, HbRaceDetector::new())).compared(),
-    Backend::new("fasttrack", |t, c| plain(t, c, FastTrack::new())).compared(),
-    Backend::new("empty", |t, c| plain(t, c, EmptyTool::new())).in_table1(0),
+    Backend::new("hb-race", |e, c| plain(e, c, HbRaceDetector::new())).compared(),
+    Backend::new("fasttrack", |e, c| plain(e, c, FastTrack::new())).compared(),
+    Backend::new("empty", |e, c| plain(e, c, EmptyTool::new())).in_table1(0),
     Backend::new("all", all).metered(),
 ];
 
@@ -158,78 +224,141 @@ pub(crate) fn resolve(name: &str, metered: bool) -> Result<&'static Backend, Cli
     backend.ok_or_else(|| err(format!("unknown backend `{name}`\n{USAGE}")))
 }
 
-/// Feeds the whole trace to `tool`. With a metrics file configured, the
-/// tool's statistics are mirrored into the registry and exported every
-/// `metrics_interval` events plus once at the end, so at least one line is
-/// always written. Without one, the final statistics are published once.
+/// A run's `--metrics-out` file.
+struct MetricsFile<'a> {
+    path: &'a str,
+    exporter: JsonlExporter<std::io::BufWriter<std::fs::File>>,
+    seq: u64,
+}
+
+impl<'a> MetricsFile<'a> {
+    fn create(path: &'a str) -> Result<Self, CliError> {
+        let file =
+            std::fs::File::create(path).map_err(|e| io_err(format!("creating {path}: {e}")))?;
+        Ok(Self {
+            path,
+            exporter: JsonlExporter::new(std::io::BufWriter::new(file)),
+            seq: 0,
+        })
+    }
+
+    /// Mirrors the tool's statistics into the registry and exports one
+    /// snapshot.
+    fn emit<T>(
+        &mut self,
+        tool: &T,
+        publish: &impl Fn(&T, &Telemetry),
+        cfg: &RunConfig,
+        events: u64,
+    ) -> Result<(), CliError> {
+        let telemetry = &cfg.telemetry;
+        publish(tool, telemetry);
+        cfg.watchdog.publish(telemetry);
+        if let Some(snap) = telemetry.snapshot(self.seq, events) {
+            self.exporter
+                .export(&snap)
+                .map_err(|e| io_err(format!("writing {}: {e}", self.path)))?;
+            self.seq += 1;
+        }
+        Ok(())
+    }
+}
+
+/// Feeds every event to `tool` and ends the trace. With a metrics file
+/// configured, the tool's statistics are mirrored into the registry and
+/// exported every `metrics_interval` events plus once at the end, so at
+/// least one line is always written. Without one, the final statistics
+/// are published once.
+///
+/// A file found malformed partway fails the run as if it had been read
+/// whole before any analysis: the decode error wins over a metrics error,
+/// and the metrics file is removed.
 fn feed<T: Tool>(
     tool: &mut T,
-    trace: &Trace,
+    events: Events<'_>,
     cfg: &RunConfig,
     publish: impl Fn(&T, &Telemetry),
     notes: &mut Vec<String>,
-) -> Result<Vec<Warning>, CliError> {
-    let telemetry = &cfg.telemetry;
+) -> Result<Streamed, CliError> {
     let Some(path) = cfg.metrics_out.as_deref() else {
-        let warnings = run_tool(tool, trace);
-        publish(tool, telemetry);
-        return Ok(warnings);
+        let streamed = events.stream(|first, ops| {
+            for (i, &op) in (first..).zip(ops) {
+                tool.op(i, op);
+            }
+        })?;
+        tool.end_of_trace();
+        publish(tool, &cfg.telemetry);
+        return Ok(streamed);
     };
-    let file = std::fs::File::create(path).map_err(|e| io_err(format!("creating {path}: {e}")))?;
-    let mut exporter = JsonlExporter::new(std::io::BufWriter::new(file));
-    let mut seq = 0u64;
-    let mut emit = |tool: &T, events: u64| -> Result<(), CliError> {
-        publish(tool, telemetry);
-        cfg.watchdog.publish(telemetry);
-        if let Some(snap) = telemetry.snapshot(seq, events) {
-            exporter
-                .export(&snap)
-                .map_err(|e| io_err(format!("writing {path}: {e}")))?;
-            seq += 1;
+    let mut metrics = MetricsFile::create(path);
+    let created = metrics.is_ok();
+    // After a metrics failure the remaining events are only decoded.
+    let streamed = events.stream(|first, ops| {
+        let Ok(file) = &mut metrics else { return };
+        for (i, &op) in (first..).zip(ops) {
+            tool.op(i, op);
+            let events = i as u64 + 1;
+            if events % cfg.metrics_interval == 0 {
+                if let Err(e) = file.emit(tool, &publish, cfg, events) {
+                    metrics = Err(e);
+                    return;
+                }
+            }
         }
-        Ok(())
+    });
+    let streamed = match streamed {
+        Ok(streamed) => streamed,
+        Err(e) => {
+            drop(metrics);
+            if created {
+                let _ = std::fs::remove_file(path);
+            }
+            return Err(e);
+        }
     };
-    for (i, op) in trace.iter() {
-        tool.op(i, op);
-        let events = i as u64 + 1;
-        if events % cfg.metrics_interval == 0 {
-            emit(tool, events)?;
-        }
-    }
+    let mut file = metrics?;
     tool.end_of_trace();
-    emit(tool, trace.len() as u64)?;
+    file.emit(tool, &publish, cfg, streamed.events as u64)?;
     notes.push(format!(
         "{} metric snapshots written to {path}",
-        exporter.lines_written()
+        file.exporter.lines_written()
     ));
-    Ok(tool.take_warnings())
+    Ok(streamed)
 }
 
-/// Runs `tool` over the trace, behind a [`SpecFilter`] when the config
-/// carries a spec, and hands it back for its statistics.
+/// Runs `tool` over the events, behind a [`SpecFilter`] when the config
+/// carries a spec, gives it the events' names and hands it back for its
+/// statistics.
 fn drive<T: Tool>(
-    trace: &Trace,
+    events: Events<'_>,
     cfg: &RunConfig,
     mut tool: T,
     publish: fn(&T, &Telemetry),
+    set_names: fn(&mut T, SymbolTable),
 ) -> Result<(T, Analysis), CliError> {
     let mut notes = Vec::new();
-    let warnings = match cfg.spec.clone() {
-        None => feed(&mut tool, trace, cfg, publish, &mut notes)?,
+    let streamed = match cfg.spec.clone() {
+        None => feed(&mut tool, events, cfg, publish, &mut notes)?,
         Some(spec) => {
             let mut filtered = SpecFilter::new(spec, tool);
             let publish_inner = |f: &SpecFilter<T>, t: &Telemetry| publish(f.inner(), t);
-            let warnings = feed(&mut filtered, trace, cfg, publish_inner, &mut notes)?;
+            let streamed = feed(&mut filtered, events, cfg, publish_inner, &mut notes)?;
             tool = filtered.into_inner();
-            warnings
+            streamed
         }
     };
-    Ok((tool, Analysis { warnings, notes }))
+    set_names(&mut tool, streamed.names);
+    let analysis = Analysis {
+        warnings: tool.take_warnings(),
+        notes,
+        events: streamed.events,
+        decode: streamed.decode,
+    };
+    Ok((tool, analysis))
 }
 
-fn engine_config(trace: &Trace, cfg: &RunConfig, merge: bool) -> VelodromeConfig {
+fn engine_config(cfg: &RunConfig, merge: bool) -> VelodromeConfig {
     VelodromeConfig {
-        names: trace.names().clone(),
         merge,
         gc: cfg.gc,
         budget: cfg.budget,
@@ -239,36 +368,51 @@ fn engine_config(trace: &Trace, cfg: &RunConfig, merge: bool) -> VelodromeConfig
 }
 
 /// The paper's graph engine, noting budget suppression and degradation.
-fn velodrome(trace: &Trace, cfg: &RunConfig, merge: bool) -> Result<Analysis, CliError> {
-    let engine = Velodrome::with_config(engine_config(trace, cfg, merge));
-    let (engine, mut analysis) = drive(trace, cfg, engine, Velodrome::publish_telemetry_to)?;
+fn velodrome(events: Events<'_>, cfg: &RunConfig, merge: bool) -> Result<Analysis, CliError> {
+    let engine = Velodrome::with_config(engine_config(cfg, merge));
+    let (engine, mut analysis) = drive(
+        events,
+        cfg,
+        engine,
+        Velodrome::publish_telemetry_to,
+        Velodrome::set_names,
+    )?;
+    engine_notes(&engine, &mut analysis.notes);
+    Ok(analysis)
+}
+
+fn engine_notes(engine: &Velodrome, notes: &mut Vec<String>) {
     let stats = engine.stats();
     if stats.warnings_suppressed > 0 {
-        analysis.notes.push(format!(
+        notes.push(format!(
             "{} warnings suppressed (budget)",
             stats.warnings_suppressed
         ));
     }
     if stats.ladder != DegradationLevel::Full {
-        analysis.notes.push(format!(
+        notes.push(format!(
             "analysis degraded to {} ({} transitions, {} vars quarantined) — \
              warnings after the degradation point may be incomplete",
             stats.ladder, stats.degradations, stats.vars_quarantined
         ));
     }
-    Ok(analysis)
 }
 
 /// The two-tier checker: vector-clock screen online, graph engine replayed
 /// on escalation. `verdict_only` is the `aerodrome` trim.
-fn hybrid(trace: &Trace, cfg: &RunConfig, verdict_only: bool) -> Result<Analysis, CliError> {
+fn hybrid(events: Events<'_>, cfg: &RunConfig, verdict_only: bool) -> Result<Analysis, CliError> {
     let checker = HybridVelodrome::with_config(HybridConfig {
-        engine: engine_config(trace, cfg, cfg.merge),
+        engine: engine_config(cfg, cfg.merge),
         max_window: cfg.window,
         verdict_only,
     });
-    let (checker, mut analysis) =
-        drive(trace, cfg, checker, HybridVelodrome::publish_telemetry_to)?;
+    let (checker, mut analysis) = drive(
+        events,
+        cfg,
+        checker,
+        HybridVelodrome::publish_telemetry_to,
+        HybridVelodrome::set_names,
+    )?;
     let stats = checker.stats();
     analysis.notes.push(match stats.escalated_at {
         Some(at) => format!(
@@ -293,28 +437,67 @@ fn hybrid(trace: &Trace, cfg: &RunConfig, verdict_only: bool) -> Result<Analysis
     Ok(analysis)
 }
 
-/// A comparison tool: nothing to configure, publish or note.
-fn plain<T: Tool>(trace: &Trace, cfg: &RunConfig, tool: T) -> Result<Analysis, CliError> {
-    Ok(drive(trace, cfg, tool, |_, _| {})?.1)
+/// A comparison tool: nothing to configure, publish or name.
+fn plain<T: Tool>(events: Events<'_>, cfg: &RunConfig, tool: T) -> Result<Analysis, CliError> {
+    Ok(drive(events, cfg, tool, |_, _| {}, |_, _| {})?.1)
+}
+
+/// The tools of `all`, fed in one pass.
+struct All {
+    engine: Velodrome,
+    atomizer: Atomizer,
+    eraser: Eraser,
+    hb_race: HbRaceDetector,
+}
+
+impl Tool for All {
+    fn name(&self) -> &'static str {
+        "all"
+    }
+
+    fn op(&mut self, index: usize, op: Op) {
+        self.engine.op(index, op);
+        self.atomizer.op(index, op);
+        self.eraser.op(index, op);
+        self.hb_race.op(index, op);
+    }
+
+    fn end_of_trace(&mut self) {
+        self.engine.end_of_trace();
+        self.atomizer.end_of_trace();
+        self.eraser.end_of_trace();
+        self.hb_race.end_of_trace();
+    }
+
+    /// Each tool's warnings in turn, stably sorted by event index.
+    fn take_warnings(&mut self) -> Vec<Warning> {
+        let mut warnings = self.engine.take_warnings();
+        warnings.extend(self.atomizer.take_warnings());
+        warnings.extend(self.eraser.take_warnings());
+        warnings.extend(self.hb_race.take_warnings());
+        warnings.sort_by_key(|w| w.op_index);
+        warnings
+    }
 }
 
 /// The graph engine plus the Atomizer and the two race detectors, warnings
 /// interleaved by event index. Only the engine is metered.
-fn all(trace: &Trace, cfg: &RunConfig) -> Result<Analysis, CliError> {
-    let mut result = velodrome(trace, cfg, cfg.merge)?;
-    let cfg = RunConfig {
-        metrics_out: None,
-        ..cfg.clone()
+fn all(events: Events<'_>, cfg: &RunConfig) -> Result<Analysis, CliError> {
+    let tools = All {
+        engine: Velodrome::with_config(engine_config(cfg, cfg.merge)),
+        atomizer: Atomizer::new(),
+        eraser: Eraser::new(),
+        hb_race: HbRaceDetector::new(),
     };
-    for extra in [
-        plain(trace, &cfg, Atomizer::new())?,
-        plain(trace, &cfg, Eraser::new())?,
-        plain(trace, &cfg, HbRaceDetector::new())?,
-    ] {
-        result.warnings.extend(extra.warnings);
-    }
-    result.warnings.sort_by_key(|w| w.op_index);
-    Ok(result)
+    let (tools, mut analysis) = drive(
+        events,
+        cfg,
+        tools,
+        |a, t| a.engine.publish_telemetry_to(t),
+        |a, names| a.engine.set_names(names),
+    )?;
+    engine_notes(&tools.engine, &mut analysis.notes);
+    Ok(analysis)
 }
 
 #[cfg(test)]
@@ -333,14 +516,14 @@ mod tests {
     }
 
     fn run(name: &str, trace: &Trace, cfg: &RunConfig) -> Analysis {
-        (lookup(name).expect("backend in table").run)(trace, cfg).expect("backend runs")
+        (lookup(name).expect("backend in table").run)(trace.into(), cfg).expect("backend runs")
     }
 
     #[test]
     fn all_backends_run() {
         let trace = rmw_trace();
         for backend in BACKENDS {
-            (backend.run)(&trace, &RunConfig::default())
+            (backend.run)((&trace).into(), &RunConfig::default())
                 .unwrap_or_else(|e| panic!("{}: {e}", backend.name));
         }
     }

@@ -3,8 +3,9 @@
 //! The unit of scaling for a fleet-checking service is the *set of traces*,
 //! not the single trace: per-trace analysis is already linear, so aggregate
 //! throughput comes from fanning a work queue of trace files over a fixed
-//! worker pool. Each worker loads (JSON or VBT, sniffed by magic) and
-//! analyzes one trace at a time under the monitor's panic-isolation shim
+//! worker pool. Each worker streams one trace file at a time (JSON or VBT,
+//! sniffed by magic) into its backend, block by block, under the
+//! monitor's panic-isolation shim
 //! ([`velodrome_monitor::isolate`]), so one poisoned trace degrades only
 //! its own verdict — the batch always completes and always reports.
 //!
@@ -21,8 +22,8 @@
 //!   `quarantined`, the panic message preserved); unreadable or malformed
 //!   files fail that trace (status `error`); neither aborts the batch.
 
-use crate::backend::{self, Backend, RunConfig};
-use crate::{err, io_err, read_trace_file, CliError, Options, USAGE};
+use crate::backend::{self, Backend, Events, RunConfig};
+use crate::{err, io_err, CliError, Options, USAGE};
 use serde::value::{Map, Number, Value};
 use serde::Serialize as _;
 use std::collections::BTreeMap;
@@ -81,9 +82,11 @@ pub struct TraceOutcome {
     pub events: usize,
     /// Wall milliseconds spent loading + analyzing this trace.
     pub millis: u64,
-    /// The part of `millis` spent reading and decoding the file.
+    /// The part of `millis` spent reading and decoding the file: the sum,
+    /// over its blocks, of the time to decode each.
     pub decode_ms: u64,
-    /// The part of `millis` spent in the backend's analysis.
+    /// The part of `millis` spent in the backend's analysis: the sum, over
+    /// the blocks, of the time to analyze each, plus the end of the trace.
     pub analyze_ms: u64,
     /// The backend's warnings, byte-identical to a serial run.
     pub warnings: Vec<Warning>,
@@ -214,9 +217,9 @@ impl BatchReport {
     }
 }
 
-/// Checks one trace file end to end: load (either format), analyze under a
-/// panic guard, snapshot the worker-private registry if metrics were
-/// requested.
+/// Checks one trace file end to end: stream it (either format) into the
+/// backend under a panic guard, snapshot the worker-private registry if
+/// metrics were requested.
 fn check_one(
     path: &Path,
     backend: &Backend,
@@ -235,11 +238,6 @@ fn check_one(
         notes: Vec::new(),
         message: Some(message),
     };
-    let trace = match read_trace_file(&path_str) {
-        Ok(t) => t,
-        Err(e) => return (fail(TraceStatus::Error, e.message), None),
-    };
-    let decoded = start.elapsed();
     let telemetry = if collect_metrics {
         Telemetry::registry()
     } else {
@@ -249,8 +247,9 @@ fn check_one(
         telemetry: telemetry.clone(),
         ..RunConfig::default()
     };
+    let events = Events::File(&path_str);
     let analysis =
-        match velodrome_monitor::isolate::run_isolated(|| (backend.run)(&trace, &run_cfg)) {
+        match velodrome_monitor::isolate::run_isolated(|| (backend.run)(events, &run_cfg)) {
             Err(panic) => {
                 let msg = format!("analysis panicked: {panic}");
                 return (fail(TraceStatus::Quarantined, msg), None);
@@ -258,23 +257,23 @@ fn check_one(
             Ok(Err(e)) => return (fail(TraceStatus::Error, e.message), None),
             Ok(Ok(analysis)) => analysis,
         };
-    let analyzed = start.elapsed();
+    let ran = start.elapsed();
     let snapshot = if collect_metrics {
         // Batch runs have no scheduler, but the single-trace snapshot
         // contract includes the watchdog gauges; publish explicit zeros so
         // `metrics-verify` holds for batch metrics too.
         WatchdogStats::default().publish(&telemetry);
-        telemetry.snapshot(0, trace.len() as u64)
+        telemetry.snapshot(0, analysis.events as u64)
     } else {
         None
     };
     let outcome = TraceOutcome {
         path: path_str,
         status: TraceStatus::Ok,
-        events: trace.len(),
+        events: analysis.events,
         millis: start.elapsed().as_millis() as u64,
-        decode_ms: decoded.as_millis() as u64,
-        analyze_ms: (analyzed - decoded).as_millis() as u64,
+        decode_ms: analysis.decode.as_millis() as u64,
+        analyze_ms: ran.saturating_sub(analysis.decode).as_millis() as u64,
         warnings: analysis.warnings,
         notes: analysis.notes,
         message: None,

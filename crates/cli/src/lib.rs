@@ -19,7 +19,7 @@
 pub mod backend;
 pub mod batch;
 
-use backend::{Analysis, RunConfig, BACKENDS};
+use backend::{Analysis, Events, RunConfig, BACKENDS};
 use std::fmt::Write as _;
 use velodrome_events::{oracle, Trace, TraceStats};
 use velodrome_sim::{run_program, RandomScheduler, WatchdogStats};
@@ -295,20 +295,24 @@ fn produce_trace_with(
     Ok((result.trace, watchdog))
 }
 
-fn analyze(trace: &Trace, opts: &Options, watchdog: &WatchdogStats) -> Result<Analysis, CliError> {
+fn analyze(
+    events: Events<'_>,
+    opts: &Options,
+    watchdog: &WatchdogStats,
+) -> Result<Analysis, CliError> {
     let telemetry = if opts.metrics_out.is_some() {
         Telemetry::registry()
     } else {
         Telemetry::disabled()
     };
-    analyze_with(trace, opts, watchdog, &telemetry)
+    analyze_with(events, opts, watchdog, &telemetry)
 }
 
 /// [`analyze`] against a caller-provided registry, so phases recorded
 /// before the analysis (e.g. `phase.scheduler_step` during trace
 /// production) appear in the same `--metrics-out` snapshots.
 fn analyze_with(
-    trace: &Trace,
+    events: Events<'_>,
     opts: &Options,
     watchdog: &WatchdogStats,
     telemetry: &Telemetry,
@@ -329,7 +333,7 @@ fn analyze_with(
         watchdog: *watchdog,
         spec: None,
     };
-    (backend.run)(trace, &cfg)
+    (backend.run)(events, &cfg)
 }
 
 fn info(opts: &Options) -> Result<String, CliError> {
@@ -362,8 +366,8 @@ fn replay(opts: &Options) -> Result<String, CliError> {
         "replayed {} recorded events deterministically\n",
         replayer.replayed()
     );
-    let analysis = analyze(&result.trace, opts, &WatchdogStats::default())?;
-    out.push_str(&render_analysis(&result.trace, &analysis, opts.dot));
+    let analysis = analyze((&result.trace).into(), opts, &WatchdogStats::default())?;
+    out.push_str(&render_analysis(&analysis, opts.dot));
     Ok(out)
 }
 
@@ -382,7 +386,7 @@ fn compare(opts: &Options) -> Result<String, CliError> {
     };
     for backend in BACKENDS.iter().filter(|b| b.compare) {
         let start = std::time::Instant::now();
-        let analysis = (backend.run)(&trace, &cfg)?;
+        let analysis = (backend.run)((&trace).into(), &cfg)?;
         let elapsed = start.elapsed();
         let _ = writeln!(
             out,
@@ -395,7 +399,7 @@ fn compare(opts: &Options) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn render_analysis(trace: &Trace, analysis: &Analysis, dot: bool) -> String {
+fn render_analysis(analysis: &Analysis, dot: bool) -> String {
     let mut out = String::new();
     if analysis.warnings.is_empty() {
         let _ = writeln!(
@@ -414,7 +418,7 @@ fn render_analysis(trace: &Trace, analysis: &Analysis, dot: bool) -> String {
     for note in &analysis.notes {
         let _ = writeln!(out, "{note}");
     }
-    let _ = writeln!(out, "({} events analyzed)", trace.len());
+    let _ = writeln!(out, "({} events analyzed)", analysis.events);
     out
 }
 
@@ -425,14 +429,8 @@ fn check(opts: &Options) -> Result<String, CliError> {
         Telemetry::disabled()
     };
     let (trace, watchdog) = produce_trace_with(opts, &telemetry)?;
-    let analysis = analyze_with(&trace, opts, &watchdog, &telemetry)?;
-    if opts.json {
-        return Ok(format!(
-            "{}\n",
-            serde_json::to_string_pretty(&analysis.warnings).expect("warnings serialize")
-        ));
-    }
-    Ok(render_analysis(&trace, &analysis, opts.dot))
+    let analysis = analyze_with((&trace).into(), opts, &watchdog, &telemetry)?;
+    Ok(print_analysis(&analysis, opts))
 }
 
 fn record(opts: &Options) -> Result<String, CliError> {
@@ -445,40 +443,33 @@ fn record(opts: &Options) -> Result<String, CliError> {
     Ok(format!("recorded {} events to {path}\n", trace.len()))
 }
 
-/// Reads and parses a trace file with structured diagnostics: an unreadable
-/// path is an I/O error (exit 3); unparseable contents are a malformed-input
-/// error (exit 4) naming the file, byte offset, and reason.
-///
-/// The format is sniffed from the first bytes: the VBT magic selects the
-/// binary reader, anything else streams through the incremental JSON
-/// parser. Neither path ever holds the input text in memory — peak
-/// allocation is one fixed read buffer plus the decoded trace, so
-/// multi-hundred-megabyte recordings load without tripling RSS.
+/// Decodes a trace file (either format, sniffed by magic bytes) and hands
+/// its operations to `on_block(first_index, ops)` one block at a time,
+/// with structured diagnostics: an unreadable path is an I/O error
+/// (exit 3); unparseable contents are a malformed-input error (exit 4)
+/// naming the file, byte offset, and reason. Peak allocation is one fixed
+/// read buffer and one block, whatever the file's length.
+fn stream_trace_file(
+    path: &str,
+    on_block: impl FnMut(usize, &[velodrome_events::Op]),
+) -> Result<velodrome_events::TraceSummary, CliError> {
+    let file = std::fs::File::open(path).map_err(|e| io_err(format!("reading {path}: {e}")))?;
+    velodrome_events::stream_trace(file, on_block).map_err(|e| read_err(path, e))
+}
+
+/// Reads a whole trace file into memory, for the commands that need the
+/// [`Trace`] itself (`oracle`, `info`, `replay`, `compare`, `convert`).
+/// Diagnostics as for [`stream_trace_file`].
 fn read_trace_file(path: &str) -> Result<Trace, CliError> {
-    use std::io::Read as _;
-    let mut file = std::fs::File::open(path).map_err(|e| io_err(format!("reading {path}: {e}")))?;
-    // Sniff up to the first 4 bytes, then replay them ahead of the rest of
-    // the stream so the chosen parser still sees the file from byte 0.
-    let mut head = [0u8; 4];
-    let mut got = 0usize;
-    while got < head.len() {
-        match file.read(&mut head[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(io_err(format!("reading {path}: {e}"))),
-        }
-    }
-    let src = head[..got].chain(file);
-    let result = if velodrome_events::is_vbt(&head[..got]) {
-        velodrome_events::read_vbt(src)
-    } else {
-        velodrome_events::read_json_trace(src)
-    };
-    result.map_err(|e| match e {
+    let file = std::fs::File::open(path).map_err(|e| io_err(format!("reading {path}: {e}")))?;
+    velodrome_events::read_trace(file).map_err(|e| read_err(path, e))
+}
+
+fn read_err(path: &str, e: velodrome_events::TraceReadError) -> CliError {
+    match e {
         velodrome_events::TraceReadError::Io(e) => io_err(format!("reading {path}: {e}")),
         malformed => input_err(format!("malformed trace file {path}: {malformed}")),
-    })
+    }
 }
 
 /// Translates a trace between the JSON and VBT encodings. The target
@@ -521,16 +512,23 @@ fn load_trace(opts: &Options) -> Result<Trace, CliError> {
     read_trace_file(path)
 }
 
+/// Checks a trace file as it is read: the file's blocks go to the backend
+/// one at a time and no [`Trace`] is built.
 fn trace_cmd(opts: &Options) -> Result<String, CliError> {
-    let trace = load_trace(opts)?;
-    let analysis = analyze(&trace, opts, &WatchdogStats::default())?;
+    let path = opts.positional.first().ok_or_else(|| err(USAGE))?;
+    let analysis = analyze(Events::File(path), opts, &WatchdogStats::default())?;
+    Ok(print_analysis(&analysis, opts))
+}
+
+/// The analysis as `--json` warnings, or as text.
+fn print_analysis(analysis: &Analysis, opts: &Options) -> String {
     if opts.json {
-        return Ok(format!(
+        return format!(
             "{}\n",
             serde_json::to_string_pretty(&analysis.warnings).expect("warnings serialize")
-        ));
+        );
     }
-    Ok(render_analysis(&trace, &analysis, opts.dot))
+    render_analysis(analysis, opts.dot)
 }
 
 /// Metric names every snapshot line must carry for downstream dashboards;

@@ -86,7 +86,8 @@ pub struct VelodromeConfig {
     /// *before* the first transition are byte-identical to an unbudgeted
     /// run.
     pub budget: ResourceBudget,
-    /// Symbol table used to render warnings and error graphs.
+    /// Symbol table used to render warnings and error graphs, when they
+    /// are drained (see [`Velodrome::set_names`]).
     pub names: SymbolTable,
     /// Telemetry registry the engine reports into (default: the disabled
     /// no-op handle — zero overhead, see the `velodrome-telemetry` crate).
@@ -291,6 +292,11 @@ pub struct Velodrome {
     /// statistics) is deterministic.
     r: HashMap<VarId, BTreeMap<ThreadId, Step>>,
     warnings: Vec<Warning>,
+    /// `(warning, report)` indices of the atomicity warnings whose
+    /// `message` and `details` are still to be rendered. Rendering waits
+    /// for [`Tool::take_warnings`], so names supplied by
+    /// [`Velodrome::set_names`] after the last operation still appear.
+    unrendered: Vec<(usize, usize)>,
     reports: Vec<CycleReport>,
     dedup: PerLabelDedup,
     stats: VelodromeStats,
@@ -335,6 +341,7 @@ impl Velodrome {
             w: HashMap::new(),
             r: HashMap::new(),
             warnings: Vec::new(),
+            unrendered: Vec::new(),
             reports: Vec::new(),
             dedup: PerLabelDedup::new(),
             stats: VelodromeStats::default(),
@@ -401,6 +408,13 @@ impl Velodrome {
         p.add_edge.publish(t, names::PHASE_ADD_EDGE);
         p.cycle_check.publish(t, names::PHASE_CYCLE_CHECK);
         p.gc.publish(t, names::PHASE_GC);
+    }
+
+    /// Replaces the symbol table warnings are rendered with. A streamed
+    /// JSON trace may carry its names after its last operation; the
+    /// warnings pending at that point, and all later ones, use `names`.
+    pub fn set_names(&mut self, names: SymbolTable) {
+        self.cfg.names = names;
     }
 
     /// Full cycle reports collected so far (not drained by
@@ -952,16 +966,17 @@ impl Velodrome {
             self.reports.push(report);
             return;
         }
-        let warning = Warning {
+        self.unrendered
+            .push((self.warnings.len(), self.reports.len()));
+        self.warnings.push(Warning {
             tool: "velodrome",
             category: WarningCategory::Atomicity,
             label: attribution,
             thread: t,
             op_index: idx,
-            message: report.summary(&self.cfg.names),
-            details: Some(report.to_dot(&self.cfg.names)),
-        };
-        self.warnings.push(warning);
+            message: String::new(),
+            details: None,
+        });
         self.reports.push(report);
     }
 }
@@ -993,6 +1008,12 @@ impl Tool for Velodrome {
     }
 
     fn take_warnings(&mut self) -> Vec<Warning> {
+        for (w, r) in self.unrendered.drain(..) {
+            let report = &self.reports[r];
+            let warning = &mut self.warnings[w];
+            warning.message = report.summary(&self.cfg.names);
+            warning.details = Some(report.to_dot(&self.cfg.names));
+        }
         std::mem::take(&mut self.warnings)
     }
 }
@@ -1014,4 +1035,37 @@ pub fn check_trace_with(trace: &Trace, cfg: VelodromeConfig) -> (Vec<Warning>, V
     let mut v = Velodrome::with_config(cfg);
     let warnings = velodrome_monitor::run_tool(&mut v, trace);
     (warnings, v)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use velodrome_events::TraceBuilder;
+
+    #[test]
+    fn names_set_after_the_last_op_render_the_warnings() {
+        let mut b = TraceBuilder::new();
+        b.begin("T1", "Counter.inc").read("T1", "count");
+        b.write("T2", "count");
+        b.write("T1", "count").end("T1");
+        let trace = b.finish();
+        // Names arrive after the stream, as in a JSON trace that puts
+        // `names` after `ops`.
+        let mut engine = Velodrome::new();
+        for (i, op) in trace.iter() {
+            engine.op(i, op);
+        }
+        engine.end_of_trace();
+        engine.set_names(trace.names().clone());
+        let late = engine.take_warnings();
+        assert_eq!(late.len(), 1);
+        assert!(late[0].message.contains("Counter.inc"), "{}", late[0]);
+        let details = late[0].details.as_deref().unwrap();
+        assert!(details.contains("count"), "{details}");
+        // Byte-identical to names known from the start.
+        assert_eq!(
+            serde_json::to_string(&late).unwrap(),
+            serde_json::to_string(&check_trace(&trace)).unwrap()
+        );
+    }
 }

@@ -39,7 +39,7 @@ use crate::engine::{Velodrome, VelodromeConfig, VelodromeStats};
 use crate::report::CycleReport;
 use std::collections::VecDeque;
 use std::fmt;
-use velodrome_events::Op;
+use velodrome_events::{Op, SymbolTable};
 use velodrome_monitor::tool::{replay_ops, Tool, Warning, WarningCategory};
 use velodrome_telemetry::{names, Telemetry};
 use velodrome_vclock::{AeroDrome, AeroDromeStats};
@@ -189,6 +189,16 @@ impl HybridVelodrome {
     /// holds — a never-escalated run found no cycles).
     pub fn reports(&self) -> &[CycleReport] {
         self.engine.as_ref().map(|e| e.reports()).unwrap_or(&[])
+    }
+
+    /// Replaces the symbol table warnings are rendered with (see
+    /// [`Velodrome::set_names`]): in the live engine once escalated,
+    /// otherwise in the config the engine will be built from.
+    pub fn set_names(&mut self, names: SymbolTable) {
+        match &mut self.engine {
+            Some(engine) => engine.set_names(names),
+            None => self.cfg.engine.names = names,
+        }
     }
 
     /// Whether the graph engine has been engaged.

@@ -14,8 +14,9 @@
 //!   ([`Transactions`]);
 //! * [`oracle`] — an offline, from-first-principles serializability
 //!   decision procedure used as differential-testing ground truth;
-//! * [`stream`] — incremental JSON trace ingestion with byte-offset
-//!   error reporting and bounded memory;
+//! * [`stream`] — incremental trace ingestion in either format, handing
+//!   operations to a sink in bounded blocks, with byte-offset error
+//!   reporting;
 //! * [`vbt`] — the compact VBT binary trace format (varint ops, string
 //!   tables, length-prefixed frames) with a streaming reader and writer.
 //!
@@ -47,7 +48,7 @@ pub mod vbt;
 pub use ids::{Label, LockId, SymbolTable, ThreadId, VarId};
 pub use op::Op;
 pub use stats::TraceStats;
-pub use stream::{read_json_trace, scan_json_trace, JsonTraceSummary, TraceReadError};
+pub use stream::{read_json_trace, read_trace, stream_trace, TraceReadError, TraceSummary};
 pub use trace::{Trace, TraceBuilder};
 pub use txn::{Transactions, TxnId, TxnInfo};
-pub use vbt::{is_vbt, read_vbt, trace_to_vbt, write_vbt, VbtReader};
+pub use vbt::{read_vbt, trace_to_vbt, write_vbt, VbtReader, FRAME_OPS};

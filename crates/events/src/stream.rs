@@ -1,14 +1,13 @@
 //! Incremental trace ingestion.
 //!
-//! [`Trace::from_json`] parses a complete in-memory string through the
-//! generic JSON value tree, which means reading a recorded trace costs
-//! *three* copies of the input (the text, the value tree, and the ops).
-//! This module parses trace JSON directly off an [`std::io::Read`] stream
-//! with one bounded buffer and no intermediate value tree: peak memory is
-//! the decoded operations themselves (or nothing at all with
-//! [`scan_json_trace`], which hands each operation to a callback as it is
-//! decoded). The binary VBT reader ([`crate::vbt`]) shares the same
-//! buffered byte source and error type.
+//! Both trace formats are decoded off an [`std::io::Read`] stream with one
+//! bounded read buffer and no intermediate value tree. [`stream_trace`] is
+//! the one entry point: it sniffs the format from the magic bytes (the VBT
+//! magic selects the binary reader of [`crate::vbt`], anything else the
+//! JSON reader) and hands the decoded operations to a sink in blocks of at
+//! most [`FRAME_OPS`], so a checker can consume a trace of any length
+//! through a fixed footprint. [`read_trace`], [`read_json_trace`] and
+//! [`crate::read_vbt`] collect the same blocks into a [`Trace`].
 //!
 //! Every error carries the absolute byte offset of the first byte that
 //! could not be interpreted, so CLI diagnostics can point into the file.
@@ -16,6 +15,7 @@
 use crate::ids::SymbolTable;
 use crate::op::Op;
 use crate::trace::Trace;
+use crate::vbt::{VbtReader, FRAME_OPS, MAGIC};
 use crate::{Label, LockId, ThreadId, VarId};
 use std::fmt;
 use std::io::Read;
@@ -129,6 +129,22 @@ impl<R: Read> ByteStream<R> {
         }
     }
 
+    /// Whether the stream opens with `prefix`. Consumes nothing, so the
+    /// chosen parser still sees the input from byte 0; call it before
+    /// reading anything else.
+    fn starts_with(&mut self, prefix: &[u8]) -> Result<bool, TraceReadError> {
+        debug_assert_eq!(self.offset(), 0);
+        while self.len < prefix.len() && !self.eof {
+            match self.src.read(&mut self.buf[self.len..]) {
+                Ok(0) => self.eof = true,
+                Ok(n) => self.len += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(TraceReadError::Io(e)),
+            }
+        }
+        Ok(self.buf[..self.len].starts_with(prefix))
+    }
+
     /// The next byte without consuming it, or `None` at EOF.
     pub(crate) fn peek(&mut self) -> Result<Option<u8>, TraceReadError> {
         Ok(if self.refill()? {
@@ -176,42 +192,153 @@ impl<R: Read> ByteStream<R> {
     }
 }
 
-/// What a streamed JSON trace carries besides the operations themselves.
-/// Returned by [`scan_json_trace`].
+/// What a streamed trace carries besides the operations themselves, in
+/// either format. Returned by [`stream_trace`] once the last block has
+/// been handed over: a JSON document may put `names` after `ops`, so the
+/// symbol table is only known at the end.
 #[derive(Debug)]
-pub struct JsonTraceSummary {
+pub struct TraceSummary {
     /// The trace's symbol table.
     pub names: SymbolTable,
     /// Sorted, deduplicated indices of synthesized operations, validated
     /// to be in bounds.
     pub synthesized: Vec<usize>,
-    /// Number of operations streamed to the callback.
+    /// Number of operations handed to the sink.
     pub ops: usize,
 }
 
-/// Parses a JSON trace incrementally from `src` into a [`Trace`].
-///
-/// Accepts the same documents as [`Trace::from_json`] but never holds the
-/// input text (or a JSON value tree) in memory: peak allocation is one
-/// fixed 64 KiB read buffer plus the decoded trace itself.
-pub fn read_json_trace<R: Read>(src: R) -> Result<Trace, TraceReadError> {
-    let mut ops = Vec::new();
-    let summary = scan_json_trace(src, |_, op| ops.push(op))?;
-    // Bounds were validated by the scan; re-assembly cannot fail.
-    Trace::from_raw_parts(ops, summary.names, summary.synthesized)
-        .map_err(|reason| TraceReadError::malformed(0, reason))
+/// The two trace encodings.
+#[derive(Clone, Copy)]
+enum Format {
+    Json,
+    Vbt,
 }
 
-/// Parses a JSON trace incrementally, invoking `on_op(index, op)` for each
-/// operation instead of collecting them. Memory use is bounded by the
-/// 64 KiB read buffer and the (small) symbol table, independent of input
-/// size — this is what lets a multi-hundred-megabyte trace stream through
-/// a fixed footprint.
-pub fn scan_json_trace<R: Read, F: FnMut(usize, Op)>(
+impl Format {
+    /// The VBT magic selects the binary reader, anything else the JSON
+    /// reader.
+    fn sniff<R: Read>(s: &mut ByteStream<R>) -> Result<Self, TraceReadError> {
+        Ok(if s.starts_with(&MAGIC)? {
+            Self::Vbt
+        } else {
+            Self::Json
+        })
+    }
+}
+
+/// Decodes a trace in either format, sniffed from its magic bytes, and
+/// calls `on_block(first_index, ops)` with each block of at most
+/// [`FRAME_OPS`] operations as soon as it is decoded. Memory use is the
+/// 64 KiB read buffer, one block and the symbol table, independent of
+/// trace length.
+///
+/// On an error the blocks already handed over are a prefix of a trace
+/// that does not exist; the caller must discard whatever it built from
+/// them.
+pub fn stream_trace<R: Read, F: FnMut(usize, &[Op])>(
     src: R,
-    on_op: F,
-) -> Result<JsonTraceSummary, TraceReadError> {
-    JsonParser::new(src).parse_trace(on_op)
+    on_block: F,
+) -> Result<TraceSummary, TraceReadError> {
+    let mut s = ByteStream::new(src);
+    let format = Format::sniff(&mut s)?;
+    decode(s, format, on_block)
+}
+
+/// Reads a complete trace in either format (sniffed as by
+/// [`stream_trace`]) into memory.
+pub fn read_trace<R: Read>(src: R) -> Result<Trace, TraceReadError> {
+    let mut s = ByteStream::new(src);
+    let format = Format::sniff(&mut s)?;
+    collect(s, format)
+}
+
+/// Reads a complete JSON trace into memory. Never holds the input text
+/// (or a JSON value tree): peak allocation is one fixed 64 KiB read
+/// buffer plus the decoded trace itself.
+pub fn read_json_trace<R: Read>(src: R) -> Result<Trace, TraceReadError> {
+    collect(ByteStream::new(src), Format::Json)
+}
+
+/// Reads a complete VBT trace into memory.
+pub(crate) fn read_vbt_trace<R: Read>(src: R) -> Result<Trace, TraceReadError> {
+    collect(ByteStream::new(src), Format::Vbt)
+}
+
+fn decode<R: Read, F: FnMut(usize, &[Op])>(
+    s: ByteStream<R>,
+    format: Format,
+    on_block: F,
+) -> Result<TraceSummary, TraceReadError> {
+    let mut blocks = Blocks::new(on_block);
+    match format {
+        Format::Json => JsonParser::new(s).parse_trace(&mut blocks),
+        Format::Vbt => VbtReader::from_stream(s)?.stream(&mut blocks),
+    }
+}
+
+fn collect<R: Read>(s: ByteStream<R>, format: Format) -> Result<Trace, TraceReadError> {
+    let mut ops = Vec::new();
+    let summary = decode(s, format, |_, block| ops.extend_from_slice(block))?;
+    Ok(Trace::from_parts(ops, summary.names, summary.synthesized))
+}
+
+/// Gathers decoded operations into blocks of at most [`FRAME_OPS`] and
+/// hands each full block to the sink.
+pub(crate) struct Blocks<F> {
+    sink: F,
+    block: Vec<Op>,
+    /// Operations handed to the sink so far.
+    flushed: usize,
+}
+
+impl<F: FnMut(usize, &[Op])> Blocks<F> {
+    fn new(sink: F) -> Self {
+        Self {
+            sink,
+            block: Vec::with_capacity(FRAME_OPS),
+            flushed: 0,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn push(&mut self, op: Op) {
+        self.block.push(op);
+        if self.block.len() == FRAME_OPS {
+            self.flush();
+        }
+    }
+
+    /// Hands over the partial block, if any.
+    pub(crate) fn flush(&mut self) {
+        if !self.block.is_empty() {
+            (self.sink)(self.flushed, &self.block);
+            self.flushed += self.block.len();
+            self.block.clear();
+        }
+    }
+
+    /// Operations pushed so far.
+    pub(crate) fn count(&self) -> usize {
+        self.flushed + self.block.len()
+    }
+}
+
+/// Sorts and deduplicates `synthesized` and checks it against the final
+/// operation count; a failure is reported at `offset`.
+pub(crate) fn validate_synthesized(
+    mut synthesized: Vec<usize>,
+    ops: usize,
+    offset: u64,
+) -> Result<Vec<usize>, TraceReadError> {
+    synthesized.sort_unstable();
+    synthesized.dedup();
+    match synthesized.last() {
+        Some(&last) if last >= ops => Err(TraceReadError::malformed(
+            offset,
+            format!("synthesized index {last} out of bounds for {ops} ops"),
+        )),
+        _ => Ok(synthesized),
+    }
 }
 
 /// Top-level keys of a trace document.
@@ -272,9 +399,9 @@ struct JsonParser<R> {
 }
 
 impl<R: Read> JsonParser<R> {
-    fn new(src: R) -> Self {
+    fn new(s: ByteStream<R>) -> Self {
         Self {
-            s: ByteStream::new(src),
+            s,
             scratch: Vec::with_capacity(64),
         }
     }
@@ -499,10 +626,10 @@ impl<R: Read> JsonParser<R> {
         Ok(())
     }
 
-    fn parse_trace<F: FnMut(usize, Op)>(
+    fn parse_trace<F: FnMut(usize, &[Op])>(
         mut self,
-        mut on_op: F,
-    ) -> Result<JsonTraceSummary, TraceReadError> {
+        blocks: &mut Blocks<F>,
+    ) -> Result<TraceSummary, TraceReadError> {
         self.skip_ws()?;
         self.expect(b'{', "a trace object")?;
         let mut names: Option<SymbolTable> = None;
@@ -533,7 +660,7 @@ impl<R: Read> JsonParser<R> {
                 self.expect(b':', "`:`")?;
                 self.skip_ws()?;
                 match key {
-                    TopKey::Ops => ops = Some(self.parse_ops(&mut on_op)?),
+                    TopKey::Ops => ops = Some(self.parse_ops(blocks)?),
                     TopKey::Names => names = Some(self.parse_names()?),
                     TopKey::Synthesized => synthesized = Some(self.parse_synthesized()?),
                     TopKey::Unknown => self.skip_value(0)?,
@@ -552,26 +679,22 @@ impl<R: Read> JsonParser<R> {
         }
         let ops = ops.ok_or_else(|| self.fail("trace object is missing `ops`"))?;
         let names = names.ok_or_else(|| self.fail("trace object is missing `names`"))?;
-        let mut synthesized = synthesized.unwrap_or_default();
-        synthesized.sort_unstable();
-        synthesized.dedup();
-        if let Some(&last) = synthesized.last() {
-            if last >= ops {
-                return Err(self.fail(format!(
-                    "synthesized index {last} out of bounds for {ops} ops"
-                )));
-            }
-        }
-        Ok(JsonTraceSummary {
+        let synthesized =
+            validate_synthesized(synthesized.unwrap_or_default(), ops, self.s.offset())?;
+        Ok(TraceSummary {
             names,
             synthesized,
             ops,
         })
     }
 
-    fn parse_ops<F: FnMut(usize, Op)>(&mut self, on_op: &mut F) -> Result<usize, TraceReadError> {
+    /// Parses the `ops` array into `blocks`, flushing the last partial
+    /// block at its end, and returns the operation count.
+    fn parse_ops<F: FnMut(usize, &[Op])>(
+        &mut self,
+        blocks: &mut Blocks<F>,
+    ) -> Result<usize, TraceReadError> {
         self.expect(b'[', "an array for `ops`")?;
-        let mut count = 0usize;
         self.skip_ws()?;
         if self.s.peek()? == Some(b']') {
             self.s.bump();
@@ -580,12 +703,14 @@ impl<R: Read> JsonParser<R> {
         loop {
             self.skip_ws()?;
             let op = self.parse_op()?;
-            on_op(count, op);
-            count += 1;
+            blocks.push(op);
             self.skip_ws()?;
             match self.s.next_byte()? {
                 Some(b',') => continue,
-                Some(b']') => return Ok(count),
+                Some(b']') => {
+                    blocks.flush();
+                    return Ok(blocks.count());
+                }
                 _ => return Err(self.fail("expected `,` or `]` in `ops`")),
             }
         }
@@ -652,8 +777,8 @@ impl<R: Read> JsonParser<R> {
                 }
             }
         }
-        // Any further entries in the operation object are ignored, matching
-        // the value-tree parser (which reads the first entry only).
+        // Any further entries in the operation object are ignored: the tag
+        // is the first entry.
         self.skip_ws()?;
         loop {
             match self.s.next_byte()? {
@@ -933,16 +1058,26 @@ mod tests {
 
     #[test]
     fn scan_streams_without_collecting() {
-        let trace = sample_trace();
-        let json = trace.to_json();
-        let mut count = 0usize;
-        let summary = scan_json_trace(json.as_bytes(), |i, op| {
-            assert_eq!(trace.get(i), Some(op));
-            count += 1;
-        })
-        .unwrap();
-        assert_eq!(count, trace.len());
-        assert_eq!(summary.ops, trace.len());
-        assert_eq!(summary.names.lock(LockId::new(0)), "m");
+        let mut trace = sample_trace();
+        for i in 0..2 * FRAME_OPS + 5 {
+            trace.push(Op::Read {
+                t: ThreadId::new((i % 3) as u32),
+                x: VarId::new((i % 7) as u32),
+            });
+        }
+        for bytes in [trace.to_json().into_bytes(), crate::trace_to_vbt(&trace)] {
+            let mut count = 0usize;
+            let summary = stream_trace(&bytes[..], |first, ops| {
+                assert_eq!(first, count, "blocks arrive in order");
+                assert!(!ops.is_empty() && ops.len() <= FRAME_OPS);
+                assert_eq!(&trace.ops()[first..first + ops.len()], ops);
+                count += ops.len();
+            })
+            .unwrap();
+            assert_eq!(count, trace.len());
+            assert_eq!(summary.ops, trace.len());
+            assert_eq!(summary.names.lock(LockId::new(0)), "m");
+            assert_eq!(read_trace(&bytes[..]).unwrap().to_json(), trace.to_json());
+        }
     }
 }

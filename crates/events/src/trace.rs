@@ -3,7 +3,7 @@
 
 use crate::ids::{Label, LockId, SymbolTable, ThreadId, VarId};
 use crate::op::Op;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -39,22 +39,6 @@ impl Serialize for Trace {
     }
 }
 
-impl Deserialize for Trace {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(obj) = v else {
-            return Err(serde::Error::custom("expected a trace object"));
-        };
-        let null = serde::Value::Null;
-        let ops = Vec::<Op>::deserialize_value(obj.get("ops").unwrap_or(&null))?;
-        let names = SymbolTable::deserialize_value(obj.get("names").unwrap_or(&null))?;
-        let synthesized = match obj.get("synthesized") {
-            Some(serde::Value::Null) | None => Vec::new(),
-            Some(value) => Vec::<usize>::deserialize_value(value)?,
-        };
-        Self::from_raw_parts(ops, names, synthesized).map_err(serde::Error::custom)
-    }
-}
-
 impl Trace {
     /// Creates an empty trace.
     pub fn new() -> Self {
@@ -70,30 +54,14 @@ impl Trace {
         }
     }
 
-    /// Assembles a trace from deserialized parts, normalizing the
-    /// synthesized-index list (sorted, deduplicated) and rejecting indices
-    /// that point past the end of the operation list. Shared by the JSON
-    /// and binary (VBT) readers so both enforce identical invariants.
-    pub(crate) fn from_raw_parts(
-        ops: Vec<Op>,
-        names: SymbolTable,
-        mut synthesized: Vec<usize>,
-    ) -> Result<Self, String> {
-        synthesized.sort_unstable();
-        synthesized.dedup();
-        if let Some(&last) = synthesized.last() {
-            if last >= ops.len() {
-                return Err(format!(
-                    "synthesized index {last} out of bounds for {} ops",
-                    ops.len()
-                ));
-            }
-        }
-        Ok(Self {
+    /// Assembles a trace from decoded parts. The readers have already
+    /// sorted, deduplicated and bounds-checked `synthesized`.
+    pub(crate) fn from_parts(ops: Vec<Op>, names: SymbolTable, synthesized: Vec<usize>) -> Self {
+        Self {
             ops,
             names,
             synthesized,
-        })
+        }
     }
 
     /// Flags the operation at `index` as synthesized (inserted by the
@@ -182,9 +150,10 @@ impl Trace {
         serde_json::to_string(self).expect("trace serialization cannot fail")
     }
 
-    /// Parses a trace from JSON.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
+    /// Parses a trace from JSON, with the same streaming reader as
+    /// [`crate::read_json_trace`].
+    pub fn from_json(json: &str) -> Result<Self, crate::TraceReadError> {
+        crate::read_json_trace(json.as_bytes())
     }
 }
 

@@ -49,7 +49,7 @@
 
 use crate::ids::SymbolTable;
 use crate::op::Op;
-use crate::stream::{ByteStream, TraceReadError};
+use crate::stream::{validate_synthesized, Blocks, ByteStream, TraceReadError, TraceSummary};
 use crate::trace::Trace;
 use crate::{Label, LockId, ThreadId, VarId};
 use std::io::{Read, Write};
@@ -65,14 +65,9 @@ pub const MAX_TABLE_ENTRIES: u64 = 1 << 24;
 /// Largest accepted frame body, in bytes.
 pub const MAX_FRAME_LEN: u64 = 1 << 22;
 
-/// Operations encoded per frame by the writer (readers accept any split).
-const FRAME_OPS: usize = 4096;
-
-/// Returns `true` when `prefix` opens with the VBT magic (used to sniff a
-/// file's format before committing to a parser).
-pub fn is_vbt(prefix: &[u8]) -> bool {
-    prefix.starts_with(&MAGIC)
-}
+/// Operations encoded per frame by the writer (readers accept any split),
+/// and the most operations [`crate::stream_trace`] hands its sink at once.
+pub const FRAME_OPS: usize = 4096;
 
 fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -158,7 +153,7 @@ pub fn trace_to_vbt(trace: &Trace) -> Vec<u8> {
 
 /// Reads a complete VBT trace from `src`.
 pub fn read_vbt<R: Read>(src: R) -> Result<Trace, TraceReadError> {
-    VbtReader::new(src)?.read_to_trace()
+    crate::stream::read_vbt_trace(src)
 }
 
 /// A streaming VBT reader.
@@ -190,7 +185,10 @@ impl<R: Read> VbtReader<R> {
     /// Opens a VBT stream: checks the magic and version, then reads the
     /// string tables and synthesized indices.
     pub fn new(src: R) -> Result<Self, TraceReadError> {
-        let mut s = ByteStream::new(src);
+        Self::from_stream(ByteStream::new(src))
+    }
+
+    pub(crate) fn from_stream(mut s: ByteStream<R>) -> Result<Self, TraceReadError> {
         let mut magic = [0u8; 4];
         s.read_exact(&mut magic)?;
         if magic != MAGIC {
@@ -438,17 +436,22 @@ impl<R: Read> VbtReader<R> {
         })
     }
 
-    /// Drains the remaining operations and assembles the [`Trace`],
-    /// validating the synthesized indices against the final operation
-    /// count.
-    pub fn read_to_trace(mut self) -> Result<Trace, TraceReadError> {
-        let mut ops = Vec::new();
+    /// Drains the remaining operations into `blocks`, then validates the
+    /// synthesized indices against the final operation count.
+    pub(crate) fn stream<F: FnMut(usize, &[Op])>(
+        mut self,
+        blocks: &mut Blocks<F>,
+    ) -> Result<TraceSummary, TraceReadError> {
         while let Some(op) = self.next_op()? {
-            ops.push(op);
+            blocks.push(op);
         }
-        let offset = self.s.offset();
-        Trace::from_raw_parts(ops, self.names, self.synthesized)
-            .map_err(|reason| TraceReadError::malformed(offset, reason))
+        blocks.flush();
+        let synthesized = validate_synthesized(self.synthesized, self.ops_read, self.s.offset())?;
+        Ok(TraceSummary {
+            names: self.names,
+            synthesized,
+            ops: self.ops_read,
+        })
     }
 }
 
@@ -497,7 +500,7 @@ mod tests {
     fn roundtrip_preserves_everything() {
         let trace = sample_trace();
         let bytes = trace_to_vbt(&trace);
-        assert!(is_vbt(&bytes));
+        assert!(bytes.starts_with(&MAGIC));
         let back = read_vbt(&bytes[..]).unwrap();
         assert_eq!(back.ops(), trace.ops());
         assert_eq!(back.synthesized(), trace.synthesized());

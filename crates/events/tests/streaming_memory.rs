@@ -178,7 +178,7 @@ fn scan_holds_bounded_memory_on_a_multi_hundred_mb_trace() {
     PEAK.store(before, Ordering::Relaxed);
 
     let mut count = 0usize;
-    let summary = velodrome_events::scan_json_trace(&mut src, |_, _| count += 1)
+    let summary = velodrome_events::stream_trace(&mut src, |_, ops| count += ops.len())
         .expect("synthetic trace parses");
 
     let peak_delta = PEAK.load(Ordering::Relaxed).saturating_sub(before);
@@ -190,7 +190,8 @@ fn scan_holds_bounded_memory_on_a_multi_hundred_mb_trace() {
         "input was only {} bytes — not a multi-hundred-MB trace",
         src.bytes
     );
-    // 64 KiB stream buffer + generator chunk (~100 KiB) + symbol table.
+    // 64 KiB stream buffer + one 4096-op block (48 KiB) + generator chunk
+    // (~100 KiB) + symbol table.
     // Anything over 4 MiB means the parser is accumulating input.
     assert!(
         peak_delta < 4 << 20,

@@ -76,7 +76,7 @@ done
 
 echo "==> batch smoke (fixed-seed corpus, JSONL schema + batch.* gauges)"
 mkdir -p "$tmp/batch"
-cargo run --release -q -p velodrome-cli -- record multiset --seed=1 --scale=2 \
+cargo run --release -q -p velodrome-cli -- record multiset --seed=1 --scale=4 \
     --out="$tmp/batch/a.json" >/dev/null
 cargo run --release -q -p velodrome-cli -- record multiset --seed=2 --scale=2 \
     --out="$tmp/batch/b.json" >/dev/null
@@ -100,6 +100,21 @@ done
 cargo run --release -q -p velodrome-cli -- metrics-verify "$tmp/batch/metrics.jsonl" \
     --require="batch.traces_checked,batch.traces_failed,batch.traces_quarantined,batch.events_total,batch.events_per_sec,batch.warnings_total,batch.jobs,$phases" \
     >/dev/null
+
+echo "==> a VBT trace cut after its first frames exits with code 4 and leaves no metrics file"
+# a.vbt holds several 4096-op frames; three quarters of its bytes end
+# inside a later frame, after the first blocks were already analyzed.
+head -c $(( $(wc -c < "$tmp/batch/a.vbt") * 3 / 4 )) "$tmp/batch/a.vbt" > "$tmp/cut.vbt"
+set +e
+cargo run --release -q -p velodrome-cli -- trace "$tmp/cut.vbt" \
+    --metrics-out="$tmp/cut.jsonl" --metrics-interval=1000 >"$tmp/out" 2>"$tmp/err"
+code=$?
+set -e
+if [[ "$code" -ne 4 || -s "$tmp/out" || -e "$tmp/cut.jsonl" ]]; then
+    echo "expected exit code 4, no stdout and no metrics file for a cut VBT trace, got $code" >&2
+    cat "$tmp/err" >&2
+    exit 1
+fi
 
 echo "==> check-batch rejects an unknown backend with exit code 2, before checking"
 set +e

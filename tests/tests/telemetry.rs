@@ -201,7 +201,7 @@ fn telemetry_never_changes_a_verdict() {
                     telemetry,
                     ..RunConfig::default()
                 };
-                let a = (entry.run)(&trace, &cfg).unwrap();
+                let a = (entry.run)((&trace).into(), &cfg).unwrap();
                 (serde_json::to_string(&a.warnings).unwrap(), a.notes)
             };
             assert_eq!(
