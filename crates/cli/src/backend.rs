@@ -20,7 +20,7 @@ use velodrome_monitor::{
     AtomicitySpec, DegradationLevel, EmptyTool, ResourceBudget, SpecFilter, Tool, Warning,
 };
 use velodrome_sim::WatchdogStats;
-use velodrome_telemetry::{JsonlExporter, Telemetry};
+use velodrome_telemetry::{names, JsonlExporter, PhaseStat, Telemetry};
 use velodrome_vclock::{FastTrack, HbRaceDetector};
 
 /// Warnings plus analysis-health notes (metrics output, budget
@@ -35,7 +35,8 @@ pub struct Analysis {
     /// Events analyzed.
     pub events: usize,
     /// Time spent reading and decoding a trace file between the blocks
-    /// the tool analyzed (zero for an in-memory trace).
+    /// the tool analyzed (zero for an in-memory trace); published as
+    /// `phase.decode`.
     pub decode: Duration,
 }
 
@@ -61,36 +62,47 @@ struct Streamed {
     /// The symbol table. A JSON file may carry it after its last op.
     names: SymbolTable,
     events: usize,
-    /// See [`Analysis::decode`].
-    decode: Duration,
+    /// `phase.decode`: one call per block, every call timed; the times sum
+    /// to [`Analysis::decode`].
+    decode: PhaseStat,
 }
 
 impl Events<'_> {
-    /// Hands the operations to `on_block(first_index, ops)` in order. A
-    /// malformed file fails here, possibly after some blocks were
-    /// consumed; the caller then discards what it built from them.
-    fn stream(self, mut on_block: impl FnMut(usize, &[Op])) -> Result<Streamed, CliError> {
+    /// Hands the operations to `on_block(first_index, ops, decode)` in
+    /// order, with the decode time so far. A malformed file fails here,
+    /// possibly after some blocks were consumed; the caller then discards
+    /// what it built from them.
+    fn stream(
+        self,
+        mut on_block: impl FnMut(usize, &[Op], &PhaseStat),
+    ) -> Result<Streamed, CliError> {
+        let mut decode = PhaseStat::default();
         match self {
             Self::Trace(trace) => {
-                on_block(0, trace.ops());
+                on_block(0, trace.ops(), &decode);
                 Ok(Streamed {
                     names: trace.names().clone(),
                     events: trace.len(),
-                    decode: Duration::ZERO,
+                    decode,
                 })
             }
             Self::File(path) => {
-                let start = Instant::now();
-                let mut analyzing = Duration::ZERO;
+                // Decoding is the time outside `on_block`: from the start
+                // (or the end of the last block's analysis) to each block,
+                // and after the last block to the end of the file.
+                let mut decoding = Instant::now();
                 let summary = crate::stream_trace_file(path, |first, ops| {
-                    let block = Instant::now();
-                    on_block(first, ops);
-                    analyzing += block.elapsed();
+                    decode.count += 1;
+                    decode.end(Some(decoding));
+                    on_block(first, ops, &decode);
+                    decoding = Instant::now();
                 })?;
+                let tail = u64::try_from(decoding.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                decode.timed_nanos = decode.timed_nanos.saturating_add(tail);
                 Ok(Streamed {
                     names: summary.names,
                     events: summary.ops,
-                    decode: start.elapsed().saturating_sub(analyzing),
+                    decode,
                 })
             }
         }
@@ -242,17 +254,19 @@ impl<'a> MetricsFile<'a> {
         })
     }
 
-    /// Mirrors the tool's statistics into the registry and exports one
-    /// snapshot.
+    /// Mirrors the tool's statistics and the decode time into the
+    /// registry and exports one snapshot.
     fn emit<T>(
         &mut self,
         tool: &T,
         publish: &impl Fn(&T, &Telemetry),
+        decode: &PhaseStat,
         cfg: &RunConfig,
         events: u64,
     ) -> Result<(), CliError> {
         let telemetry = &cfg.telemetry;
         publish(tool, telemetry);
+        decode.publish(telemetry, names::PHASE_DECODE);
         cfg.watchdog.publish(telemetry);
         if let Some(snap) = telemetry.snapshot(self.seq, events) {
             self.exporter
@@ -265,10 +279,10 @@ impl<'a> MetricsFile<'a> {
 }
 
 /// Feeds every event to `tool` and ends the trace. With a metrics file
-/// configured, the tool's statistics are mirrored into the registry and
-/// exported every `metrics_interval` events plus once at the end, so at
-/// least one line is always written. Without one, the final statistics
-/// are published once.
+/// configured, the tool's statistics and `phase.decode` are mirrored into
+/// the registry and exported every `metrics_interval` events plus once at
+/// the end, so at least one line is always written. Without one, the final
+/// statistics are published once.
 ///
 /// A file found malformed partway fails the run as if it had been read
 /// whole before any analysis: the decode error wins over a metrics error,
@@ -281,25 +295,26 @@ fn feed<T: Tool>(
     notes: &mut Vec<String>,
 ) -> Result<Streamed, CliError> {
     let Some(path) = cfg.metrics_out.as_deref() else {
-        let streamed = events.stream(|first, ops| {
+        let streamed = events.stream(|first, ops, _| {
             for (i, &op) in (first..).zip(ops) {
                 tool.op(i, op);
             }
         })?;
         tool.end_of_trace();
         publish(tool, &cfg.telemetry);
+        streamed.decode.publish(&cfg.telemetry, names::PHASE_DECODE);
         return Ok(streamed);
     };
     let mut metrics = MetricsFile::create(path);
     let created = metrics.is_ok();
     // After a metrics failure the remaining events are only decoded.
-    let streamed = events.stream(|first, ops| {
+    let streamed = events.stream(|first, ops, decode| {
         let Ok(file) = &mut metrics else { return };
         for (i, &op) in (first..).zip(ops) {
             tool.op(i, op);
             let events = i as u64 + 1;
             if events % cfg.metrics_interval == 0 {
-                if let Err(e) = file.emit(tool, &publish, cfg, events) {
+                if let Err(e) = file.emit(tool, &publish, decode, cfg, events) {
                     metrics = Err(e);
                     return;
                 }
@@ -318,7 +333,13 @@ fn feed<T: Tool>(
     };
     let mut file = metrics?;
     tool.end_of_trace();
-    file.emit(tool, &publish, cfg, streamed.events as u64)?;
+    file.emit(
+        tool,
+        &publish,
+        &streamed.decode,
+        cfg,
+        streamed.events as u64,
+    )?;
     notes.push(format!(
         "{} metric snapshots written to {path}",
         file.exporter.lines_written()
@@ -352,7 +373,7 @@ fn drive<T: Tool>(
         warnings: tool.take_warnings(),
         notes,
         events: streamed.events,
-        decode: streamed.decode,
+        decode: Duration::from_nanos(streamed.decode.timed_nanos),
     };
     Ok((tool, analysis))
 }

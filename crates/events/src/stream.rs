@@ -129,6 +129,20 @@ impl<R: Read> ByteStream<R> {
         }
     }
 
+    /// The buffered bytes not yet consumed, possibly empty. Never reads
+    /// from the source.
+    #[inline]
+    pub(crate) fn window(&self) -> &[u8] {
+        &self.buf[self.pos..self.len]
+    }
+
+    /// Consumes the first `n` bytes of [`Self::window`].
+    #[inline]
+    pub(crate) fn advance(&mut self, n: usize) {
+        debug_assert!(n <= self.len - self.pos);
+        self.pos += n;
+    }
+
     /// Whether the stream opens with `prefix`. Consumes nothing, so the
     /// chosen parser still sees the input from byte 0; call it before
     /// reading anything else.
@@ -387,6 +401,121 @@ impl Tag {
             Tag::Fork | Tag::Join => Some("child"),
         }
     }
+
+    /// The canonical text of the variant up to the thread id, and between
+    /// the thread id and the operand (`None` for `End`, which has none):
+    /// `{"Read":{"t":` and `,"x":` frame `{"Read":{"t":N,"x":M}}`.
+    fn canonical(self) -> (&'static [u8], Option<&'static [u8]>) {
+        match self {
+            Tag::Read => (br#"{"Read":{"t":"#, Some(br#","x":"#)),
+            Tag::Write => (br#"{"Write":{"t":"#, Some(br#","x":"#)),
+            Tag::Acquire => (br#"{"Acquire":{"t":"#, Some(br#","m":"#)),
+            Tag::Release => (br#"{"Release":{"t":"#, Some(br#","m":"#)),
+            Tag::Begin => (br#"{"Begin":{"t":"#, Some(br#","l":"#)),
+            Tag::End => (br#"{"End":{"t":"#, None),
+            Tag::Fork => (br#"{"Fork":{"t":"#, Some(br#","child":"#)),
+            Tag::Join => (br#"{"Join":{"t":"#, Some(br#","child":"#)),
+        }
+    }
+
+    /// The operation of this variant on thread `t`; `operand` is ignored
+    /// by `End`.
+    fn op(self, t: ThreadId, operand: u32) -> Op {
+        match self {
+            Tag::Read => Op::Read {
+                t,
+                x: VarId::new(operand),
+            },
+            Tag::Write => Op::Write {
+                t,
+                x: VarId::new(operand),
+            },
+            Tag::Acquire => Op::Acquire {
+                t,
+                m: LockId::new(operand),
+            },
+            Tag::Release => Op::Release {
+                t,
+                m: LockId::new(operand),
+            },
+            Tag::Begin => Op::Begin {
+                t,
+                l: Label::new(operand),
+            },
+            Tag::End => Op::End { t },
+            Tag::Fork => Op::Fork {
+                t,
+                child: ThreadId::new(operand),
+            },
+            Tag::Join => Op::Join {
+                t,
+                child: ThreadId::new(operand),
+            },
+        }
+    }
+}
+
+/// Bytes the read buffer must hold past the next op before the slice fast
+/// path looks at it. The longest canonical op, `Fork` or `Join` with two
+/// 10-digit ids plus its `,`, is 45 bytes, so the fast path never indexes
+/// past the window.
+const FAST_MARGIN: usize = 64;
+
+/// Matches one operation in its canonical encoding, `{"Tag":{"t":N,"x":M}}`
+/// (`{"End":{"t":N}}`), at the start of `b`, with no whitespace and ids of
+/// at most 10 digits that fit a `u32`. Returns the operation and its length
+/// in bytes, or `None` for anything else, however valid.
+///
+/// Everything this accepts, the general parser accepts too, as the same
+/// operation spanning the same bytes; so a document decodes identically
+/// whichever path takes each op, and every error is raised by the general
+/// parser.
+#[inline]
+fn canonical_op(b: &[u8; FAST_MARGIN]) -> Option<(Op, usize)> {
+    let tag = match b[2] {
+        b'R' if b[4] == b'a' => Tag::Read,
+        b'R' => Tag::Release,
+        b'W' => Tag::Write,
+        b'A' => Tag::Acquire,
+        b'B' => Tag::Begin,
+        b'E' => Tag::End,
+        b'F' => Tag::Fork,
+        b'J' => Tag::Join,
+        _ => return None,
+    };
+    let (head, mid) = tag.canonical();
+    if !b.starts_with(head) {
+        return None;
+    }
+    let (t, mut at) = canonical_u32(b, head.len())?;
+    let mut operand = 0;
+    if let Some(mid) = mid {
+        if !b[at..].starts_with(mid) {
+            return None;
+        }
+        (operand, at) = canonical_u32(b, at + mid.len())?;
+    }
+    if b[at..at + 2] != *b"}}" {
+        return None;
+    }
+    Some((tag.op(ThreadId::new(t), operand), at + 2))
+}
+
+/// The 1–10 digit `u32` at `b[at..]` and the index just past its digits.
+/// The caller's next literal (`,"x":` or `}}`) then rejects an 11th digit,
+/// a fraction or an exponent.
+#[inline]
+fn canonical_u32(b: &[u8; FAST_MARGIN], at: usize) -> Option<(u32, usize)> {
+    let mut v = 0u64;
+    let mut i = at;
+    while i < at + 10 && b[i].is_ascii_digit() {
+        v = v * 10 + u64::from(b[i] - b'0');
+        i += 1;
+    }
+    if i == at {
+        return None;
+    }
+    Some((u32::try_from(v).ok()?, i))
 }
 
 const MAX_DEPTH: u32 = 128;
@@ -701,8 +830,17 @@ impl<R: Read> JsonParser<R> {
             return Ok(0);
         }
         loop {
-            self.skip_ws()?;
-            let op = self.parse_op()?;
+            let op = match self.fast_op() {
+                Some((op, true)) => {
+                    blocks.push(op);
+                    continue;
+                }
+                Some((op, false)) => op,
+                None => {
+                    self.skip_ws()?;
+                    self.parse_op()?
+                }
+            };
             blocks.push(op);
             self.skip_ws()?;
             match self.s.next_byte()? {
@@ -714,6 +852,20 @@ impl<R: Read> JsonParser<R> {
                 _ => return Err(self.fail("expected `,` or `]` in `ops`")),
             }
         }
+    }
+
+    /// The slice fast path of [`Self::parse_ops`]: decodes a canonical op
+    /// straight off the read buffer when it holds at least [`FAST_MARGIN`]
+    /// bytes, consuming the op and a `,` right after it; the flag says
+    /// whether there was one. Consumes nothing when it returns `None`, so
+    /// the general parser resumes at the same offset.
+    #[inline]
+    fn fast_op(&mut self) -> Option<(Op, bool)> {
+        let b: &[u8; FAST_MARGIN] = self.s.window().get(..FAST_MARGIN)?.try_into().ok()?;
+        let (op, len) = canonical_op(b)?;
+        let comma = b[len] == b',';
+        self.s.advance(len + usize::from(comma));
+        Some((op, comma))
     }
 
     /// Parses one externally tagged operation: `{"Read":{"t":0,"x":1}}`.
@@ -797,46 +949,13 @@ impl<R: Read> JsonParser<R> {
         let t = ThreadId::new(
             t.ok_or_else(|| self.fail(format!("missing field `t` in {}", tag.name())))?,
         );
-        let require = |this: &Self, v: Option<u32>| {
-            v.ok_or_else(|| {
-                this.fail(format!(
-                    "missing field `{}` in {}",
-                    tag.operand().unwrap_or("?"),
-                    tag.name()
-                ))
-            })
+        let operand = match (tag.operand(), operand) {
+            (Some(field), None) => {
+                return Err(self.fail(format!("missing field `{field}` in {}", tag.name())))
+            }
+            (_, operand) => operand.unwrap_or(0),
         };
-        Ok(match tag {
-            Tag::Read => Op::Read {
-                t,
-                x: VarId::new(require(self, operand)?),
-            },
-            Tag::Write => Op::Write {
-                t,
-                x: VarId::new(require(self, operand)?),
-            },
-            Tag::Acquire => Op::Acquire {
-                t,
-                m: LockId::new(require(self, operand)?),
-            },
-            Tag::Release => Op::Release {
-                t,
-                m: LockId::new(require(self, operand)?),
-            },
-            Tag::Begin => Op::Begin {
-                t,
-                l: Label::new(require(self, operand)?),
-            },
-            Tag::End => Op::End { t },
-            Tag::Fork => Op::Fork {
-                t,
-                child: ThreadId::new(require(self, operand)?),
-            },
-            Tag::Join => Op::Join {
-                t,
-                child: ThreadId::new(require(self, operand)?),
-            },
-        })
+        Ok(tag.op(t, operand))
     }
 
     /// Parses the `names` object: four id→name maps keyed by decimal
@@ -962,8 +1081,10 @@ mod tests {
         b.finish()
     }
 
+    /// `read_json_trace` decodes what `to_json` writes back into the same
+    /// ops, and the decoded trace re-encodes to the same text.
     #[test]
-    fn streaming_parse_matches_value_tree_parse() {
+    fn json_decode_roundtrips_to_json() {
         let trace = sample_trace();
         let json = trace.to_json();
         let streamed = read_json_trace(json.as_bytes()).unwrap();
@@ -1056,8 +1177,11 @@ mod tests {
         }
     }
 
+    /// `stream_trace` hands over a multi-block trace in order, in blocks of
+    /// at most `FRAME_OPS`, in both formats, and `read_trace` collects the
+    /// same trace.
     #[test]
-    fn scan_streams_without_collecting() {
+    fn stream_trace_hands_over_ordered_blocks() {
         let mut trace = sample_trace();
         for i in 0..2 * FRAME_OPS + 5 {
             trace.push(Op::Read {
@@ -1078,6 +1202,73 @@ mod tests {
             assert_eq!(summary.ops, trace.len());
             assert_eq!(summary.names.lock(LockId::new(0)), "m");
             assert_eq!(read_trace(&bytes[..]).unwrap().to_json(), trace.to_json());
+        }
+    }
+
+    /// The fast path's matcher over a window padded to `FAST_MARGIN`.
+    fn canonical(text: &str) -> Option<(Op, usize)> {
+        let mut b = [b' '; FAST_MARGIN];
+        b[..text.len()].copy_from_slice(text.as_bytes());
+        canonical_op(&b)
+    }
+
+    #[test]
+    fn fast_path_matches_exactly_the_canonical_shape() {
+        let max = u32::MAX;
+        let t = ThreadId::new(max);
+        for op in [
+            Op::Read {
+                t,
+                x: VarId::new(0),
+            },
+            Op::Write {
+                t,
+                x: VarId::new(9),
+            },
+            Op::Acquire {
+                t,
+                m: LockId::new(10),
+            },
+            Op::Release {
+                t,
+                m: LockId::new(max),
+            },
+            Op::Begin {
+                t,
+                l: Label::new(max),
+            },
+            Op::End { t },
+            Op::Fork {
+                t,
+                child: ThreadId::new(max),
+            },
+            Op::Join {
+                t,
+                child: ThreadId::new(0),
+            },
+        ] {
+            let text = serde_json::to_string(&op).unwrap();
+            assert_eq!(canonical(&text), Some((op, text.len())), "{text}");
+        }
+        for text in [
+            r#"{"Read":{"t":4294967296,"x":0}}"#,
+            r#"{"Read":{"t":00000000001,"x":0}}"#,
+            r#"{"Read":{"t":1.5,"x":0}}"#,
+            r#"{"Read":{"t":-1,"x":0}}"#,
+            r#"{"Read":{"t":,"x":0}}"#,
+            r#"{"Read":{"t":0}}"#,
+            r#"{"Read":{"x":0,"t":0}}"#,
+            r#"{"Read":{"t":0,"m":0}}"#,
+            r#"{"Read":{"t":0,"x":0,"y":1}}"#,
+            r#"{"Reed":{"t":0,"x":0}}"#,
+            r#"{"Rel":{"t":0,"m":0}}"#,
+            r#"{"End":{"t":0,"x":1}}"#,
+            r#"{"End":{"t":0} }"#,
+            r#"{ "End":{"t":0}}"#,
+            r#"{"End": {"t":0}}"#,
+            r#"{"\u0045nd":{"t":0}}"#,
+        ] {
+            assert_eq!(canonical(text), None, "{text}");
         }
     }
 }

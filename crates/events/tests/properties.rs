@@ -1,10 +1,13 @@
 //! Property-based tests over arbitrary operation sequences: the event
 //! model's invariants must hold even for traces no well-behaved program
-//! would produce (segmentation and the oracle are total functions).
+//! would produce (segmentation and the oracle are total functions). The
+//! JSON reader decodes a trace the same whichever of its two paths takes
+//! each op and however the document is laid out.
 
 use proptest::prelude::*;
+use std::io::Read;
 use velodrome_events::{
-    oracle, Label, LockId, Op, ThreadId, Trace, TraceStats, Transactions, VarId,
+    oracle, read_json_trace, Label, LockId, Op, ThreadId, Trace, TraceStats, Transactions, VarId,
 };
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -24,6 +27,231 @@ fn arb_op() -> impl Strategy<Value = Op> {
 
 fn arb_trace(max_len: usize) -> impl Strategy<Value = Trace> {
     prop::collection::vec(arb_op(), 0..max_len).prop_map(Trace::from_ops)
+}
+
+/// Ids at the edges of the JSON reader's digit handling: one digit, two
+/// digits, and ten digits up to `u32::MAX`.
+fn arb_id() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        Just(0u32),
+        Just(9),
+        Just(10),
+        Just(u32::MAX),
+        0u32..20,
+        1_000_000_000u32..=u32::MAX,
+    ]
+}
+
+/// Any operation, `Fork` and `Join` included, over [`arb_id`] ids.
+fn arb_wide_op() -> impl Strategy<Value = Op> {
+    (0u8..8, arb_id(), arb_id()).prop_map(|(tag, t, v)| {
+        let t = ThreadId::new(t);
+        match tag {
+            0 => Op::Read {
+                t,
+                x: VarId::new(v),
+            },
+            1 => Op::Write {
+                t,
+                x: VarId::new(v),
+            },
+            2 => Op::Acquire {
+                t,
+                m: LockId::new(v),
+            },
+            3 => Op::Release {
+                t,
+                m: LockId::new(v),
+            },
+            4 => Op::Begin {
+                t,
+                l: Label::new(v),
+            },
+            5 => Op::End { t },
+            6 => Op::Fork {
+                t,
+                child: ThreadId::new(v),
+            },
+            _ => Op::Join {
+                t,
+                child: ThreadId::new(v),
+            },
+        }
+    })
+}
+
+/// A trace of [`arb_wide_op`]s long enough to span many read chunks, with
+/// names for some of its ids and some ops marked synthesized.
+fn arb_wide_trace() -> impl Strategy<Value = Trace> {
+    (
+        prop::collection::vec(arb_wide_op(), 0..400),
+        prop::collection::vec(any::<usize>(), 0..4),
+    )
+        .prop_map(|(ops, marks)| {
+            let mut trace = Trace::from_ops(ops);
+            for (i, op) in trace.ops().to_vec().into_iter().enumerate().take(8) {
+                let names = trace.names_mut();
+                names.name_thread(op.tid(), format!("worker {i}: \"a\", b"));
+                if let Op::Read { x, .. } | Op::Write { x, .. } = op {
+                    names.name_var(x, format!("v{i}"));
+                }
+            }
+            if !trace.is_empty() {
+                for mark in marks {
+                    trace.mark_synthesized(mark % trace.len());
+                }
+            }
+            trace
+        })
+}
+
+/// Hands out `data` in chunks of the given sizes, in turn.
+struct Chunked<'a> {
+    data: &'a [u8],
+    sizes: Vec<usize>,
+    next: usize,
+}
+
+impl Read for Chunked<'_> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let size = self.sizes[self.next % self.sizes.len()];
+        self.next += 1;
+        let n = size.min(out.len()).min(self.data.len());
+        out[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
+fn chunked(data: &[u8], sizes: Vec<usize>) -> Chunked<'_> {
+    Chunked {
+        data,
+        sizes,
+        next: 0,
+    }
+}
+
+/// The decoded trace in a form that compares ops, names and synthesized
+/// indices at once.
+fn decoded(trace: &Trace) -> (Vec<Op>, String, Vec<usize>) {
+    (
+        trace.ops().to_vec(),
+        trace.to_json(),
+        trace.synthesized().to_vec(),
+    )
+}
+
+/// One op's JSON with the operand before `t` and, if `extra`, an unknown
+/// field appended to its body.
+fn reordered_op(op: Op, extra: bool) -> String {
+    let (tag, operand) = match op {
+        Op::Read { x, .. } => ("Read", Some(("x", x.raw()))),
+        Op::Write { x, .. } => ("Write", Some(("x", x.raw()))),
+        Op::Acquire { m, .. } => ("Acquire", Some(("m", m.raw()))),
+        Op::Release { m, .. } => ("Release", Some(("m", m.raw()))),
+        Op::Begin { l, .. } => ("Begin", Some(("l", l.raw()))),
+        Op::End { .. } => ("End", None),
+        Op::Fork { child, .. } => ("Fork", Some(("child", child.raw()))),
+        Op::Join { child, .. } => ("Join", Some(("child", child.raw()))),
+    };
+    let mut fields: Vec<String> = operand
+        .map(|(field, v)| format!("\"{field}\":{v}"))
+        .into_iter()
+        .collect();
+    fields.push(format!("\"t\":{}", op.tid().raw()));
+    if extra {
+        fields.push(r#""note":[1.5,{"x":null},"t"]"#.to_owned());
+    }
+    format!("{{\"{tag}\":{{{}}}}}", fields.join(","))
+}
+
+/// What [`spaced`] inserts between tokens.
+const WHITESPACE: [&str; 5] = ["", " ", "\n", "\t", "\r\n  "];
+
+/// Inserts `ws` after every `{`, `[`, `,` and `:` outside strings, cycling
+/// through it; an empty entry inserts nothing.
+fn spaced(json: &str, ws: &[&str]) -> String {
+    let mut out = String::with_capacity(json.len() * 2);
+    let (mut in_string, mut escaped, mut k) = (false, false, 0);
+    for c in json.chars() {
+        out.push(c);
+        if in_string {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => in_string = false,
+                _ => {}
+            }
+        } else if c == '"' {
+            in_string = true;
+        } else if matches!(c, '{' | '[' | ',' | ':') && !ws.is_empty() {
+            out.push_str(ws[k % ws.len()]);
+            k += 1;
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The JSON reader decodes a canonical document identically from a
+    /// slice, from a 1-byte reader (the buffer never holds a fast-path
+    /// margin, so only the general parser runs), and from a reader whose
+    /// chunk edges fall inside ops.
+    #[test]
+    fn json_fast_path_matches_general_parser(
+        trace in arb_wide_trace(),
+        sizes in prop::collection::vec(65usize..5000, 1..8),
+    ) {
+        let json = trace.to_json();
+        let bytes = json.as_bytes();
+        let whole = decoded(&read_json_trace(bytes).unwrap());
+        prop_assert_eq!(&whole, &decoded(&trace));
+        let one_byte = read_json_trace(chunked(bytes, vec![1])).unwrap();
+        prop_assert_eq!(&decoded(&one_byte), &whole);
+        let chunks = read_json_trace(chunked(bytes, sizes)).unwrap();
+        prop_assert_eq!(&decoded(&chunks), &whole);
+    }
+
+    /// Whitespace between tokens, the operand before `t`, and unknown
+    /// fields in an op body all decode to the same trace. Canonical ops
+    /// stay among the perturbed ones, so the fast path meets whitespace
+    /// right after an op it matched.
+    #[test]
+    fn perturbed_json_decodes_to_the_same_trace(
+        trace in arb_wide_trace(),
+        shapes in prop::collection::vec(0u8..4, 1..16),
+        ws in prop::collection::vec(0usize..WHITESPACE.len(), 1..8),
+    ) {
+        let ws: Vec<&str> = ws.into_iter().map(|i| WHITESPACE[i]).collect();
+        let mut ops = String::new();
+        for (i, (&op, shape)) in trace.ops().iter().zip(shapes.iter().cycle()).enumerate() {
+            if i > 0 {
+                ops += ws[i % ws.len()];
+                ops.push(',');
+                ops += ws[(i + 1) % ws.len()];
+            }
+            let canonical = serde_json::to_string(&op).unwrap();
+            ops += &match shape {
+                0 => canonical,
+                1 => reordered_op(op, false),
+                2 => reordered_op(op, true),
+                _ => spaced(&canonical, &ws),
+            };
+        }
+        let mut rest = format!("],\"names\":{}", serde_json::to_string(trace.names()).unwrap());
+        if !trace.synthesized().is_empty() {
+            rest += &format!(
+                ",\"synthesized\":{}",
+                serde_json::to_string(trace.synthesized()).unwrap()
+            );
+        }
+        rest.push('}');
+        let doc = spaced(r#"{"ops":["#, &ws) + &ops + &spaced(&rest, &ws);
+        let back = read_json_trace(doc.as_bytes()).unwrap();
+        prop_assert_eq!(decoded(&back), decoded(&trace));
+    }
 }
 
 proptest! {

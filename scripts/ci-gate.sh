@@ -52,7 +52,7 @@ cargo run --release -q -p velodrome-cli -- check multiset --seed=1 --scale=4 \
     --metrics-out="$tmp/metrics.jsonl" --metrics-interval=200 >/dev/null
 phases=phase.advance,phase.add_edge,phase.cycle_check,phase.gc
 cargo run --release -q -p velodrome-cli -- metrics-verify "$tmp/metrics.jsonl" \
-    --require="$phases,phase.scheduler_step" >/dev/null
+    --require="$phases,phase.scheduler_step,phase.decode" >/dev/null
 for name in arena.allocated arena.cur_alive engine.ops engine.ladder watchdog.pauses_issued; do
     if ! grep -q "\"$name\"" "$tmp/metrics.jsonl"; then
         echo "metrics smoke: required metric $name missing from snapshots" >&2
@@ -98,8 +98,29 @@ for field in '"path"' '"status":"ok"' '"decode_ms"' '"analyze_ms"' '"warnings"' 
     fi
 done
 cargo run --release -q -p velodrome-cli -- metrics-verify "$tmp/batch/metrics.jsonl" \
-    --require="batch.traces_checked,batch.traces_failed,batch.traces_quarantined,batch.events_total,batch.events_per_sec,batch.warnings_total,batch.jobs,$phases" \
+    --require="batch.traces_checked,batch.traces_failed,batch.traces_quarantined,batch.events_total,batch.events_per_sec,batch.warnings_total,batch.jobs,$phases,phase.decode" \
     >/dev/null
+
+echo "==> a whitespace-perturbed JSON trace prints what the canonical one prints"
+# A space after every `,` and `:` takes each op off the canonical-shape
+# fast path and onto the general parser. Every string in the file (tags,
+# keys, names) must be free of both characters, or sed would change it.
+if grep -o '"[^"]*"' "$tmp/batch/a.json" | grep -q '[,:]'; then
+    echo "whitespace smoke: a string in a.json contains \`,\` or \`:\`" >&2
+    exit 1
+fi
+sed 's/,/, /g; s/:/: /g' "$tmp/batch/a.json" > "$tmp/spaced.json"
+if cmp -s "$tmp/batch/a.json" "$tmp/spaced.json"; then
+    echo "whitespace smoke: sed did not change a.json" >&2
+    exit 1
+fi
+cargo run --release -q -p velodrome-cli -- trace "$tmp/batch/a.json" > "$tmp/canonical.out"
+cargo run --release -q -p velodrome-cli -- trace "$tmp/spaced.json" > "$tmp/spaced.out"
+if ! cmp -s "$tmp/canonical.out" "$tmp/spaced.out"; then
+    echo "whitespace smoke: trace output differs for the perturbed file" >&2
+    diff "$tmp/canonical.out" "$tmp/spaced.out" | head -20 >&2
+    exit 1
+fi
 
 echo "==> a VBT trace cut after its first frames exits with code 4 and leaves no metrics file"
 # a.vbt holds several 4096-op frames; three quarters of its bytes end

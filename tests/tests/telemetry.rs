@@ -8,8 +8,9 @@
 //!   `--json` and `--dot` output and the analysis notes are byte-identical
 //!   with and without one.
 //! * The metric-name set of a `--metrics-out` snapshot is pinned per
-//!   meterable backend, and the merged `check-batch` snapshot sums the
-//!   per-trace phase counts.
+//!   meterable backend (`phase.decode` included, whatever the event
+//!   source), and the merged `check-batch` snapshot sums the per-trace
+//!   phase counts, decoded blocks included.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -285,14 +286,20 @@ fn sorted(names: impl IntoIterator<Item = &'static str>) -> Vec<String> {
 
 #[test]
 fn snapshot_name_sets_are_pinned() {
-    let velodrome = || ENGINE_NAMES.into_iter().chain(PHASES).chain(WATCHDOG_NAMES);
+    let velodrome = || {
+        ENGINE_NAMES
+            .into_iter()
+            .chain(PHASES)
+            .chain([names::PHASE_DECODE])
+            .chain(WATCHDOG_NAMES)
+    };
     let escalated = sorted(velodrome().chain(SCREEN_NAMES));
     let dormant = sorted(
         velodrome()
             .chain(SCREEN_NAMES)
             .filter(|n| !LIVE_COUNTERS.contains(n)),
     );
-    assert_eq!(sorted(velodrome()).len(), 26);
+    assert_eq!(sorted(velodrome()).len(), 27);
     let dir = scratch_dir("schema");
     let metrics = dir.join("m.jsonl").display().to_string();
     let metrics_flag = format!("--metrics-out={metrics}");
@@ -315,6 +322,20 @@ fn snapshot_name_sets_are_pinned() {
                 "{} {trace}",
                 backend.name
             );
+            // The same trace in memory: the set does not depend on the
+            // event source.
+            let cfg = RunConfig {
+                telemetry: Telemetry::registry(),
+                metrics_out: Some(metrics.clone()),
+                ..RunConfig::default()
+            };
+            (backend.run)((&load(trace)).into(), &cfg).unwrap();
+            assert_eq!(
+                snapshot_names(&metrics),
+                expected,
+                "{} {trace} in memory",
+                backend.name
+            );
         }
         checked += 1;
     }
@@ -327,6 +348,7 @@ fn line_phase_counts(line: &str) -> BTreeMap<String, u64> {
     let v: serde_json::Value = serde_json::from_str(line).unwrap();
     PHASES
         .iter()
+        .chain(&[names::PHASE_DECODE])
         .map(|&name| {
             let m = &v["metrics"][name];
             assert_eq!(m["type"], "phase", "{name} in {line}");
@@ -367,6 +389,7 @@ fn batch_snapshot_sums_phase_counts() {
         let got = line_phase_counts(text.lines().next().unwrap());
         assert_eq!(got, expected, "{backend}");
         assert!(got[names::PHASE_ADVANCE] > 0, "{backend}: {got:?}");
+        assert!(got[names::PHASE_DECODE] > 0, "{backend}: {got:?}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

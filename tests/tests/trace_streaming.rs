@@ -10,11 +10,15 @@
 //! * a JSON trace may carry `names` before or after `ops`. Names that
 //!   arrive after the last operation still render every warning, so both
 //!   key orders print byte-identical output, and the same warnings as a
-//!   library run that knows the names from the start.
+//!   library run that knows the names from the start;
+//! * one bad op deep inside a canonical document, where the reader's
+//!   canonical-shape fast path is active, fails with the same message and
+//!   byte offset as when only the general parser runs.
 
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use velodrome_cli::{execute, CliErrorKind};
-use velodrome_events::{read_json_trace, read_vbt, Op, Trace, TraceBuilder, FRAME_OPS};
+use velodrome_events::{read_json_trace, read_vbt, Op, ThreadId, Trace, TraceBuilder, FRAME_OPS};
 
 fn run(args: &[&str]) -> Result<String, velodrome_cli::CliError> {
     let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
@@ -200,5 +204,73 @@ fn names_before_or_after_ops_print_identically() {
         }
     }
     assert!(violating > 0, "the corpus has violating traces");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Hands out one byte per call, so the reader's buffer never holds the
+/// fast path's margin and every op goes through the general parser.
+struct OneByte<'a>(&'a [u8]);
+
+impl Read for OneByte<'_> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let Some((&b, rest)) = self.0.split_first() else {
+            return Ok(0);
+        };
+        out[0] = b;
+        self.0 = rest;
+        Ok(1)
+    }
+}
+
+#[test]
+fn a_bad_op_deep_in_a_canonical_document_fails_as_the_general_parser_says() {
+    let dir = scratch_dir("deep-bad-op");
+    let trace = long_trace();
+    let at = FRAME_OPS + 100;
+    let cases = [
+        (r#"{"Reed":{"t":0,"x":0}}"#, "unknown operation `Reed`"),
+        (
+            r#"{"Read":{"t":4294967296,"x":0}}"#,
+            "thread id 4294967296 out of range",
+        ),
+        (r#"{"Read":{"t":0,"x":1.5}}"#, "non-integer number"),
+        (r#"{"Read":{"t":-1,"x":0}}"#, "expected an unsigned integer"),
+        (r#"{"Read":{"t":0}}"#, "missing field `x` in Read"),
+        (r#"{"Read":{"t":0,"x":0}"#, "expected a string"),
+    ];
+    let mut ops = op_texts(&trace);
+    for (bad, reason) in cases {
+        ops[at] = bad.to_owned();
+        let doc = json_with(&trace, &ops, false);
+        let e = read_json_trace(doc.as_bytes()).unwrap_err();
+        assert!(
+            e.is_malformed() && e.to_string().contains(reason),
+            "{bad}: {e}"
+        );
+        let general = read_json_trace(OneByte(doc.as_bytes())).unwrap_err();
+        assert_eq!(e.to_string(), general.to_string(), "{bad}");
+        let path = dir.join("bad.json");
+        std::fs::write(&path, &doc).unwrap();
+        let path = path.to_str().unwrap();
+        let cli = run(&["trace", path]).unwrap_err();
+        assert_eq!(cli.exit_code(), 4, "{bad}: {cli}");
+        assert_eq!(cli.message, format!("malformed trace file {path}: {e}"));
+    }
+    // An unknown field in an op body is skipped, not rejected.
+    ops[at] = r#"{"End":{"t":0,"x":1}}"#.to_owned();
+    let doc = json_with(&trace, &ops, false);
+    let fast = read_json_trace(doc.as_bytes()).unwrap();
+    let general = read_json_trace(OneByte(doc.as_bytes())).unwrap();
+    assert_eq!(fast.ops(), general.ops());
+    assert_eq!(fast.to_json(), general.to_json());
+    assert_eq!(
+        fast.ops()[at],
+        Op::End {
+            t: ThreadId::new(0)
+        }
+    );
+    let path = dir.join("extra-field.json");
+    std::fs::write(&path, &doc).unwrap();
+    run(&["trace", path.to_str().unwrap()]).unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
