@@ -19,8 +19,10 @@ fn analyze(trace: &Trace, merge: bool, gc: bool) {
 
 fn ablation(c: &mut Criterion) {
     // multiset: unary-heavy, exactly the workload merging targets.
-    // Scale 2 keeps the no-GC configuration (quadratic ancestor sets over
-    // an ever-growing arena) benchmarkable; the effect is dramatic already.
+    // Scale 2 keeps the no-merge, no-GC configuration benchmarkable: every
+    // unary node stays alive, most start a chain of their own, and their
+    // chain clocks grow to hundreds of entries that every chain extension
+    // copies and every propagation joins. The effect is dramatic already.
     let w = velodrome_workloads::build("multiset", 2).expect("workload");
     let trace = w.run_round_robin();
     let mut group = c.benchmark_group("ablation/multiset");

@@ -1,5 +1,5 @@
 //! The transaction-node arena: allocation, recycling, happens-before edges,
-//! ancestor sets, and reference-counting garbage collection.
+//! chain clocks, and reference-counting garbage collection.
 //!
 //! This is the data-representation core of Section 4.1 and Section 5:
 //!
@@ -9,9 +9,14 @@
 //! * At most one happens-before edge is stored per ordered node pair; adding
 //!   another replaces its timestamps (the paper's `H ⊎ G` operator), which
 //!   bounds `|H|` by `|Node|²`.
-//! * Each node keeps its set of (alive) ancestors, so a cycle-creating edge
-//!   is detected *before* insertion; the graph therefore stays acyclic and
-//!   plain reference counting collects garbage immediately.
+//! * Reachability between alive nodes is kept exact by *chain clocks*, so a
+//!   cycle-creating edge is detected *before* insertion; the graph therefore
+//!   stays acyclic and plain reference counting collects garbage
+//!   immediately. Alive nodes are grouped into chains, consecutive nodes of
+//!   a chain joined by a stored edge (the *link*); each node records, for
+//!   every other chain, the highest position on it that reaches the node.
+//!   Memory is linear in the alive nodes when they form few chains, as a
+//!   long transaction's readers do.
 //! * A node is collected once it is finished (not any thread's current
 //!   transaction) and has no incoming edges: such a node can never again
 //!   appear on a cycle. Collection cascades: removing the node's outgoing
@@ -59,6 +64,31 @@ struct EdgeRec {
     implied: bool,
 }
 
+/// A chain clock entry `(chain, position)`.
+type Entry = (u32, u32);
+
+/// Does `e` still name an alive node, i.e. is its position at or above its
+/// chain's floor? A stale entry orders nothing.
+fn live(chains: &[Chain], e: &Entry) -> bool {
+    e.1 >= chains[e.0 as usize].floor
+}
+
+/// A chain of alive nodes at positions `floor..next`, each one linked to the
+/// next by a stored, non-implied edge, so an earlier node reaches every
+/// later one.
+///
+/// Positions keep counting when an empty chain's id is reused, so a clock
+/// entry below `floor` is stale — its node was collected or moved — and
+/// orders nothing. A chain whose `next` reaches `u32::MAX` is retired: it is
+/// never extended or reused again.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    /// Position of the next node to join.
+    next: u32,
+    /// Position of the first alive node (`next` when the chain is empty).
+    floor: u32,
+}
+
 #[derive(Debug)]
 struct Slot {
     alive: bool,
@@ -72,15 +102,20 @@ struct Slot {
     /// Outgoing edges, keyed by target slot (sorted vec: the per-slot degree
     /// is tiny, and sorted order makes path reconstruction deterministic).
     out: SlotMap<EdgeRec>,
-    /// Incoming edges, keyed by source slot.
-    inc: SlotMap<EdgeRec>,
-    /// Alive nodes with a path to this node (over non-implied edges).
-    anc: SlotSet,
+    /// Number of incoming edges, tagged ones included: the reference count
+    /// collection waits on (the records themselves live in `out`).
+    in_degree: u32,
+    /// The chain the node sits on, and its position there.
+    chain: u32,
+    pos: u32,
+    /// Chain clock, sorted by chain: for every other chain, the highest
+    /// position whose node reaches this one (over non-implied edges).
+    anc: Vec<Entry>,
 }
 
 impl Slot {
     fn collectible(&self) -> bool {
-        self.alive && !self.c_ref && self.inc.is_empty()
+        self.alive && !self.c_ref && self.in_degree == 0
     }
 }
 
@@ -157,6 +192,9 @@ impl std::error::Error for ArenaError {}
 pub struct Arena {
     slots: Vec<Slot>,
     free: Vec<SlotIdx>,
+    chains: Vec<Chain>,
+    /// Ids of empty, unretired chains, reused before new ids are opened.
+    free_chains: Vec<u32>,
     stats: ArenaStats,
     gc_enabled: bool,
     /// Skip insertion of transitively-implied edges (the redundant-edge
@@ -164,15 +202,12 @@ pub struct Arena {
     /// preserving the exact warnings and reports of the eliding mode while
     /// paying the unoptimized insertion cost — the differential baseline.
     elide: bool,
-    /// Collection work list, reused across cascades.
+    /// Work list of collection cascades and clock propagation.
     work: Vec<SlotIdx>,
-    /// Alive successors of collected nodes: the sweep's start set, then its
-    /// stack. Reused across cascades.
-    frontier: Vec<SlotIdx>,
-    /// Per-slot sweep visit stamps: a slot was visited by the current sweep
-    /// iff its entry equals `epoch`.
-    seen: Vec<u32>,
-    epoch: u32,
+    /// Clock propagation scratch: the entries an edge passes on, and the
+    /// joined clock being built.
+    gained: Vec<Entry>,
+    joined: Vec<Entry>,
 }
 
 impl Default for Arena {
@@ -199,13 +234,14 @@ impl Arena {
         Self {
             slots: Vec::new(),
             free: Vec::new(),
+            chains: Vec::new(),
+            free_chains: Vec::new(),
             stats: ArenaStats::default(),
             gc_enabled,
             elide,
             work: Vec::new(),
-            frontier: Vec::new(),
-            seen: Vec::new(),
-            epoch: 0,
+            gained: Vec::new(),
+            joined: Vec::new(),
         }
     }
 
@@ -250,25 +286,56 @@ impl Arena {
                     c_ref: false,
                     desc: desc.clone(),
                     out: SlotMap::new(),
-                    inc: SlotMap::new(),
-                    anc: SlotSet::new(),
+                    in_degree: 0,
+                    chain: 0,
+                    pos: 0,
+                    anc: Vec::new(),
                 });
                 idx
             }
         };
+        // A fresh node starts alone on a chain: a freed id (whose positions
+        // continue past its stale entries) or a new one.
+        let chain = self.free_chains.pop().unwrap_or_else(|| {
+            self.chains.push(Chain { next: 0, floor: 0 });
+            (self.chains.len() - 1) as u32
+        });
+        let pos = self.push_position(chain);
         let slot = &mut self.slots[idx as usize];
         debug_assert!(!slot.alive, "allocating an alive slot");
         slot.alive = true;
         slot.c_ref = current;
         slot.desc = desc;
         slot.out.clear();
-        slot.inc.clear();
+        slot.in_degree = 0;
+        slot.chain = chain;
+        slot.pos = pos;
         slot.anc.clear();
         slot.counter += 1;
         self.stats.allocated += 1;
         self.stats.cur_alive += 1;
         self.stats.max_alive = self.stats.max_alive.max(self.stats.cur_alive);
         Ok(Step::new(idx, slot.counter))
+    }
+
+    /// Takes the next position on `chain`.
+    fn push_position(&mut self, chain: u32) -> u32 {
+        let c = &mut self.chains[chain as usize];
+        debug_assert!(c.next < u32::MAX, "extending a retired chain");
+        c.next += 1;
+        c.next - 1
+    }
+
+    /// Removes node `v` from the front of its chain, freeing the chain id
+    /// once it is empty (unless the chain is retired).
+    fn leave_chain(&mut self, v: SlotIdx) {
+        let (chain, pos) = (self.slots[v as usize].chain, self.slots[v as usize].pos);
+        let c = &mut self.chains[chain as usize];
+        debug_assert_eq!(c.floor, pos, "chains empty front to back");
+        c.floor = pos + 1;
+        if c.floor == c.next && c.next < u32::MAX {
+            self.free_chains.push(chain);
+        }
     }
 
     /// Issues the next timestamp within an alive node.
@@ -331,11 +398,25 @@ impl Arena {
         &self.slots[idx as usize].desc
     }
 
+    /// Does alive node `a` reach alive node `b ≠ a` over non-implied edges?
+    fn reaches(&self, a: SlotIdx, b: SlotIdx) -> bool {
+        let (a, b) = (&self.slots[a as usize], &self.slots[b as usize]);
+        if a.chain == b.chain {
+            return a.pos < b.pos;
+        }
+        // `a` is alive, so `a.pos` is at or above its chain's floor and a
+        // stale entry can never satisfy the comparison.
+        match b.anc.binary_search_by_key(&a.chain, |e| e.0) {
+            Ok(i) => b.anc[i].1 >= a.pos,
+            Err(_) => false,
+        }
+    }
+
     /// Does `a` happen (non-strictly) before `b`?
     ///
     /// Steps within one node are ordered by timestamp; across nodes the
-    /// question is ancestry in the happens-before graph. Both steps must be
-    /// resolved (alive) or `⊥`; `⊥` never happens-before anything.
+    /// question is reachability in the happens-before graph. Both steps must
+    /// be resolved (alive) or `⊥`; `⊥` never happens-before anything.
     pub fn happens_before(&self, a: Step, b: Step) -> bool {
         let (Some(na), Some(nb)) = (a.slot(), b.slot()) else {
             return false;
@@ -343,7 +424,7 @@ impl Arena {
         if na == nb {
             return a.ts() <= b.ts();
         }
-        self.slots[nb as usize].anc.contains(na)
+        self.reaches(na, nb)
     }
 
     /// Adds (or refreshes) the happens-before edge `from → to`.
@@ -360,7 +441,7 @@ impl Arena {
         op: Op,
         op_index: usize,
     ) -> Result<bool, CycleFound> {
-        let from = self.resolve(from);
+        let (from, to) = (self.resolve(from), self.resolve(to));
         let (Some((nf, tf)), Some((nt, tt))) = (
             from.is_some().then(|| from.unpack()),
             to.is_some().then(|| to.unpack()),
@@ -370,8 +451,40 @@ impl Arena {
         if nf == nt {
             return Ok(false);
         }
+        let info = EdgeInfo {
+            from_ts: tf,
+            to_ts: tt,
+            op,
+            op_index,
+        };
+        // The graph is acyclic, so the direct-edge refresh and the elision
+        // gate below, which both see nf reach nt, also rule out a cycle;
+        // the cycle check only runs when neither applies.
+        //
+        // A stored direct edge is refreshed in place (the paper's `H ⊎ G`
+        // keeps the latest timestamps per ordered node pair).
+        if let Some(rec) = self.slots[nf as usize].out.get_mut(nt) {
+            rec.info = info;
+            self.stats.edges_replaced += 1;
+            return Ok(true);
+        }
+        // Redundant-edge gate: a path nf →* nt already orders the pair, so
+        // the edge adds no reachability — eliding it preserves clock
+        // exactness, cycle detection, and GC timing (an implied edge's
+        // witness path outlives it: each path node is kept alive by its
+        // predecessor's stored edge while `nf` is alive).
+        if self.reaches(nf, nt) {
+            if self.elide {
+                self.stats.edges_elided += 1;
+                return Ok(false);
+            }
+            // Baseline mode: store the edge, tagged so path reconstruction
+            // and clock propagation skip it.
+            self.insert_edge(nf, nt, info, true);
+            return Ok(true);
+        }
         // Edge nf → nt closes a cycle iff a path nt →* nf already exists.
-        if self.slots[nf as usize].anc.contains(nt) {
+        if self.reaches(nt, nf) {
             return Err(CycleFound {
                 from: nf,
                 from_ts: tf,
@@ -379,66 +492,84 @@ impl Arena {
                 to_ts: tt,
             });
         }
-        let info = EdgeInfo {
-            from_ts: tf,
-            to_ts: tt,
-            op,
-            op_index,
-        };
-        // A stored direct edge is refreshed in place (the paper's `H ⊎ G`
-        // keeps the latest timestamps per ordered node pair).
-        if let Some(rec) = self.slots[nf as usize].out.get_mut(nt) {
-            rec.info = info;
-            self.slots[nt as usize]
-                .inc
-                .get_mut(nf)
-                .expect("edge symmetry")
-                .info = info;
-            self.stats.edges_replaced += 1;
-            return Ok(true);
+        // A node with no edges (hence alone on its chain: a chain neighbour
+        // would be linked to it) joins the source's chain when the source
+        // is that chain's tail: the new edge becomes the link, and the
+        // clock is the source's.
+        let (sf, st) = (&self.slots[nf as usize], &self.slots[nt as usize]);
+        let extends = st.in_degree == 0
+            && st.out.is_empty()
+            && sf.pos + 1 == self.chains[sf.chain as usize].next
+            && self.chains[sf.chain as usize].next < u32::MAX;
+        self.insert_edge(nf, nt, info, false);
+        if extends {
+            self.extend_chain(nf, nt);
+        } else {
+            self.propagate(nf, nt);
         }
-        // Redundant-edge gate: a path nf →* nt already orders the pair, so
-        // the edge adds no reachability — eliding it preserves ancestor-set
-        // exactness, cycle detection, and GC timing (an implied edge's
-        // witness path outlives it: each path node is kept alive by its
-        // predecessor's stored edge while `nf` is alive).
-        if self.slots[nt as usize].anc.contains(nf) {
-            if self.elide {
-                self.stats.edges_elided += 1;
-                return Ok(false);
-            }
-            // Baseline mode: store the edge, tagged so path reconstruction
-            // skips it. Ancestor propagation would be a no-op (anc(nf) ∪
-            // {nf} ⊆ anc(nt) already holds) and is not performed.
-            let rec = EdgeRec {
-                info,
-                implied: true,
-            };
-            self.slots[nf as usize].out.insert(nt, rec);
-            self.slots[nt as usize].inc.insert(nf, rec);
-            self.stats.edges_added += 1;
-            return Ok(true);
-        }
-        let rec = EdgeRec {
-            info,
-            implied: false,
-        };
-        self.slots[nf as usize].out.insert(nt, rec);
-        self.slots[nt as usize].inc.insert(nf, rec);
+        Ok(true)
+    }
+
+    fn insert_edge(&mut self, nf: SlotIdx, nt: SlotIdx, info: EdgeInfo, implied: bool) {
+        self.slots[nf as usize]
+            .out
+            .insert(nt, EdgeRec { info, implied });
+        self.slots[nt as usize].in_degree += 1;
         self.stats.edges_added += 1;
-        // Propagate ancestors: nt (and its descendants) gain anc(nf) ∪ {nf}.
+    }
+
+    /// Moves `nt`, an edgeless node alone on its chain, behind `nf`, the
+    /// tail of its chain, and gives it `nf`'s clock (minus stale entries).
+    fn extend_chain(&mut self, nf: SlotIdx, nt: SlotIdx) {
+        debug_assert_eq!(
+            self.chains[self.slots[nt as usize].chain as usize].next,
+            self.slots[nt as usize].pos + 1,
+            "only a node alone on its chain moves"
+        );
+        self.leave_chain(nt);
+        let chain = self.slots[nf as usize].chain;
+        let pos = self.push_position(chain);
+        let mut anc = std::mem::take(&mut self.slots[nt as usize].anc);
+        anc.clear();
+        let chains = &self.chains;
+        anc.extend(
+            self.slots[nf as usize]
+                .anc
+                .iter()
+                .filter(|e| live(chains, e)),
+        );
+        let slot = &mut self.slots[nt as usize];
+        slot.chain = chain;
+        slot.pos = pos;
+        slot.anc = anc;
+    }
+
+    /// Joins `anc(nf) ∪ {nf}` into the clocks of `nt` and its descendants
+    /// after a non-implied edge `nf → nt` that did not extend a chain.
+    fn propagate(&mut self, nf: SlotIdx, nt: SlotIdx) {
+        let Arena {
+            slots,
+            chains,
+            work,
+            gained,
+            joined,
+            ..
+        } = self;
+        let src = &slots[nf as usize];
+        let split = src.anc.partition_point(|e| e.0 < src.chain);
+        gained.clear();
+        gained.extend(src.anc[..split].iter().filter(|e| live(chains, e)));
+        gained.push((src.chain, src.pos));
+        gained.extend(src.anc[split..].iter().filter(|e| live(chains, e)));
         // Implied edges are skipped: their targets are reached through the
         // non-implied witness path anyway.
-        let mut gained = self.slots[nf as usize].anc.clone();
-        gained.insert(nf);
-        let mut work = vec![nt];
+        work.push(nt);
         while let Some(v) = work.pop() {
-            let slot = &mut self.slots[v as usize];
-            if slot.anc.merge(&gained) {
+            let slot = &mut slots[v as usize];
+            if join(&mut slot.anc, slot.chain, gained, chains, joined) {
                 work.extend(slot.out.iter().filter(|(_, r)| !r.implied).map(|(s, _)| s));
             }
         }
-        Ok(true)
     }
 
     /// Marks a node as no longer any thread's current transaction and
@@ -451,25 +582,20 @@ impl Arena {
     /// Collects `idx` if it is finished with no incoming edges, cascading to
     /// successors whose last incoming edge disappears.
     ///
-    /// The cascade runs in two phases. *Collect* drains the work list,
-    /// marking nodes dead, unlinking their out-edges and pushing their slots
-    /// to the free list, and records every alive successor it unlinks.
-    /// *Sweep* then removes the dead nodes from ancestor sets (edges into a
-    /// dead node can never be added again, so it cannot join a cycle). A
-    /// collected node had no in-edges, so only its descendants can list it
-    /// as an ancestor: the sweep visits only the alive descendants of the
-    /// recorded successors, each once, so a cascade costs O(those nodes and
-    /// their ancestor entries) and allocates nothing.
+    /// A collected node has no in-edges, so it is the first alive node of
+    /// its chain (any later one has its link as an in-edge) and lies on no
+    /// path between alive nodes: raising the chain's floor past it turns
+    /// every clock entry naming it stale, and no clock needs a sweep.
     pub fn maybe_collect(&mut self, idx: SlotIdx) {
         if !self.gc_enabled || !self.slots[idx as usize].collectible() {
             return;
         }
-        let first_free = self.free.len();
         self.work.push(idx);
         while let Some(v) = self.work.pop() {
             if !self.slots[v as usize].collectible() {
                 continue;
             }
+            self.leave_chain(v);
             let slot = &mut self.slots[v as usize];
             slot.alive = false;
             slot.floor = slot.counter;
@@ -480,11 +606,10 @@ impl Arena {
             for succ in out.keys() {
                 let s = &mut self.slots[succ as usize];
                 if s.alive {
-                    s.inc.remove(v);
+                    s.in_degree -= 1;
                     if s.collectible() {
                         self.work.push(succ);
                     }
-                    self.frontier.push(succ);
                 }
             }
             // Hand the emptied map back so the slot keeps its capacity.
@@ -492,60 +617,17 @@ impl Arena {
             self.slots[v as usize].out = out;
             self.free.push(v);
         }
-        self.sweep_ancestors(first_free);
-    }
-
-    /// Sweep phase of [`Arena::maybe_collect`]: drops the nodes collected
-    /// since `free[first_free]` from the ancestor sets of the alive nodes
-    /// reachable from `frontier`, visiting each node once.
-    ///
-    /// Every alive descendant of a dead node is reached, either through an
-    /// alive successor or through a successor that died in the same cascade
-    /// and recorded its own successors. Implied edges are followed too,
-    /// which only revisits descendants that are reached anyway.
-    fn sweep_ancestors(&mut self, first_free: usize) {
-        if self.frontier.is_empty() {
-            return;
-        }
-        let single = match &self.free[first_free..] {
-            [d] => Some(*d),
-            _ => None,
-        };
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.seen.fill(0);
-            self.epoch = 1;
-        }
-        self.seen.resize(self.slots.len(), 0);
-        while let Some(v) = self.frontier.pop() {
-            let vi = v as usize;
-            if !self.slots[vi].alive || self.seen[vi] == self.epoch {
-                continue;
-            }
-            self.seen[vi] = self.epoch;
-            let mut anc = std::mem::take(&mut self.slots[vi].anc);
-            // Ancestor sets hold only alive nodes, so after the collect
-            // phase an entry is stale exactly when its slot is dead.
-            match single {
-                Some(d) => {
-                    anc.remove(d);
-                }
-                None => anc.retain(|a| self.slots[a as usize].alive),
-            }
-            self.slots[vi].anc = anc;
-            self.frontier.extend(self.slots[vi].out.keys());
-        }
     }
 
     /// Finds a path `start →* goal` over alive nodes and non-implied edges,
     /// returning the edges traversed. Used to reconstruct the cycle once
-    /// [`CycleFound`] fires (the path exists by the ancestor-set invariant).
+    /// [`CycleFound`] fires (the path exists because the clocks are exact).
     ///
     /// Implied (redundant) edges are skipped so reconstruction is identical
     /// whether the arena elides them or stores them tagged.
     pub fn find_path(&self, start: SlotIdx, goal: SlotIdx) -> Option<Vec<(SlotIdx, EdgeInfo)>> {
-        // Iterative DFS that only descends into the goal's ancestors. It is
-        // not bounded by a small graph: a long transaction can keep
+        // Iterative DFS that only descends into nodes that reach the goal.
+        // It is not bounded by a small graph: a long transaction can keep
         // thousands of nodes alive.
         // Successor order is ascending by slot (intrinsic to the sorted-vec
         // adjacency), so reports are reproducible run to run.
@@ -564,7 +646,7 @@ impl Arena {
                 if visited.contains(succ) {
                     continue;
                 }
-                if succ != goal && !self.slots[goal as usize].anc.contains(succ) {
+                if succ != goal && !self.reaches(succ, goal) {
                     continue;
                 }
                 visited.insert(succ);
@@ -586,57 +668,98 @@ impl Arena {
         self.stats.cur_alive as usize
     }
 
-    /// Memory footprint of the alive graph: `(edge records, ancestor
+    /// Memory footprint of the alive graph: `(edge records, live clock
     /// entries)` summed over alive slots. Diagnostics for sizing the
-    /// sorted-vec adjacency; implied tagged edges are included.
+    /// sorted-vec adjacency; implied tagged edges are included, stale
+    /// clock entries are not.
     pub fn footprint(&self) -> (usize, usize) {
         let mut edges = 0;
-        let mut ancestors = 0;
+        let mut entries = 0;
         for slot in self.slots.iter().filter(|s| s.alive) {
             edges += slot.out.len();
-            ancestors += slot.anc.len();
+            entries += slot.anc.iter().filter(|e| live(&self.chains, e)).count();
         }
-        (edges, ancestors)
+        (edges, entries)
     }
 
     /// Checks internal invariants; used by tests and debug assertions.
     ///
-    /// Verifies edge symmetry, ancestor-set *exactness* in both directions
-    /// (against a transitive closure recomputed over non-implied edges),
-    /// acyclicity, and that every stored implied edge really is redundant
-    /// (its target is reachable from its source without it).
+    /// Verifies in-degrees; the chains (each chain's alive nodes sit at
+    /// exactly its positions `floor..next`, consecutive ones joined by a
+    /// non-implied link, and exactly the empty unretired chains are free);
+    /// clock *exactness* (every ordering query agrees with reachability
+    /// recomputed over non-implied edges); acyclicity; and that every
+    /// stored implied edge really is redundant (its target is reachable
+    /// from its source without it).
     pub fn check_invariants(&self) {
-        // Edge symmetry.
-        for (i, slot) in self.slots.iter().enumerate() {
-            if !slot.alive {
-                continue;
+        // Edges join alive nodes, and in-degrees count them.
+        let mut in_degree = vec![0u32; self.slots.len()];
+        for slot in self.slots.iter().filter(|s| s.alive) {
+            for t in slot.out.keys() {
+                assert!(self.slots[t as usize].alive, "edge to dead slot");
+                in_degree[t as usize] += 1;
             }
-            for (t, e) in slot.out.iter() {
-                let target = &self.slots[t as usize];
-                assert!(target.alive, "edge to dead slot");
-                assert_eq!(target.inc.get(i as SlotIdx), Some(e), "edge asymmetry");
-            }
-            for f in slot.inc.keys() {
-                assert!(
-                    self.slots[f as usize].out.contains_key(i as SlotIdx),
-                    "in-edge without out-edge"
-                );
-            }
-            // No in-edges (tagged ones included) means no ancestors: the
-            // ancestor set is exactly the reachable-from set.
-            if slot.inc.is_empty() {
-                assert!(slot.anc.is_empty(), "root n{i} has recorded ancestors");
-            }
+        }
+        for (i, slot) in self.slots.iter().enumerate().filter(|(_, s)| s.alive) {
+            assert_eq!(slot.in_degree, in_degree[i], "in-degree of n{i}");
         }
         let alive: Vec<SlotIdx> = (0..self.slots.len() as u32)
             .map(|i| i as SlotIdx)
             .filter(|&i| self.slots[i as usize].alive)
             .collect();
+        // Chains and the link invariant.
+        let mut members: Vec<Vec<(u32, SlotIdx)>> = vec![Vec::new(); self.chains.len()];
+        for &v in &alive {
+            let slot = &self.slots[v as usize];
+            members[slot.chain as usize].push((slot.pos, v));
+        }
+        for (c, nodes) in members.iter_mut().enumerate() {
+            let chain = self.chains[c];
+            nodes.sort_unstable();
+            assert!(chain.floor <= chain.next, "chain c{c} floor past next");
+            assert_eq!(
+                nodes.len() as u64,
+                u64::from(chain.next - chain.floor),
+                "chain c{c} holds a gap"
+            );
+            for (k, &(pos, v)) in nodes.iter().enumerate() {
+                assert_eq!(pos, chain.floor + k as u32, "n{v} off chain c{c}'s run");
+            }
+            for w in nodes.windows(2) {
+                let link = self.slots[w[0].1 as usize].out.get(w[1].1);
+                assert!(
+                    matches!(link, Some(r) if !r.implied),
+                    "no link n{} → n{} on chain c{c}",
+                    w[0].1,
+                    w[1].1
+                );
+            }
+            let free = self
+                .free_chains
+                .iter()
+                .filter(|&&f| f as usize == c)
+                .count();
+            let expect = usize::from(nodes.is_empty() && chain.next < u32::MAX);
+            assert_eq!(free, expect, "chain c{c} free-list membership");
+        }
+        // Clock shape: sorted by chain, nothing on the node's own chain, no
+        // entry past its chain's last position.
+        for &v in &alive {
+            let slot = &self.slots[v as usize];
+            assert!(
+                slot.anc.windows(2).all(|w| w[0].0 < w[1].0),
+                "clock of n{v} unsorted"
+            );
+            for &(c, p) in &slot.anc {
+                assert_ne!(c, slot.chain, "clock of n{v} names its own chain");
+                assert!(p < self.chains[c as usize].next, "clock of n{v} ahead");
+            }
+        }
         // Recompute reachability over non-implied edges, check acyclicity,
-        // and verify implied edges are genuinely redundant. (Implied edges
-        // cannot extend cycles: each parallels a non-implied witness path,
-        // so acyclicity of the non-implied subgraph implies acyclicity of
-        // the whole graph.)
+        // exactness, and that implied edges are genuinely redundant.
+        // (Implied edges cannot extend cycles: each parallels a non-implied
+        // witness path, so acyclicity of the non-implied subgraph implies
+        // acyclicity of the whole graph.)
         for &v in &alive {
             let mut reach = SlotSet::new();
             let mut work = vec![v];
@@ -648,23 +771,12 @@ impl Arena {
                 }
             }
             assert!(!reach.contains(v), "cycle through n{v}");
-            for d in reach.iter() {
-                assert!(
-                    self.slots[d as usize].anc.contains(v),
-                    "missing ancestor n{v} of n{d}"
+            for &d in alive.iter().filter(|&&d| d != v) {
+                assert_eq!(
+                    self.reaches(v, d),
+                    reach.contains(d),
+                    "clocks misorder n{v} and n{d}"
                 );
-            }
-            // Exactness: every recorded ancestor of v is really reachable.
-            // (Checked via the forward sweep below using `reach` of each
-            // ancestor candidate would be quadratic anyway; reuse this
-            // sweep: v must appear in anc(d) exactly for d in reach.)
-            for &d in &alive {
-                if !reach.contains(d) {
-                    assert!(
-                        !self.slots[d as usize].anc.contains(v),
-                        "stale ancestor n{v} recorded on n{d}"
-                    );
-                }
             }
             for (s, rec) in self.slots[v as usize].out.iter() {
                 if rec.implied {
@@ -675,12 +787,58 @@ impl Arena {
                 }
             }
         }
-        for &v in &alive {
-            for a in self.slots[v as usize].anc.iter() {
-                assert!(self.slots[a as usize].alive, "dead ancestor n{a} of n{v}");
+    }
+}
+
+/// Joins `gained` (live entries, sorted by chain) into the clock `anc` of a
+/// node on chain `own`, skipping `own` and dropping stale entries; returns
+/// whether the clock now orders more nodes. `joined` is scratch space.
+fn join(
+    anc: &mut Vec<Entry>,
+    own: u32,
+    gained: &[Entry],
+    chains: &[Chain],
+    joined: &mut Vec<Entry>,
+) -> bool {
+    let covered = |&(c, p): &Entry| {
+        c == own || matches!(anc.binary_search_by_key(&c, |e| e.0), Ok(i) if anc[i].1 >= p)
+    };
+    if gained.iter().all(covered) {
+        return false;
+    }
+    joined.clear();
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let e = match (anc.get(i), gained.get(j)) {
+            (Some(&a), Some(&g)) if a.0 < g.0 => {
+                i += 1;
+                a
             }
+            (Some(&a), Some(&g)) if a.0 > g.0 => {
+                j += 1;
+                g
+            }
+            (Some(&a), Some(&g)) => {
+                i += 1;
+                j += 1;
+                (a.0, a.1.max(g.1))
+            }
+            (Some(&a), None) => {
+                i += 1;
+                a
+            }
+            (None, Some(&g)) => {
+                j += 1;
+                g
+            }
+            (None, None) => break,
+        };
+        if e.0 != own && live(chains, &e) {
+            joined.push(e);
         }
     }
+    std::mem::swap(anc, joined);
+    true
 }
 
 #[cfg(test)]
@@ -1040,11 +1198,8 @@ mod tests {
         assert!(a.happens_before(s[3], s[4]));
         assert!(a.happens_before(s[4], s[5]));
         assert!(a.happens_before(s[3], s[5]));
-        assert_eq!(
-            a.footprint(),
-            (2, 3),
-            "anc(n4) = {{n3}}, anc(n5) = {{n3, n4}}"
-        );
+        // n5 sits behind n4 on one chain and needs no entry for it.
+        assert_eq!(a.footprint(), (2, 2), "anc(n4) = anc(n5) = {{n3's chain}}");
         a.finish(n[3]);
         a.check_invariants();
         assert_eq!(a.alive_count(), 0);
@@ -1115,6 +1270,11 @@ mod tests {
             }
         }
         assert_eq!(a.alive_count(), readers + 1);
+        assert_eq!(
+            a.footprint().1,
+            0,
+            "the long transaction and its readers form one chain"
+        );
         a.finish(long.unpack().0);
         if check {
             a.check_invariants();
@@ -1137,5 +1297,46 @@ mod tests {
     fn long_transaction_end_collects_all_readers() {
         long_transaction_round(20, true);
         long_transaction_round(3_000, false);
+    }
+
+    #[test]
+    fn chain_at_position_limit_is_retired() {
+        let mut a = Arena::new();
+        // An emptied chain whose positions have nearly run out.
+        let s = a.alloc(desc(0), true).unwrap();
+        let c = a.slots[s.unpack().0 as usize].chain;
+        a.finish(s.unpack().0);
+        a.chains[c as usize].next = u32::MAX - 2;
+        a.chains[c as usize].floor = u32::MAX - 2;
+        let s0 = a.alloc(desc(0), true).unwrap();
+        let s1 = a.alloc(desc(1), true).unwrap();
+        let s2 = a.alloc(desc(2), true).unwrap();
+        let n: Vec<SlotIdx> = [s0, s1, s2].iter().map(|s| s.unpack().0).collect();
+        assert_eq!(a.slots[n[0] as usize].chain, c, "the freed id is reused");
+        a.add_edge(s0, s1, op(), 0).unwrap();
+        assert_eq!(
+            a.slots[n[1] as usize].chain, c,
+            "n1 takes the last position"
+        );
+        assert_eq!(a.chains[c as usize].next, u32::MAX);
+        a.add_edge(s1, s2, op(), 1).unwrap();
+        assert_ne!(
+            a.slots[n[2] as usize].chain, c,
+            "a retired chain is not extended"
+        );
+        assert!(a.happens_before(s0, s2));
+        assert!(a.add_edge(s2, s0, op(), 2).is_err());
+        a.check_invariants();
+        a.finish(n[2]);
+        a.finish(n[1]);
+        a.finish(n[0]);
+        assert_eq!(a.alive_count(), 0);
+        a.check_invariants();
+        assert!(!a.free_chains.contains(&c), "a retired chain is not reused");
+        for i in 0..3 {
+            let s = a.alloc(desc(i), true).unwrap();
+            assert_ne!(a.slots[s.unpack().0 as usize].chain, c);
+        }
+        a.check_invariants();
     }
 }

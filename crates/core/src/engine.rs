@@ -10,8 +10,8 @@
 //! * `R` — per-variable, per-thread step of the last read (since the last
 //!   write — older reads are transitively ordered through the write chain);
 //! * `W` — per-variable step of the last write;
-//! * `H` — the happens-before graph, held in the [`Arena`] with ancestor
-//!   sets, timestamped edges, and reference-counting GC.
+//! * `H` — the happens-before graph, held in the [`Arena`] with chain
+//!   clocks, timestamped edges, and reference-counting GC.
 //!
 //! With [`VelodromeConfig::merge`] enabled the engine uses the optimized
 //! Figure 4 rules: operations outside any transaction allocate a node only
@@ -266,9 +266,10 @@ struct ThreadState {
     /// same transaction — e.g. a read loop whose `W(x)` never changes — are
     /// skipped without touching the arena: all four no-op conditions are
     /// stable while the transaction node is fixed (timestamps are never
-    /// reissued per slot, ancestor sets only shrink when the ancestor
-    /// itself dies and turns the step stale). Cleared on transaction entry,
-    /// when the node changes.
+    /// reissued per slot, and reachability between two alive nodes never
+    /// goes away: it is lost only when the predecessor dies, which turns
+    /// its step stale). Cleared on transaction entry, when the node
+    /// changes.
     skip: Option<Step>,
 }
 

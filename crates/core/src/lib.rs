@@ -20,9 +20,9 @@
 //!
 //! * [`step`] — packed 64-bit `(node, timestamp)` steps with slot
 //!   recycling and staleness detection (Section 5);
-//! * [`arena`] — the transaction-node arena: timestamped edges, ancestor
-//!   sets for O(1)-amortized cycle detection *before* edge insertion, and
-//!   reference-counting garbage collection (Section 4.1);
+//! * [`arena`] — the transaction-node arena: timestamped edges, chain
+//!   clocks for exact O(1) (or binary-search) cycle detection *before* edge
+//!   insertion, and reference-counting garbage collection (Section 4.1);
 //! * [`engine`] — the online analysis rules (Figures 2 and 4), including
 //!   the merge optimization for non-transactional operations (Section
 //!   4.2), nested atomic blocks, and blame assignment (Section 4.3);

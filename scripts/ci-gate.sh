@@ -122,6 +122,30 @@ if ! cmp -s "$tmp/canonical.out" "$tmp/spaced.out"; then
     exit 1
 fi
 
+echo "==> a long transaction holding 60,000 short ones alive checks within 1 GiB"
+# T0 writes x inside one block while T1 runs 60,000 short blocks reading
+# it; every reader stays alive until T0 ends. Memory must stay linear in
+# the alive nodes (the per-node ancestor sets this replaced took ~3.5 GiB).
+awk 'BEGIN {
+    printf "{\"ops\":[{\"Begin\":{\"t\":0,\"l\":0}},{\"Write\":{\"t\":0,\"x\":0}}"
+    for (i = 0; i < 60000; i++)
+        printf ",{\"Begin\":{\"t\":1,\"l\":1}},{\"Read\":{\"t\":1,\"x\":0}},{\"End\":{\"t\":1}}"
+    printf ",{\"End\":{\"t\":0}}],\"names\":{\"threads\":{\"0\":\"T0\",\"1\":\"T1\"},"
+    printf "\"vars\":{\"0\":\"x\"},\"locks\":{},\"labels\":{\"0\":\"long\",\"1\":\"short\"}}}"
+}' > "$tmp/longtxn.json"
+cargo build --release -q -p velodrome-cli
+if ! (ulimit -v 1048576 && timeout 30 target/release/velodrome trace "$tmp/longtxn.json") \
+    >"$tmp/longtxn.out" 2>&1; then
+    echo "long-transaction smoke: trace failed within 1 GiB and 30 s" >&2
+    cat "$tmp/longtxn.out" >&2
+    exit 1
+fi
+if ! grep -q "no warnings" "$tmp/longtxn.out"; then
+    echo "long-transaction smoke: expected no violation" >&2
+    cat "$tmp/longtxn.out" >&2
+    exit 1
+fi
+
 echo "==> a VBT trace cut after its first frames exits with code 4 and leaves no metrics file"
 # a.vbt holds several 4096-op frames; three quarters of its bytes end
 # inside a later frame, after the first blocks were already analyzed.
