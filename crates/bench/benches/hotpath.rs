@@ -3,9 +3,10 @@
 //! baseline over the elision-heavy fan-in stress trace and the paper's
 //! multiset workload.
 //!
-//! Run with `cargo bench -p velodrome-bench --bench hotpath`. For the
-//! JSON artifact (`BENCH_hotpath.json`) and the output-identity checks,
-//! use the `hotpath` binary instead.
+//! Run with `cargo bench -p velodrome-bench --bench hotpath`. Output
+//! identity and the elision floor are unit tests in the `hotpath` module;
+//! wall time and peak heap come from the repository benchmark
+//! (`perfbench`, workload `fanin`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;

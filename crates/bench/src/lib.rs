@@ -12,16 +12,13 @@
 //!
 //! Binaries `table1`, `table2`, `injection`, and `graph_stats` print the
 //! paper-style tables; `cargo bench -p velodrome-bench` runs the Criterion
-//! timing harness behind Table 1's performance columns. The `hotpath`
-//! binary (module [`hotpath`]) measures the redundant-edge elision and
-//! epoch-cache fast paths and emits `BENCH_hotpath.json`. The `chaos`
-//! binary (module [`chaos`]) replays a fixed-seed trace under the built-in
-//! fault-plan set and asserts the fault-tolerance contract. The `batch`
-//! binary (module [`batch`]) measures aggregate checking throughput for a
-//! JSON-serial pipeline against the VBT-parallel `check-batch` runner and
-//! emits `BENCH_batch.json`.
+//! timing harness behind Table 1's performance columns. Module [`hotpath`]
+//! builds the fan-in stress trace that the `hotpath` Criterion bench and
+//! the repository benchmark (`perfbench`, which owns wall-time and heap
+//! figures) share. The `chaos` binary (module [`chaos`]) replays a
+//! fixed-seed trace under the built-in fault-plan set and asserts the
+//! fault-tolerance contract.
 
-pub mod batch;
 pub mod chaos;
 pub mod hotpath;
 pub mod injection;
@@ -29,19 +26,54 @@ pub mod report;
 pub mod table1;
 pub mod table2;
 
-/// Reads a `NAME=value` style `u64` argument from the process arguments
-/// (`--scale=4`), falling back to `default`.
+/// Reads a `--name=value` style `u64` argument from the process arguments
+/// (`--scale=4`), falling back to `default` when the flag is absent. A
+/// present but malformed value prints `bad --name: value` and exits 2.
 pub fn arg_u64(name: &str, default: u64) -> u64 {
+    parse_u64_flag(std::env::args(), name, default).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
+/// The value of the first `--name=` in `args`, `default` if there is none,
+/// or the usage message for a value that is not a `u64`.
+fn parse_u64_flag(
+    args: impl IntoIterator<Item = String>,
+    name: &str,
+    default: u64,
+) -> Result<u64, String> {
     let prefix = format!("--{name}=");
-    std::env::args()
-        .find_map(|a| a.strip_prefix(&prefix).and_then(|v| v.parse().ok()))
-        .unwrap_or(default)
+    match args
+        .into_iter()
+        .find_map(|a| a.strip_prefix(&prefix).map(str::to_owned))
+    {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| format!("bad --{name}: {v}")),
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::parse_u64_flag;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn arg_parsing_falls_back_to_default() {
         assert_eq!(super::arg_u64("nonexistent-flag", 7), 7);
+        let argv = args(&["bin", "--scale=4", "--waves=abc", "--seeds="]);
+        assert_eq!(parse_u64_flag(argv.clone(), "repeats", 3), Ok(3));
+        assert_eq!(parse_u64_flag(argv.clone(), "scale", 8), Ok(4));
+        assert_eq!(
+            parse_u64_flag(argv.clone(), "waves", 2),
+            Err("bad --waves: abc".to_owned())
+        );
+        assert_eq!(
+            parse_u64_flag(argv, "seeds", 10),
+            Err("bad --seeds: ".to_owned())
+        );
     }
 }

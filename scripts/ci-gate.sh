@@ -2,12 +2,16 @@
 # Local CI gate: formatting, lints (warnings are errors, including
 # missing docs on public items), and the full test suite.
 #
-# Usage: scripts/ci-gate.sh [--with-bench]
-#   --with-bench  also run the hotpath and batch benchmark binaries, which
-#                 assert output identity (and the >=30% edge-reduction
-#                 floor), rewriting BENCH_hotpath.json and BENCH_batch.json.
+# Usage: scripts/ci-gate.sh
+#   Takes no arguments; any argument is a usage error (exit 2). Wall time
+#   and peak heap are measured by perfbench (BENCHMARK.json), not here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+if [[ $# -ne 0 ]]; then
+    echo "usage: scripts/ci-gate.sh (takes no arguments)" >&2
+    exit 2
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -176,45 +180,5 @@ fi
 echo "==> cross-backend differential suite + conformance corpus (fixed seeds)"
 cargo test -q -p velodrome-integration --test atomicity_differential >/dev/null
 cargo test -q -p velodrome-integration --test corpus_conformance >/dev/null
-
-echo "==> BENCH_hotpath.json carries the documented fields"
-if [[ -f BENCH_hotpath.json ]]; then
-    for field in events millis ops_per_sec edges_added edges_elided epoch_hits \
-                 warnings cycles_detected edges_added_reduction_pct outputs_identical \
-                 graph_ops graph_ops_velodrome graph_ops_hybrid graph_ops_reduction_pct \
-                 hybrid_escalations hybrid_outputs_identical screen_epoch_hits; do
-        if ! grep -q "\"$field\"" BENCH_hotpath.json; then
-            echo "BENCH_hotpath.json is missing documented field: $field" >&2
-            exit 1
-        fi
-    done
-else
-    echo "    (no BENCH_hotpath.json checked in; run with --with-bench to generate)"
-fi
-
-echo "==> BENCH_batch.json carries the documented fields"
-if [[ -f BENCH_batch.json ]]; then
-    for field in corpus_traces corpus_events seed jobs backend json_bytes vbt_bytes \
-                 json_serial_millis json_serial_events_per_sec vbt_parallel_millis \
-                 vbt_parallel_events_per_sec speedup outputs_identical; do
-        if ! grep -q "\"$field\"" BENCH_batch.json; then
-            echo "BENCH_batch.json is missing documented field: $field" >&2
-            exit 1
-        fi
-    done
-    if ! grep -q '"outputs_identical": true' BENCH_batch.json; then
-        echo "BENCH_batch.json: parallel and serial outputs were not identical" >&2
-        exit 1
-    fi
-else
-    echo "    (no BENCH_batch.json checked in; run with --with-bench to generate)"
-fi
-
-if [[ "${1:-}" == "--with-bench" ]]; then
-    echo "==> hotpath benchmark (asserts output identity + elision floor)"
-    cargo run --release -p velodrome-bench --bin hotpath >/dev/null
-    echo "==> batch benchmark (asserts output identity, rewrites BENCH_batch.json)"
-    cargo run --release -p velodrome-bench --bin batch >/dev/null
-fi
 
 echo "==> CI gate passed"
