@@ -21,6 +21,7 @@ pub mod batch;
 
 use backend::{Analysis, Events, RunConfig, BACKENDS};
 use std::fmt::Write as _;
+use std::io::Write as _;
 use velodrome_events::{oracle, Trace, TraceStats};
 use velodrome_sim::{run_program, RandomScheduler, WatchdogStats};
 use velodrome_telemetry::Telemetry;
@@ -439,8 +440,29 @@ fn record(opts: &Options) -> Result<String, CliError> {
         .out
         .as_deref()
         .ok_or_else(|| err("record requires --out=FILE"))?;
-    std::fs::write(path, trace.to_json()).map_err(|e| io_err(format!("writing {path}: {e}")))?;
+    write_output(path, |file| {
+        velodrome_events::write_json(file, &trace).map_err(|e| write_err(path, e))
+    })?;
     Ok(format!("recorded {} events to {path}\n", trace.len()))
+}
+
+/// Creates `path` and fills it with `write`. If `write` fails, a regular
+/// file it left half-written is deleted, so a failed run leaves no partial
+/// output behind.
+fn write_output<T>(
+    path: &str,
+    write: impl FnOnce(std::fs::File) -> Result<T, CliError>,
+) -> Result<T, CliError> {
+    let file = std::fs::File::create(path).map_err(|e| write_err(path, e))?;
+    let result = write(file);
+    if result.is_err() && std::fs::metadata(path).is_ok_and(|m| m.is_file()) {
+        let _ = std::fs::remove_file(path);
+    }
+    result
+}
+
+fn write_err(path: &str, e: std::io::Error) -> CliError {
+    io_err(format!("writing {path}: {e}"))
 }
 
 /// Decodes a trace file (either format, sniffed by magic bytes) and hands
@@ -458,7 +480,8 @@ fn stream_trace_file(
 }
 
 /// Reads a whole trace file into memory, for the commands that need the
-/// [`Trace`] itself (`oracle`, `info`, `replay`, `compare`, `convert`).
+/// [`Trace`] itself (`oracle`, `info`, `replay`, `compare`, `convert` to
+/// VBT).
 /// Diagnostics as for [`stream_trace_file`].
 fn read_trace_file(path: &str) -> Result<Trace, CliError> {
     let file = std::fs::File::open(path).map_err(|e| io_err(format!("reading {path}: {e}")))?;
@@ -474,7 +497,9 @@ fn read_err(path: &str, e: velodrome_events::TraceReadError) -> CliError {
 
 /// Translates a trace between the JSON and VBT encodings. The target
 /// format comes from `--to=json|vbt` or, failing that, the output path's
-/// extension.
+/// extension. Converting to JSON streams: no [`Trace`] is built, and memory
+/// use does not grow with the trace. A malformed input fails with exit
+/// code 4 and leaves no output file.
 fn convert(opts: &Options) -> Result<String, CliError> {
     let inp = opts.positional.first().ok_or_else(|| err(USAGE))?;
     let out = opts
@@ -493,17 +518,45 @@ fn convert(opts: &Options) -> Result<String, CliError> {
             )))
         }
     };
-    let trace = read_trace_file(inp)?;
-    if target == "vbt" {
-        let file = std::fs::File::create(out).map_err(|e| io_err(format!("writing {out}: {e}")))?;
-        velodrome_events::write_vbt(std::io::BufWriter::new(file), &trace)
-            .map_err(|e| io_err(format!("writing {out}: {e}")))?;
-    } else {
-        std::fs::write(out, trace.to_json()).map_err(|e| io_err(format!("writing {out}: {e}")))?;
+    let same_file = match (std::fs::canonicalize(inp), std::fs::canonicalize(out)) {
+        (Ok(a), Ok(b)) => a == b,
+        _ => false,
+    };
+    if same_file {
+        return Err(err(format!("convert: {inp} and {out} are the same file")));
     }
-    Ok(format!(
-        "converted {} events: {inp} -> {out} ({target})\n",
+    let events = if target == "vbt" {
+        // VBT puts its string tables before the ops, so the whole trace is
+        // read first.
+        let trace = read_trace_file(inp)?;
+        write_output(out, |file| {
+            let mut w = std::io::BufWriter::new(file);
+            velodrome_events::write_vbt(&mut w, &trace)
+                .and_then(|()| w.flush())
+                .map_err(|e| write_err(out, e))
+        })?;
         trace.len()
+    } else {
+        // JSON puts `names` after the ops, and the reader returns them at
+        // the end, so each block is written as soon as it is decoded.
+        let src = std::fs::File::open(inp).map_err(|e| io_err(format!("reading {inp}: {e}")))?;
+        write_output(out, |file| {
+            let mut writer = velodrome_events::JsonTraceWriter::new(file);
+            let mut written = Ok(());
+            let summary = velodrome_events::stream_trace(src, |_, ops| {
+                if written.is_ok() {
+                    written = writer.ops(ops);
+                }
+            })
+            .map_err(|e| read_err(inp, e))?;
+            written
+                .and_then(|()| writer.finish(&summary.names, &summary.synthesized))
+                .map_err(|e| write_err(out, e))?;
+            Ok(summary.ops)
+        })?
+    };
+    Ok(format!(
+        "converted {events} events: {inp} -> {out} ({target})\n"
     ))
 }
 

@@ -16,7 +16,7 @@
 //!   decision procedure used as differential-testing ground truth;
 //! * [`stream`] — incremental trace ingestion in either format, handing
 //!   operations to a sink in bounded blocks, with byte-offset error
-//!   reporting;
+//!   reporting, and the JSON trace writer, which takes the same blocks;
 //! * [`vbt`] — the compact VBT binary trace format (varint ops, string
 //!   tables, length-prefixed frames) with a streaming reader and writer.
 //!
@@ -48,7 +48,10 @@ pub mod vbt;
 pub use ids::{Label, LockId, SymbolTable, ThreadId, VarId};
 pub use op::Op;
 pub use stats::TraceStats;
-pub use stream::{read_json_trace, read_trace, stream_trace, TraceReadError, TraceSummary};
+pub use stream::{
+    read_json_trace, read_trace, stream_trace, write_json, JsonTraceWriter, TraceReadError,
+    TraceSummary,
+};
 pub use trace::{Trace, TraceBuilder};
 pub use txn::{Transactions, TxnId, TxnInfo};
 pub use vbt::{read_vbt, trace_to_vbt, write_vbt, VbtReader, FRAME_OPS};

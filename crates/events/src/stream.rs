@@ -1,4 +1,4 @@
-//! Incremental trace ingestion.
+//! Incremental trace ingestion, and the JSON trace writer.
 //!
 //! Both trace formats are decoded off an [`std::io::Read`] stream with one
 //! bounded read buffer and no intermediate value tree. [`stream_trace`] is
@@ -11,6 +11,11 @@
 //!
 //! Every error carries the absolute byte offset of the first byte that
 //! could not be interpreted, so CLI diagnostics can point into the file.
+//!
+//! [`JsonTraceWriter`] is the one JSON trace encoder. It emits each op in
+//! the canonical shape that the reader's fast path matches, from the same
+//! table of frames, and takes the ops a block at a time, so a trace can be
+//! written as it is decoded.
 
 use crate::ids::SymbolTable;
 use crate::op::Op;
@@ -18,7 +23,7 @@ use crate::trace::Trace;
 use crate::vbt::{VbtReader, FRAME_OPS, MAGIC};
 use crate::{Label, LockId, ThreadId, VarId};
 use std::fmt;
-use std::io::Read;
+use std::io::{self, Read, Write};
 
 /// Why a streaming trace read failed: the source itself, or its contents.
 ///
@@ -418,6 +423,21 @@ impl Tag {
         }
     }
 
+    /// The variant of `op`, its thread and its operand (0 for `End`): the
+    /// inverse of [`Self::op`].
+    fn of(op: Op) -> (Self, ThreadId, u32) {
+        match op {
+            Op::Read { t, x } => (Tag::Read, t, x.raw()),
+            Op::Write { t, x } => (Tag::Write, t, x.raw()),
+            Op::Acquire { t, m } => (Tag::Acquire, t, m.raw()),
+            Op::Release { t, m } => (Tag::Release, t, m.raw()),
+            Op::Begin { t, l } => (Tag::Begin, t, l.raw()),
+            Op::End { t } => (Tag::End, t, 0),
+            Op::Fork { t, child } => (Tag::Fork, t, child.raw()),
+            Op::Join { t, child } => (Tag::Join, t, child.raw()),
+        }
+    }
+
     /// The operation of this variant on thread `t`; `operand` is ignored
     /// by `End`.
     fn op(self, t: ThreadId, operand: u32) -> Op {
@@ -516,6 +536,177 @@ fn canonical_u32(b: &[u8; FAST_MARGIN], at: usize) -> Option<(u32, usize)> {
         return None;
     }
     Some((u32::try_from(v).ok()?, i))
+}
+
+/// Writes a trace as JSON, one block of operations at a time: create it,
+/// call [`Self::ops`] with each block in order, then [`Self::finish`] with
+/// the symbol table and the synthesized indices. The bytes are those of the
+/// canonical document `{"ops":[…],"names":{…}}`, plus `"synthesized":[…]`
+/// when there are any, that the reader's fast path decodes. Memory use is
+/// one 64 KiB buffer, whatever the trace's length.
+pub struct JsonTraceWriter<W> {
+    out: W,
+    /// Encoded bytes not yet written to `out`.
+    buf: Vec<u8>,
+    /// Whether an operation has been written, so the next needs a `,`.
+    any_ops: bool,
+}
+
+/// The writer hands its buffer to `out` once it holds more than this. The
+/// longest op, `,` included, is 45 bytes, so an op never grows the buffer.
+const WRITE_AT: usize = BUF_SIZE - FAST_MARGIN;
+
+impl<W: Write> JsonTraceWriter<W> {
+    /// A writer that will emit a trace document to `out`.
+    pub fn new(out: W) -> Self {
+        let mut buf = Vec::with_capacity(BUF_SIZE);
+        buf.extend_from_slice(br#"{"ops":["#);
+        Self {
+            out,
+            buf,
+            any_ops: false,
+        }
+    }
+
+    /// Encodes the next operations of the trace.
+    pub fn ops(&mut self, ops: &[Op]) -> io::Result<()> {
+        for &op in ops {
+            self.item(!self.any_ops)?;
+            self.any_ops = true;
+            let (tag, t, operand) = Tag::of(op);
+            let (head, mid) = tag.canonical();
+            self.buf.extend_from_slice(head);
+            push_decimal(&mut self.buf, u64::from(t.raw()));
+            if let Some(mid) = mid {
+                self.buf.extend_from_slice(mid);
+                push_decimal(&mut self.buf, u64::from(operand));
+            }
+            self.buf.extend_from_slice(b"}}");
+        }
+        Ok(())
+    }
+
+    /// Closes `ops`, appends `names` and, when non-empty, `synthesized`
+    /// (sorted indices, as [`Trace::synthesized`] holds them), flushes
+    /// everything to the destination and returns it.
+    ///
+    /// Each name map's keys are ordered as strings (`"10"` before `"2"`),
+    /// which is the order the serde encoding of a `HashMap` gives them.
+    pub fn finish(mut self, names: &SymbolTable, synthesized: &[usize]) -> io::Result<W> {
+        self.buf.extend_from_slice(br#"],"names":{"#);
+        let tables = [
+            ("threads", names.thread_entries()),
+            ("vars", names.var_entries()),
+            ("locks", names.lock_entries()),
+            ("labels", names.label_entries()),
+        ];
+        for (i, (key, mut entries)) in tables.into_iter().enumerate() {
+            if i > 0 {
+                self.buf.push(b',');
+            }
+            self.buf.push(b'"');
+            self.buf.extend_from_slice(key.as_bytes());
+            self.buf.extend_from_slice(b"\":{");
+            entries.sort_by_cached_key(|&(id, _)| id.to_string());
+            for (j, (id, name)) in entries.into_iter().enumerate() {
+                self.item(j == 0)?;
+                self.buf.push(b'"');
+                push_decimal(&mut self.buf, u64::from(id));
+                self.buf.extend_from_slice(b"\":");
+                push_json_string(&mut self.buf, name);
+            }
+            self.buf.push(b'}');
+        }
+        self.buf.push(b'}');
+        if !synthesized.is_empty() {
+            self.buf.extend_from_slice(br#","synthesized":["#);
+            for (i, &index) in synthesized.iter().enumerate() {
+                self.item(i == 0)?;
+                push_decimal(&mut self.buf, index as u64);
+            }
+            self.buf.push(b']');
+        }
+        self.buf.push(b'}');
+        self.write_buf()?;
+        self.out.flush()?;
+        Ok(self.out)
+    }
+
+    /// Starts an array or object entry: hands a full buffer to `out`, then
+    /// writes the `,` before the entry unless it is the `first`.
+    #[inline]
+    fn item(&mut self, first: bool) -> io::Result<()> {
+        if self.buf.len() > WRITE_AT {
+            self.write_buf()?;
+        }
+        if !first {
+            self.buf.push(b',');
+        }
+        Ok(())
+    }
+
+    fn write_buf(&mut self) -> io::Result<()> {
+        self.out.write_all(&self.buf)?;
+        self.buf.clear();
+        Ok(())
+    }
+}
+
+/// Writes `trace` to `out` as JSON with [`JsonTraceWriter`].
+pub fn write_json<W: Write>(out: W, trace: &Trace) -> io::Result<()> {
+    let mut writer = JsonTraceWriter::new(out);
+    writer.ops(trace.ops())?;
+    writer.finish(trace.names(), trace.synthesized())?;
+    Ok(())
+}
+
+/// Appends the decimal digits of `v`. One digit, the most common case for
+/// thread ids, skips the digit loop.
+#[inline]
+fn push_decimal(buf: &mut Vec<u8>, mut v: u64) {
+    if v < 10 {
+        buf.push(b'0' + v as u8);
+        return;
+    }
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    while v > 0 {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+    buf.extend_from_slice(&digits[at..]);
+}
+
+/// Appends `s` as a JSON string: `"` and `\` and the control characters
+/// escaped (`\n`, `\r`, `\t`, else `\u00xx`), everything else, non-ASCII
+/// text included, as is.
+fn push_json_string(buf: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    let mut unicode = *br"\u0000";
+    buf.push(b'"');
+    let mut plain = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape: &[u8] = match b {
+            b'"' => br#"\""#,
+            b'\\' => br"\\",
+            b'\n' => br"\n",
+            b'\r' => br"\r",
+            b'\t' => br"\t",
+            0..=0x1f => {
+                unicode[4] = HEX[usize::from(b >> 4)];
+                unicode[5] = HEX[usize::from(b & 0xf)];
+                &unicode
+            }
+            _ => continue,
+        };
+        buf.extend_from_slice(&bytes[plain..i]);
+        buf.extend_from_slice(escape);
+        plain = i + 1;
+    }
+    buf.extend_from_slice(&bytes[plain..]);
+    buf.push(b'"');
 }
 
 const MAX_DEPTH: u32 = 128;
@@ -1203,6 +1394,54 @@ mod tests {
             assert_eq!(summary.names.lock(LockId::new(0)), "m");
             assert_eq!(read_trace(&bytes[..]).unwrap().to_json(), trace.to_json());
         }
+    }
+
+    /// Name-map keys are ordered as strings, so ids 10–13 come between 1
+    /// and 2; names are escaped exactly as the vendored `serde_json`
+    /// escapes them.
+    #[test]
+    fn writer_sorts_keys_as_strings_and_escapes_like_serde_json() {
+        let texts = [
+            "plain",
+            "quote \" inside",
+            "back\\slash",
+            "tab\tline\ncr\r",
+            "nul\u{0} bell\u{7} esc\u{1b} unit\u{1f}",
+            "del\u{7f} /slash",
+            "é ü ß",
+            "日本語",
+            "😀",
+            "",
+            "\"\\\u{1}ü",
+            "ends in \\",
+        ];
+        let mut names = SymbolTable::new();
+        for id in 0..14u32 {
+            let text = texts[id as usize % texts.len()];
+            names.name_thread(ThreadId::new(id), format!("t{id} {text}"));
+            names.name_var(VarId::new(id), format!("{text} v{id}"));
+            names.name_lock(LockId::new(id), text);
+            names.name_label(Label::new(id), format!("{text}{text}"));
+        }
+        let doc = JsonTraceWriter::new(Vec::new())
+            .finish(&names, &[])
+            .unwrap();
+        let doc = String::from_utf8(doc).unwrap();
+        assert_eq!(
+            doc,
+            format!(
+                r#"{{"ops":[],"names":{}}}"#,
+                serde_json::to_string(&names).unwrap()
+            )
+        );
+        let mut keys: Vec<(usize, u32)> = (0..14u32)
+            .map(|id| (doc.find(&format!(r#""{id}":"t{id} "#)).unwrap(), id))
+            .collect();
+        keys.sort_unstable();
+        let order: Vec<u32> = keys.into_iter().map(|(_, id)| id).collect();
+        assert_eq!(order, [0, 1, 10, 11, 12, 13, 2, 3, 4, 5, 6, 7, 8, 9]);
+        assert!(doc.contains(r#""2":"t2 back\\slash""#), "{doc}");
+        assert!(doc.contains(r#""4":"t4 nul\u0000 bell\u0007 esc\u001b unit\u001f""#));
     }
 
     /// The fast path's matcher over a window padded to `FAST_MARGIN`.

@@ -3,7 +3,6 @@
 
 use crate::ids::{Label, LockId, SymbolTable, ThreadId, VarId};
 use crate::op::Op;
-use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -25,18 +24,6 @@ pub struct Trace {
     names: SymbolTable,
     /// Sorted indices of synthesized operations.
     synthesized: Vec<usize>,
-}
-
-impl Serialize for Trace {
-    fn serialize_value(&self) -> serde::Value {
-        let mut m = serde::value::Map::new();
-        m.insert("ops".to_owned(), self.ops.serialize_value());
-        m.insert("names".to_owned(), self.names.serialize_value());
-        if !self.synthesized.is_empty() {
-            m.insert("synthesized".to_owned(), self.synthesized.serialize_value());
-        }
-        serde::Value::Object(m)
-    }
 }
 
 impl Trace {
@@ -145,9 +132,12 @@ impl Trace {
         seen
     }
 
-    /// Serializes the trace as JSON.
+    /// Serializes the trace as JSON, with [`crate::write_json`].
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("trace serialization cannot fail")
+        // A canonical op takes 20 to 45 bytes.
+        let mut out = Vec::with_capacity(24 * self.ops.len() + 128);
+        crate::write_json(&mut out, self).expect("writing to memory cannot fail");
+        String::from_utf8(out).expect("the JSON writer emits UTF-8")
     }
 
     /// Parses a trace from JSON, with the same streaming reader as

@@ -2,12 +2,15 @@
 //! model's invariants must hold even for traces no well-behaved program
 //! would produce (segmentation and the oracle are total functions). The
 //! JSON reader decodes a trace the same whichever of its two paths takes
-//! each op and however the document is laid out.
+//! each op and however the document is laid out, and the JSON writer
+//! emits the serde encoding of a trace's parts however its ops are split
+//! into blocks.
 
 use proptest::prelude::*;
 use std::io::Read;
 use velodrome_events::{
-    oracle, read_json_trace, Label, LockId, Op, ThreadId, Trace, TraceStats, Transactions, VarId,
+    oracle, read_json_trace, JsonTraceWriter, Label, LockId, Op, ThreadId, Trace, TraceStats,
+    Transactions, VarId,
 };
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -252,6 +255,94 @@ proptest! {
         let back = read_json_trace(doc.as_bytes()).unwrap();
         prop_assert_eq!(decoded(&back), decoded(&trace));
     }
+}
+
+/// The document a trace must encode to, built from the serde encodings of
+/// its parts: each op through `Op`'s derive, the names through
+/// `SymbolTable`'s, and `synthesized` when it is non-empty.
+fn pieced_json(trace: &Trace) -> String {
+    let ops: Vec<String> = trace
+        .ops()
+        .iter()
+        .map(|op| serde_json::to_string(op).unwrap())
+        .collect();
+    let mut doc = format!(
+        "{{\"ops\":[{}],\"names\":{}",
+        ops.join(","),
+        serde_json::to_string(trace.names()).unwrap()
+    );
+    if !trace.synthesized().is_empty() {
+        doc += &format!(
+            ",\"synthesized\":{}",
+            serde_json::to_string(trace.synthesized()).unwrap()
+        );
+    }
+    doc + "}"
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Trace::to_json` writes the serde pieces byte for byte, and the
+    /// writer fed the same ops in random blocks, empty ones included,
+    /// writes the same bytes.
+    #[test]
+    fn json_writer_matches_serde_pieces_in_any_block_split(
+        trace in arb_wide_trace(),
+        cuts in prop::collection::vec(any::<usize>(), 0..8),
+    ) {
+        let want = pieced_json(&trace);
+        prop_assert_eq!(&trace.to_json(), &want);
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (trace.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut writer = JsonTraceWriter::new(Vec::new());
+        let mut from = 0;
+        for cut in cuts.into_iter().chain([trace.len()]) {
+            writer.ops(&trace.ops()[from..cut]).unwrap();
+            from = cut;
+        }
+        let out = writer.finish(trace.names(), trace.synthesized()).unwrap();
+        prop_assert_eq!(String::from_utf8(out).unwrap(), want);
+    }
+}
+
+/// A trace many times the writer's 64 KiB buffer comes out the same
+/// whether its ops arrive at once or in uneven blocks.
+#[test]
+fn json_writer_output_does_not_depend_on_buffer_edges() {
+    let mut trace: Trace = (0..20_000u32)
+        .map(|i| {
+            let t = ThreadId::new(i % 5 * 999_999_999);
+            match i % 4 {
+                0 => Op::Fork {
+                    t,
+                    child: ThreadId::new(u32::MAX - i),
+                },
+                1 => Op::Read {
+                    t,
+                    x: VarId::new(i),
+                },
+                2 => Op::End { t },
+                _ => Op::Begin {
+                    t,
+                    l: Label::new(i % 3),
+                },
+            }
+        })
+        .collect();
+    trace.names_mut().name_thread(ThreadId::new(0), "main");
+    trace.mark_synthesized(0);
+    trace.mark_synthesized(19_999);
+    let want = pieced_json(&trace);
+    assert!(want.len() > 8 * 64 * 1024);
+    assert_eq!(trace.to_json(), want);
+    let mut writer = JsonTraceWriter::new(Vec::new());
+    for block in trace.ops().chunks(777) {
+        writer.ops(&[]).unwrap();
+        writer.ops(block).unwrap();
+    }
+    let out = writer.finish(trace.names(), trace.synthesized()).unwrap();
+    assert_eq!(String::from_utf8(out).unwrap(), want);
 }
 
 proptest! {

@@ -85,6 +85,13 @@ cargo run --release -q -p velodrome-cli -- record multiset --seed=1 --scale=4 \
 cargo run --release -q -p velodrome-cli -- record multiset --seed=2 --scale=2 \
     --out="$tmp/batch/b.json" >/dev/null
 cargo run --release -q -p velodrome-cli -- convert "$tmp/batch/a.json" "$tmp/batch/a.vbt" >/dev/null
+# Back to JSON (streamed, block by block) outside the batch directory: the
+# roundtrip must give back the recorded bytes.
+cargo run --release -q -p velodrome-cli -- convert "$tmp/batch/a.vbt" "$tmp/back.json" >/dev/null
+if ! cmp -s "$tmp/back.json" "$tmp/batch/a.json"; then
+    echo "batch smoke: convert a.vbt back.json differs from a.json" >&2
+    exit 1
+fi
 cargo run --release -q -p velodrome-cli -- check-batch "$tmp/batch" --jobs=4 \
     --backend=velodrome-hybrid --report="$tmp/batch/report.jsonl" \
     --metrics-out="$tmp/batch/metrics.jsonl" >/dev/null
