@@ -15,11 +15,8 @@
 //! timing harness behind Table 1's performance columns. Module [`hotpath`]
 //! builds the fan-in stress trace that the `hotpath` Criterion bench and
 //! the repository benchmark (`perfbench`, which owns wall-time and heap
-//! figures) share. The `chaos` binary (module [`chaos`]) replays a
-//! fixed-seed trace under the built-in fault-plan set and asserts the
-//! fault-tolerance contract.
+//! figures) share.
 
-pub mod chaos;
 pub mod hotpath;
 pub mod injection;
 pub mod report;

@@ -1,24 +1,23 @@
 //! Chaos harness: declarative fault injection for the monitoring runtime.
 //!
 //! A production atomicity monitor must survive its own failures: a
-//! panicking back-end, an exhausted resource budget, an event stream cut
-//! off mid-transaction, a host thread dying inside an atomic block. A
-//! [`FaultPlan`] names one such failure declaratively; [`run_plan`] applies
-//! it while replaying a recorded trace through a tool with the same
-//! isolation guarantees as the live [`Runtime`](crate::shim::Runtime), and
-//! reports where (if anywhere) fidelity was lost.
+//! panicking back-end, an exhausted resource budget, a host thread dying
+//! inside an atomic block. A [`FaultPlan`] names one such failure
+//! declaratively; [`run_plan`] replays a recorded trace through the live
+//! [`Runtime`] with that fault applied, so the runtime's own panic
+//! quarantine, budgets and closing-event synthesis are what get tested,
+//! and reports where (if anywhere) fidelity was lost.
 //!
-//! The harness's contract — asserted by `crates/monitor/tests/chaos.rs`
-//! and the `chaos` benchmark binary — is threefold: the host always
-//! completes, every warning emitted *before* the degradation point is
-//! byte-identical to a clean run, and telemetry pinpoints the exact event
-//! at which the run degraded.
+//! The harness's contract — asserted by `crates/monitor/tests/chaos.rs` —
+//! is threefold: the host always completes, every warning emitted
+//! *before* the degradation point is byte-identical to a clean run, and
+//! telemetry pinpoints the exact event at which the run degraded.
 
 use crate::budget::{DegradationLevel, ResourceBudget};
+use crate::shim::{Runtime, RuntimeTelemetry};
 use crate::tool::{Tool, Warning, WarningCategory};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use velodrome_events::{Op, ThreadId, Trace};
+use velodrome_events::{Op, Trace};
 
 /// A declarative fault to inject into a monitored run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -31,21 +30,15 @@ pub enum Fault {
         /// Index of the event whose callback panics.
         at: usize,
     },
-    /// The event stream ends abruptly after this many events (a crashed
-    /// front end / truncated recording); `end_of_trace` still fires.
-    TruncateStream {
-        /// Number of events delivered before the cut.
-        at: usize,
-    },
     /// A resource budget is exhausted mid-run, forcing the analysis down
     /// the degradation ladder.
     Budget(ResourceBudget),
-    /// A host thread dies mid-transaction: delivery stops at the cut
-    /// index and the implied `end`/`rel` events are synthesized, exactly
-    /// as [`Runtime::finish`](crate::shim::Runtime::finish) does for a
-    /// thread that panicked inside an atomic block.
+    /// The host dies mid-run (or its event stream is cut): delivery stops
+    /// at the cut index and [`Runtime::finish`] synthesizes the implied
+    /// `end`/`rel` events, as for a thread that panicked inside an atomic
+    /// block.
     HostDeath {
-        /// Number of events delivered before the thread dies.
+        /// Number of events delivered before the host dies.
         at: usize,
     },
 }
@@ -76,14 +69,6 @@ impl FaultPlan {
         }
     }
 
-    /// A stream truncated after `at` events.
-    pub fn truncate(at: usize) -> Self {
-        Self {
-            name: "truncated-stream",
-            fault: Fault::TruncateStream { at },
-        }
-    }
-
     /// A budget-exhaustion fault.
     pub fn budget(budget: ResourceBudget) -> Self {
         Self {
@@ -92,7 +77,7 @@ impl FaultPlan {
         }
     }
 
-    /// A host thread dying mid-transaction after `at` events.
+    /// A host dying (or its stream cut) after `at` events.
     pub fn host_death(at: usize) -> Self {
         Self {
             name: "host-death",
@@ -110,17 +95,17 @@ impl FaultPlan {
     }
 
     /// The built-in plan set covering every fault point, scaled to a trace
-    /// of `len` events. Used by the chaos test suite and benchmark binary.
+    /// of `len` events. Used by the chaos test suite.
     pub fn builtin(len: usize) -> Vec<FaultPlan> {
         let mid = len / 2;
         vec![
             Self::clean(),
             Self::tool_panic(mid),
             Self::tool_panic(0),
-            Self::truncate(mid),
-            Self::truncate(len.saturating_sub(1)),
+            Self::host_death(mid),
+            Self::host_death(len.saturating_sub(1)),
             Self::budget(ResourceBudget {
-                max_alive_nodes: 4,
+                max_alive_nodes: 2,
                 ..ResourceBudget::UNLIMITED
             }),
             Self::budget(ResourceBudget {
@@ -131,7 +116,6 @@ impl FaultPlan {
                 max_trace_events: mid,
                 ..ResourceBudget::UNLIMITED
             }),
-            Self::host_death(mid),
         ]
     }
 }
@@ -141,7 +125,6 @@ impl fmt::Display for FaultPlan {
         match self.fault {
             Fault::None => write!(f, "{}", self.name),
             Fault::ToolPanic { at } => write!(f, "{}@{at}", self.name),
-            Fault::TruncateStream { at } => write!(f, "{}@{at}", self.name),
             Fault::Budget(b) => write!(
                 f,
                 "{}(alive={},trace={},vars={})",
@@ -189,17 +172,13 @@ impl<T: Tool> Tool for PanicAt<T> {
 /// Outcome of a chaos run.
 #[derive(Debug)]
 pub struct ChaosRun {
+    /// The plan that ran.
+    pub plan: FaultPlan,
     /// All warnings produced, including `Degraded` transitions.
     pub warnings: Vec<Warning>,
-    /// Ladder state the run landed in (driver-side; a budgeted tool may
-    /// additionally report its own ladder through its stats).
-    pub ladder: DegradationLevel,
-    /// Event index at which the driver degraded, if it did.
-    pub degraded_at: Option<usize>,
-    /// Events actually delivered to the tool.
-    pub events_delivered: usize,
-    /// `end`/`rel` events synthesized for a host-death cut.
-    pub synthesized: usize,
+    /// The runtime's telemetry after `finish`: events seen (synthesized
+    /// closers included), panics, its ladder and degradation point.
+    pub telemetry: RuntimeTelemetry,
 }
 
 impl ChaosRun {
@@ -210,169 +189,68 @@ impl ChaosRun {
             .iter()
             .filter(|w| w.category != WarningCategory::Degraded)
     }
+
+    fn degradations(&self) -> impl Iterator<Item = &Warning> {
+        self.warnings
+            .iter()
+            .filter(|w| w.category == WarningCategory::Degraded)
+    }
+
+    /// The rung the run landed on: the runtime's ladder, or the furthest
+    /// level down it named by a `Degraded` warning (an engine enforces its
+    /// analysis budgets itself and reports its steps only as warnings).
+    pub fn ladder(&self) -> DegradationLevel {
+        self.degradations()
+            .flat_map(|w| {
+                DegradationLevel::ALL
+                    .into_iter()
+                    .filter(|level| w.message.contains(&format!("degraded to {level}")))
+            })
+            .fold(self.telemetry.ladder, DegradationLevel::max)
+    }
+
+    /// First event index at which the runtime or the tool degraded.
+    pub fn degraded_at(&self) -> Option<usize> {
+        let tool = self.degradations().map(|w| w.op_index);
+        self.telemetry.degraded_at.into_iter().chain(tool).min()
+    }
+
+    /// The first verdict that differs from `clean`'s before this run's
+    /// fidelity bound: the degradation point or the host-death cut,
+    /// whichever comes first. `None` when the prefix is byte-identical.
+    pub fn divergence_from(&self, clean: &ChaosRun) -> Option<(Option<String>, Option<String>)> {
+        let cut = match self.plan.fault {
+            Fault::HostDeath { at } => at,
+            _ => usize::MAX,
+        };
+        let before = cut.min(self.degraded_at().unwrap_or(usize::MAX));
+        prefix_divergence(&clean.warnings, &self.warnings, before)
+    }
 }
 
-/// Replays `trace` through `tool` under `plan`, with the same panic
-/// isolation as the live runtime: a panicking tool is quarantined (the run
-/// degrades to recorder-only and continues observing events), never
-/// propagated to the caller.
-///
-/// For [`Fault::HostDeath`] cuts, the implied closing events of open
-/// transactions and held locks are synthesized after the cut, mirroring
-/// [`Runtime::finish`](crate::shim::Runtime::finish).
-pub fn run_plan<T: Tool>(trace: &Trace, mut tool: T, plan: &FaultPlan) -> ChaosRun {
+/// Replays `trace` through `tool` on a live [`Runtime`] under `plan`: the
+/// runtime gets the plan's budget, a [`Fault::ToolPanic`] wraps the tool in
+/// [`PanicAt`], and a [`Fault::HostDeath`] replays only the ops before the
+/// cut. [`Runtime::finish`] then closes what the cut left open and flushes
+/// the tool. A panicking tool is quarantined by the runtime (the run
+/// degrades to recorder-only), never propagated to the caller.
+pub fn run_plan<T: Tool + Send + 'static>(trace: &Trace, tool: T, plan: &FaultPlan) -> ChaosRun {
+    let rt = match plan.fault {
+        Fault::ToolPanic { at } => {
+            Runtime::online_with_budget(PanicAt::new(tool, at), plan.budget_of())
+        }
+        _ => Runtime::online_with_budget(tool, plan.budget_of()),
+    };
     let cut = match plan.fault {
-        Fault::TruncateStream { at } | Fault::HostDeath { at } => at.min(trace.len()),
+        Fault::HostDeath { at } => at.min(trace.len()),
         _ => trace.len(),
     };
-    let mut warnings = Vec::new();
-    let mut ladder = DegradationLevel::Full;
-    let mut degraded_at = None;
-    let mut delivered = 0usize;
-    let mut alive = true;
-
-    // Bookkeeping for host-death synthesis.
-    let mut open_txns: std::collections::HashMap<ThreadId, u32> = Default::default();
-    let mut held: std::collections::HashMap<ThreadId, Vec<velodrome_events::LockId>> =
-        Default::default();
-
-    let feed = |tool: &mut T,
-                alive: &mut bool,
-                warnings: &mut Vec<Warning>,
-                ladder: &mut DegradationLevel,
-                degraded_at: &mut Option<usize>,
-                i: usize,
-                op: Op| {
-        if !*alive {
-            return;
-        }
-        let panicked = catch_unwind(AssertUnwindSafe(|| tool.op(i, op))).err();
-        if let Some(payload) = panicked {
-            *alive = false;
-            *ladder = DegradationLevel::RecorderOnly;
-            *degraded_at = Some(i);
-            // Salvage the verdicts the tool reached before panicking, as
-            // the live runtime's quarantine does.
-            if let Ok(salvaged) = catch_unwind(AssertUnwindSafe(|| tool.take_warnings())) {
-                warnings.extend(salvaged);
-            }
-            let message = crate::isolate::panic_message(payload.as_ref()).to_owned();
-            warnings.push(Warning {
-                tool: "chaos",
-                category: WarningCategory::Degraded,
-                label: None,
-                thread: op.tid(),
-                op_index: i,
-                message: format!(
-                    "degraded to recorder-only: tool panicked at event {i}: {message}"
-                ),
-                details: None,
-            });
-        }
-    };
-
-    for (i, op) in trace.iter().take(cut) {
-        match op {
-            Op::Begin { t, .. } => *open_txns.entry(t).or_insert(0) += 1,
-            Op::End { t } => {
-                if let Some(d) = open_txns.get_mut(&t) {
-                    *d = d.saturating_sub(1);
-                }
-            }
-            Op::Acquire { t, m } => held.entry(t).or_default().push(m),
-            Op::Release { t, m } => {
-                if let Some(v) = held.get_mut(&t) {
-                    if let Some(pos) = v.iter().rposition(|&h| h == m) {
-                        v.remove(pos);
-                    }
-                }
-            }
-            _ => {}
-        }
-        feed(
-            &mut tool,
-            &mut alive,
-            &mut warnings,
-            &mut ladder,
-            &mut degraded_at,
-            i,
-            op,
-        );
-        delivered += 1;
-    }
-
-    // Host death: synthesize the implied closing events past the cut.
-    let mut synthesized = 0usize;
-    if matches!(plan.fault, Fault::HostDeath { .. }) {
-        let mut threads: Vec<ThreadId> = held
-            .iter()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(&t, _)| t)
-            .chain(open_txns.iter().filter(|(_, &d)| d > 0).map(|(&t, _)| t))
-            .collect();
-        threads.sort_by_key(|t| t.raw());
-        threads.dedup();
-        for t in threads {
-            for &m in held.get(&t).cloned().unwrap_or_default().iter().rev() {
-                feed(
-                    &mut tool,
-                    &mut alive,
-                    &mut warnings,
-                    &mut ladder,
-                    &mut degraded_at,
-                    delivered + synthesized,
-                    Op::Release { t, m },
-                );
-                synthesized += 1;
-            }
-            for _ in 0..open_txns.get(&t).copied().unwrap_or(0) {
-                feed(
-                    &mut tool,
-                    &mut alive,
-                    &mut warnings,
-                    &mut ladder,
-                    &mut degraded_at,
-                    delivered + synthesized,
-                    Op::End { t },
-                );
-                synthesized += 1;
-            }
-        }
-    }
-
-    if alive {
-        let flushed = catch_unwind(AssertUnwindSafe(|| {
-            tool.end_of_trace();
-            tool.take_warnings()
-        }));
-        match flushed {
-            Ok(w) => warnings.extend(w),
-            Err(_) => {
-                ladder = DegradationLevel::RecorderOnly;
-                if degraded_at.is_none() {
-                    degraded_at = Some(delivered + synthesized);
-                }
-                warnings.push(Warning {
-                    tool: "chaos",
-                    category: WarningCategory::Degraded,
-                    label: None,
-                    thread: ThreadId::new(0),
-                    op_index: delivered + synthesized,
-                    message: "degraded to recorder-only: tool panicked in end-of-trace flush"
-                        .to_owned(),
-                    details: None,
-                });
-            }
-        }
-    }
-    warnings.sort_by_key(|w| w.op_index);
-
+    rt.replay(&trace.ops()[..cut]);
+    let (_, warnings) = rt.finish();
     ChaosRun {
+        plan: *plan,
         warnings,
-        ladder,
-        degraded_at,
-        events_delivered: delivered + synthesized,
-        synthesized,
+        telemetry: rt.telemetry(),
     }
 }
 
@@ -394,7 +272,7 @@ fn warning_bytes(w: &Warning) -> String {
 /// `op_index < before` is byte-identical between the clean and faulted
 /// runs (`Degraded` bookkeeping warnings in the faulted run are exempt).
 /// Returns the first divergence, if any.
-pub fn prefix_divergence(
+fn prefix_divergence(
     clean: &[Warning],
     faulted: &[Warning],
     before: usize,
@@ -419,7 +297,7 @@ pub fn prefix_divergence(
 mod tests {
     use super::*;
     use crate::tool::EmptyTool;
-    use velodrome_events::TraceBuilder;
+    use velodrome_events::{ThreadId, TraceBuilder};
 
     fn trace() -> Trace {
         let mut b = TraceBuilder::new();
@@ -432,43 +310,30 @@ mod tests {
     #[test]
     fn clean_plan_delivers_everything() {
         let run = run_plan(&trace(), EmptyTool::new(), &FaultPlan::clean());
-        assert_eq!(run.events_delivered, 7);
-        assert_eq!(run.ladder, DegradationLevel::Full);
-        assert_eq!(run.degraded_at, None);
-        assert_eq!(run.synthesized, 0);
+        assert_eq!(run.telemetry.events_seen, 7);
+        assert_eq!(run.ladder(), DegradationLevel::Full);
+        assert_eq!(run.degraded_at(), None);
+        assert_eq!(run.telemetry.synthesized_events, 0);
     }
 
     #[test]
     fn tool_panic_is_isolated_and_pinpointed() {
-        let run = run_plan(
-            &trace(),
-            PanicAt::new(EmptyTool::new(), 3),
-            &FaultPlan::tool_panic(3),
-        );
-        assert_eq!(run.ladder, DegradationLevel::RecorderOnly);
-        assert_eq!(run.degraded_at, Some(3));
-        let degraded: Vec<_> = run
-            .warnings
-            .iter()
-            .filter(|w| w.category == WarningCategory::Degraded)
-            .collect();
+        let run = run_plan(&trace(), EmptyTool::new(), &FaultPlan::tool_panic(3));
+        assert_eq!(run.ladder(), DegradationLevel::RecorderOnly);
+        assert_eq!(run.telemetry.degraded_at, Some(3));
+        assert_eq!(run.telemetry.tool_panics, 1);
+        let degraded: Vec<_> = run.degradations().collect();
         assert_eq!(degraded.len(), 1);
         assert!(degraded[0].message.contains("event 3"), "{degraded:?}");
     }
 
     #[test]
-    fn truncation_cuts_delivery_but_still_flushes() {
-        let run = run_plan(&trace(), EmptyTool::new(), &FaultPlan::truncate(2));
-        assert_eq!(run.events_delivered, 2);
-        assert_eq!(run.ladder, DegradationLevel::Full);
-    }
-
-    #[test]
     fn host_death_synthesizes_closing_events() {
-        // Cut after acquire+begin+read: one open txn, one held lock.
+        // Cut after begin+acquire+read: one open block, one lock taken.
         let run = run_plan(&trace(), EmptyTool::new(), &FaultPlan::host_death(3));
-        assert_eq!(run.synthesized, 2, "rel(m) and end(T1)");
-        assert_eq!(run.events_delivered, 5);
+        assert_eq!(run.telemetry.synthesized_events, 2, "rel(m) and end(T1)");
+        assert_eq!(run.telemetry.events_seen, 5);
+        assert_eq!(run.ladder(), DegradationLevel::Full);
     }
 
     #[test]
@@ -478,9 +343,6 @@ mod tests {
         assert!(plans
             .iter()
             .any(|p| matches!(p.fault, Fault::ToolPanic { .. })));
-        assert!(plans
-            .iter()
-            .any(|p| matches!(p.fault, Fault::TruncateStream { .. })));
         assert!(plans.iter().any(|p| matches!(p.fault, Fault::Budget(_))));
         assert!(plans
             .iter()

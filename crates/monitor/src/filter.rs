@@ -8,13 +8,13 @@
 //!   is first touched by a second thread, its earlier (suppressed) history
 //!   is lost.
 //!
-//! Each filter is a [`Tool`] combinator wrapping an inner tool; offline
-//! trace-rewriting equivalents are provided for recorded traces.
+//! Each filter is a [`Tool`] combinator wrapping an inner tool, so the same
+//! filter runs over a live stream and over a recorded trace.
 
 use crate::spec::AtomicitySpec;
 use crate::tool::{Tool, Warning};
 use std::collections::HashMap;
-use velodrome_events::{LockId, Op, ThreadId, Trace, VarId};
+use velodrome_events::{LockId, Op, ThreadId, VarId};
 
 /// Suppresses re-entrant lock acquires and releases.
 ///
@@ -253,64 +253,6 @@ impl<T: Tool> Tool for SpecFilter<T> {
     }
 }
 
-/// Offline, *sound* variant of thread-local filtering: removes accesses to
-/// variables that only one thread ever touches across the whole trace.
-pub fn strip_thread_local(trace: &Trace) -> Trace {
-    let mut owner: HashMap<VarId, Option<ThreadId>> = HashMap::new();
-    for (_, op) in trace.iter() {
-        if let Some(x) = op.var() {
-            let t = op.tid();
-            owner
-                .entry(x)
-                .and_modify(|o| {
-                    if *o != Some(t) {
-                        *o = None;
-                    }
-                })
-                .or_insert(Some(t));
-        }
-    }
-    let mut out = Trace::new();
-    *out.names_mut() = trace.names().clone();
-    for (_, op) in trace.iter() {
-        match op.var() {
-            Some(x) if owner.get(&x).copied().flatten().is_some() => {}
-            _ => out.push(op),
-        }
-    }
-    out
-}
-
-/// Offline re-entrancy stripping: keeps only the outermost acquire/release
-/// of each re-entrantly held lock.
-pub fn strip_reentrant(trace: &Trace) -> Trace {
-    let mut holds: HashMap<LockId, u32> = HashMap::new();
-    let mut out = Trace::new();
-    *out.names_mut() = trace.names().clone();
-    for (_, op) in trace.iter() {
-        match op {
-            Op::Acquire { m, .. } => {
-                let c = holds.entry(m).or_insert(0);
-                *c += 1;
-                if *c > 1 {
-                    continue;
-                }
-            }
-            Op::Release { m, .. } => {
-                let c = holds.entry(m).or_insert(0);
-                *c = c.saturating_sub(1);
-                if *c > 0 {
-                    continue;
-                }
-                holds.remove(&m);
-            }
-            _ => {}
-        }
-        out.push(op);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,27 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn strip_thread_local_is_sound_offline() {
-        let mut b = TraceBuilder::new();
-        b.read("T1", "private").write("T1", "private");
-        b.read("T1", "shared").write("T2", "shared");
-        let stripped = strip_thread_local(&b.finish());
-        assert_eq!(stripped.len(), 2);
-        assert!(stripped.ops().iter().all(|op| op.var().is_some()));
-    }
-
-    #[test]
-    fn strip_reentrant_keeps_outermost_pair() {
-        let mut b = TraceBuilder::new();
-        b.acquire("T1", "m")
-            .acquire("T1", "m")
-            .release("T1", "m")
-            .release("T1", "m");
-        let stripped = strip_reentrant(&b.finish());
-        assert_eq!(stripped.len(), 2);
-    }
-
-    #[test]
     fn spec_filter_drops_excluded_blocks() {
         use velodrome_events::Label;
         let mut b = TraceBuilder::new();
@@ -433,14 +354,5 @@ mod tests {
             vec!["begin_L0(T0)", "end(T0)", "begin_L0(T0)", "end(T0)"]
         );
         assert_eq!(filter.inner().ops.len(), 3 + 4);
-    }
-
-    #[test]
-    fn filters_preserve_names() {
-        let mut b = TraceBuilder::new();
-        b.read("T1", "shared").write("T2", "shared");
-        let trace = b.finish();
-        let stripped = strip_thread_local(&trace);
-        assert_eq!(stripped.names().var(VarId::new(0)), "shared");
     }
 }

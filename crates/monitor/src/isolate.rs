@@ -1,5 +1,5 @@
-//! Panic isolation helpers shared by the live runtime, the chaos replay
-//! driver, and the batch checker.
+//! Panic isolation helpers shared by the live runtime (which the chaos
+//! harness drives) and the batch checker.
 //!
 //! A monitoring runtime attached to a live service — or a batch runner
 //! fanning a fleet of traces over a worker pool — must treat a panicking

@@ -10,8 +10,7 @@
 //!   paper's `Empty` baseline back-end;
 //! * [`spec`] — [`AtomicitySpec`], selecting which atomic blocks to check;
 //! * [`filter`] — RoadRunner's front-end filters (re-entrant lock
-//!   filtering, thread-local filtering) as tool combinators plus sound
-//!   offline variants;
+//!   filtering, thread-local filtering) as tool combinators;
 //! * [`shim`] — instrumentation shims ([`shim::Shared`], [`shim::TLock`],
 //!   [`shim::Runtime::atomic`]) so real multithreaded Rust code can be
 //!   monitored live, the substitution this reproduction uses in place of
@@ -23,12 +22,12 @@
 //!
 //! * [`budget`] — [`ResourceBudget`] caps and the [`DegradationLevel`]
 //!   ladder the runtime steps down when a cap trips;
-//! * [`chaos`] — declarative [`chaos::FaultPlan`] fault injection plus a
-//!   panic-isolating offline replay driver, used by the chaos test suite
-//!   and the `chaos` benchmark binary;
+//! * [`chaos`] — declarative [`chaos::FaultPlan`] fault injection that
+//!   replays a recorded trace through the live [`shim::Runtime`], used by
+//!   the chaos test suite;
 //! * [`isolate`] — the shared panic-isolation primitives
-//!   ([`isolate::run_isolated`], [`isolate::panic_message`]) behind both of
-//!   the above and the CLI's batch runner.
+//!   ([`isolate::run_isolated`], [`isolate::panic_message`]) behind the
+//!   runtime and the CLI's batch runner.
 
 pub mod budget;
 pub mod chaos;

@@ -434,6 +434,21 @@ impl Runtime {
         st.trace.names_mut().name_thread(t, name);
     }
 
+    /// Feeds recorded operations through the runtime, under the event
+    /// lock, exactly as if shims had emitted them: the same budgets, panic
+    /// quarantine and open-block bookkeeping apply, and [`Runtime::finish`]
+    /// closes whatever the ops leave open.
+    ///
+    /// For a runtime whose events all come from replay: thread ids are
+    /// taken from the ops, not from the calling OS thread, so mixing
+    /// replay with live shims would conflate threads.
+    pub fn replay(&self, ops: &[Op]) {
+        let mut st = self.state.lock();
+        for &op in ops {
+            st.emit(op);
+        }
+    }
+
     /// Number of events recorded so far.
     pub fn events_recorded(&self) -> usize {
         self.state.lock().trace.len()

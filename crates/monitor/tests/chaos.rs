@@ -1,5 +1,7 @@
-//! Chaos suite: fault injection against the live runtime and the offline
-//! chaos driver, with the real Velodrome engine as the monitored tool.
+//! Chaos suite: fault injection against the live runtime, with the real
+//! Velodrome engine as the monitored tool. Fault plans replay recorded
+//! traces through `Runtime` (`chaos::run_plan`), so what is tested is the
+//! runtime's own quarantine, budgets and closing-event synthesis.
 //!
 //! The contract under test (see `crates/monitor/src/chaos.rs`):
 //! 1. the host workload always completes — no injected fault may propagate
@@ -11,7 +13,7 @@
 use proptest::prelude::*;
 use velodrome::{Velodrome, VelodromeConfig};
 use velodrome_events::Trace;
-use velodrome_monitor::chaos::{prefix_divergence, run_plan, PanicAt};
+use velodrome_monitor::chaos::{run_plan, ChaosRun, PanicAt};
 use velodrome_monitor::shim::Runtime;
 use velodrome_monitor::{DegradationLevel, Fault, FaultPlan, ResourceBudget, WarningCategory};
 use velodrome_sim::{random_program, run_program, GenConfig, RandomScheduler};
@@ -23,6 +25,11 @@ fn engine_for(trace: &Trace, budget: ResourceBudget) -> Velodrome {
         budget,
         ..VelodromeConfig::default()
     })
+}
+
+/// Runs `plan` over `trace` with an engine carrying the plan's budget.
+fn run(trace: &Trace, plan: &FaultPlan) -> ChaosRun {
+    run_plan(trace, engine_for(trace, plan.budget_of()), plan)
 }
 
 fn gen_trace(seed: u64, threads: usize, stmts: usize) -> Trace {
@@ -37,28 +44,10 @@ fn gen_trace(seed: u64, threads: usize, stmts: usize) -> Trace {
     run_program(&program, RandomScheduler::new(seed)).trace
 }
 
-/// The ladder rung a run's warnings declare: the highest level named by a
-/// `Degraded` warning, or `Full` if there is none.
-fn declared_ladder(warnings: &[velodrome_monitor::Warning]) -> DegradationLevel {
-    let mut ladder = DegradationLevel::Full;
-    for w in warnings {
-        if w.category != WarningCategory::Degraded {
-            continue;
-        }
-        for level in DegradationLevel::ALL {
-            if w.message.contains(&format!("degraded to {level}")) && level > ladder {
-                ladder = level;
-            }
-        }
-    }
-    ladder
-}
-
 fn arb_plan() -> impl Strategy<Value = FaultPlan> {
     prop_oneof![
         Just(FaultPlan::clean()),
         (0usize..200).prop_map(FaultPlan::tool_panic),
-        (0usize..200).prop_map(FaultPlan::truncate),
         (0usize..200).prop_map(FaultPlan::host_death),
         (0usize..6, 0usize..6, 0usize..4).prop_map(|(alive, trace, vars)| {
             FaultPlan::budget(ResourceBudget {
@@ -73,9 +62,9 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any fault plan on any generated program: the host never panics, the
-    /// run lands in the ladder state its warnings declare, and verdicts
-    /// before the degradation point match the clean run byte-for-byte.
+    /// Any fault plan on any generated program: the host never panics, a
+    /// degraded run names the event it degraded at, and verdicts before
+    /// that point match the clean run byte-for-byte.
     #[test]
     fn arbitrary_faults_never_escape_and_keep_prefix_fidelity(
         seed in 0u64..500,
@@ -83,59 +72,83 @@ proptest! {
         plan in arb_plan(),
     ) {
         let trace = gen_trace(seed, threads, 6);
-        let clean = run_plan(&trace, engine_for(&trace, ResourceBudget::UNLIMITED), &FaultPlan::clean());
         // Completing run_plan at all is guarantee 1 (no escaped panic).
-        let run = match plan.fault {
-            Fault::ToolPanic { at } => run_plan(
-                &trace,
-                PanicAt::new(engine_for(&trace, plan.budget_of()), at),
-                &plan,
-            ),
-            _ => run_plan(&trace, engine_for(&trace, plan.budget_of()), &plan),
-        };
+        let clean = run(&trace, &FaultPlan::clean());
+        let faulted = run(&trace, &plan);
 
         // Guarantee 3: if anything degraded, telemetry names the event.
-        let first_degraded = run
-            .warnings
-            .iter()
-            .filter(|w| w.category == WarningCategory::Degraded)
-            .map(|w| w.op_index)
-            .min();
-        let degraded_at = run.degraded_at.or(first_degraded);
-        let declared = declared_ladder(&run.warnings);
         match plan.fault {
             Fault::ToolPanic { at } if at < trace.len() => {
-                prop_assert_eq!(run.ladder, DegradationLevel::RecorderOnly);
-                prop_assert_eq!(run.degraded_at, Some(at));
+                prop_assert_eq!(faulted.ladder(), DegradationLevel::RecorderOnly);
+                prop_assert_eq!(faulted.telemetry.degraded_at, Some(at));
             }
-            Fault::ToolPanic { .. } | Fault::None | Fault::TruncateStream { .. } => {
-                prop_assert_eq!(run.ladder, DegradationLevel::Full);
+            // Synthesized closers hit nothing that degrades an unbudgeted
+            // engine.
+            Fault::ToolPanic { .. } | Fault::None | Fault::HostDeath { .. } => {
+                prop_assert_eq!(faulted.ladder(), DegradationLevel::Full);
             }
-            Fault::HostDeath { .. } => {
-                // Synthesized closers can themselves hit nothing that
-                // degrades an unbudgeted engine.
-                prop_assert_eq!(run.ladder, DegradationLevel::Full);
-            }
-            Fault::Budget(_) => {
-                // The engine's own transitions are declared in warnings;
-                // the driver stays at Full unless the tool panicked.
-                prop_assert!(declared == DegradationLevel::Full || degraded_at.is_some());
-            }
+            Fault::Budget(_) => {}
         }
-        if declared != DegradationLevel::Full {
-            prop_assert!(degraded_at.is_some(), "degradation must be pinpointed");
+        if faulted.ladder() != DegradationLevel::Full {
+            prop_assert!(faulted.degraded_at().is_some(), "degradation must be pinpointed");
         }
 
         // Guarantee 2: byte-identical verdict prefix.
-        let before = match (plan.fault, degraded_at) {
-            (Fault::TruncateStream { at }, d) | (Fault::HostDeath { at }, d) => {
-                at.min(d.unwrap_or(usize::MAX))
-            }
-            (_, Some(d)) => d,
-            (_, None) => usize::MAX,
-        };
-        let divergence = prefix_divergence(&clean.warnings, &run.warnings, before);
+        let divergence = faulted.divergence_from(&clean);
         prop_assert!(divergence.is_none(), "{}: {:?}", plan, divergence);
+    }
+}
+
+/// The built-in plan set over a fixed-seed paper workload (`multiset`,
+/// scale 2, seed 1): every plan upholds the contract, the clean control
+/// stays at full fidelity, and no faulted plan is vacuous — each one
+/// degrades at a pinpointed event or cuts the stream.
+#[test]
+fn builtin_plans_uphold_contract_on_multiset() {
+    let w = velodrome_workloads::build("multiset", 2).expect("multiset model exists");
+    let trace = run_program(&w.program, RandomScheduler::new(1)).trace;
+    let len = trace.len();
+    let clean = run(&trace, &FaultPlan::clean());
+    assert_eq!(clean.ladder(), DegradationLevel::Full);
+    assert_eq!(clean.degraded_at(), None);
+    assert!(
+        clean.verdicts().count() > 0,
+        "multiset has violations to keep"
+    );
+
+    for plan in FaultPlan::builtin(len) {
+        let faulted = run(&trace, &plan);
+        let divergence = faulted.divergence_from(&clean);
+        assert!(divergence.is_none(), "{plan}: {divergence:?}");
+        if faulted.ladder() != DegradationLevel::Full {
+            assert!(faulted.degraded_at().is_some(), "{plan}: not pinpointed");
+        }
+        match plan.fault {
+            Fault::None => {
+                assert_eq!(faulted.ladder(), DegradationLevel::Full, "{plan}");
+                assert_eq!(faulted.degraded_at(), None, "{plan}");
+            }
+            Fault::HostDeath { at } => {
+                assert!(at < len, "{plan}: cuts nothing");
+                let t = faulted.telemetry;
+                assert_eq!(t.events_seen - t.synthesized_events, at as u64, "{plan}");
+                if at == len / 2 {
+                    // This cut lands inside an open block; finish closes it.
+                    assert!(t.synthesized_events > 0, "{plan}: nothing synthesized");
+                }
+            }
+            Fault::ToolPanic { .. } | Fault::Budget(_) => {
+                assert_ne!(faulted.ladder(), DegradationLevel::Full, "{plan}: vacuous");
+            }
+        }
+        let budget = plan.budget_of();
+        if budget.max_trace_events > 0 {
+            assert_eq!(faulted.ladder(), DegradationLevel::TraceDropped, "{plan}");
+            assert_eq!(faulted.degraded_at(), Some(len / 2), "{plan}");
+        }
+        if budget.max_alive_nodes > 0 {
+            assert!(faulted.ladder() > DegradationLevel::TraceDropped, "{plan}");
+        }
     }
 }
 

@@ -25,10 +25,7 @@
 //! [`Telemetry::disabled`] returns a no-op handle: all its handles carry
 //! `None` storage, so updates are a single never-taken branch; owners of a
 //! [`PhaseStat`] skip it entirely (no count, no `Instant::now`) unless a
-//! registry is attached. Additionally the whole implementation
-//! sits behind the default-on `enabled` cargo feature; with the feature
-//! off, [`Telemetry::registry`] *also* returns the disabled handle, so a
-//! build can compile telemetry out entirely without touching call sites.
+//! registry is attached.
 
 pub mod export;
 pub mod names;

@@ -133,7 +133,6 @@ mod tests {
         assert_eq!((p.count, p.timed), (2, 2));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn publish_overwrites_the_registered_phase() {
         let t = Telemetry::registry();

@@ -113,20 +113,9 @@ impl Telemetry {
     }
 
     /// Creates a fresh, enabled registry.
-    ///
-    /// With the (default-on) `enabled` cargo feature switched off this also
-    /// returns the disabled handle, compiling telemetry out of the build
-    /// without touching call sites.
     pub fn registry() -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            Self {
-                inner: Some(Arc::new(RegistryInner::default())),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            Self::disabled()
+        Self {
+            inner: Some(Arc::new(RegistryInner::default())),
         }
     }
 
@@ -338,7 +327,6 @@ mod tests {
         assert!(t.snapshot(0, 0).is_none());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn counters_and_gauges_round_trip_through_clones() {
         let t = Telemetry::registry();
@@ -352,7 +340,6 @@ mod tests {
         assert_eq!(t.gauge("depth").get(), 9);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn histogram_buckets_by_power_of_two() {
         let t = Telemetry::registry();
@@ -383,7 +370,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     #[should_panic(expected = "already registered")]
     fn kind_mismatch_panics() {
@@ -392,7 +378,6 @@ mod tests {
         t.gauge("x");
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     #[should_panic(expected = "already registered")]
     fn phase_over_a_gauge_panics() {

@@ -2,10 +2,10 @@
 //! the reproduction's answer to RoadRunner's instrumentation pipeline.
 
 use std::sync::atomic::{AtomicI64, Ordering};
-use velodrome::{check_trace, Velodrome};
-use velodrome_events::semantics;
+use velodrome::{check_trace, Velodrome, VelodromeConfig};
+use velodrome_events::{semantics, Trace};
 use velodrome_monitor::shim::Runtime;
-use velodrome_monitor::{ReentrantLockFilter, ThreadLocalFilter};
+use velodrome_monitor::{run_tool, ReentrantLockFilter, ThreadLocalFilter};
 
 /// Four real threads under a correct locking discipline: the trace is
 /// well-formed, the data is consistent, and Velodrome stays silent.
@@ -78,6 +78,39 @@ fn online_equals_offline() {
     for (a, b) in online.iter().zip(&offline) {
         assert_eq!(a.op_index, b.op_index);
         assert_eq!(a.label, b.label);
+    }
+}
+
+/// Replaying a recorded trace through the runtime is transparent: for
+/// every corpus trace, `Runtime::replay` plus `finish` gives the warnings
+/// an offline `run_tool` with the same engine configuration gives, byte
+/// for byte (including a trace that ends inside an open block, which
+/// `finish` closes).
+#[test]
+fn runtime_replay_matches_run_tool_over_the_corpus() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
+    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+        .expect("corpus dir exists")
+        .map(|e| e.expect("corpus entry").path())
+        .filter(|p| p.to_string_lossy().ends_with(".trace.json"))
+        .collect();
+    paths.sort();
+    assert!(paths.len() >= 20, "corpus shrank to {}", paths.len());
+    for path in paths {
+        let json = std::fs::read_to_string(&path).expect("corpus trace reads");
+        let trace = Trace::from_json(&json).expect("corpus trace parses");
+        let engine = || {
+            Velodrome::with_config(VelodromeConfig {
+                names: trace.names().clone(),
+                ..VelodromeConfig::default()
+            })
+        };
+        let rt = Runtime::online(engine());
+        rt.replay(trace.ops());
+        let (_, replayed) = rt.finish();
+        let offline = run_tool(&mut engine(), &trace);
+        let bytes = |ws: &[velodrome_monitor::Warning]| serde_json::to_string(ws).unwrap();
+        assert_eq!(bytes(&replayed), bytes(&offline), "{}", path.display());
     }
 }
 
