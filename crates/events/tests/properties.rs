@@ -4,13 +4,15 @@
 //! JSON reader decodes a trace the same whichever of its two paths takes
 //! each op and however the document is laid out, and the JSON writer
 //! emits the serde encoding of a trace's parts however its ops are split
-//! into blocks.
+//! into blocks. The VBT reader's frame loop decodes, and rejects, exactly
+//! what `VbtReader::next_op` alone does.
 
 use proptest::prelude::*;
 use std::io::Read;
+use velodrome_events::vbt::{MAGIC, VERSION};
 use velodrome_events::{
-    oracle, read_json_trace, JsonTraceWriter, Label, LockId, Op, ThreadId, Trace, TraceStats,
-    Transactions, VarId,
+    oracle, read_json_trace, read_vbt, stream_trace, trace_to_vbt, JsonTraceWriter, Label, LockId,
+    Op, ThreadId, Trace, TraceStats, Transactions, VarId, VbtReader, FRAME_OPS,
 };
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -32,15 +34,20 @@ fn arb_trace(max_len: usize) -> impl Strategy<Value = Trace> {
     prop::collection::vec(arb_op(), 0..max_len).prop_map(Trace::from_ops)
 }
 
-/// Ids at the edges of the JSON reader's digit handling: one digit, two
-/// digits, and ten digits up to `u32::MAX`.
+/// Ids at the edges of the JSON reader's digit handling (one digit, two
+/// digits, and ten digits up to `u32::MAX`) and of VBT's varint lengths
+/// (1 to 5 bytes).
 fn arb_id() -> impl Strategy<Value = u32> {
     prop_oneof![
         Just(0u32),
         Just(9),
         Just(10),
+        Just(127),
+        Just(128),
         Just(u32::MAX),
         0u32..20,
+        128u32..1 << 21,
+        1u32 << 21..1 << 28,
         1_000_000_000u32..=u32::MAX,
     ]
 }
@@ -254,6 +261,181 @@ proptest! {
         let doc = spaced(r#"{"ops":["#, &ws) + &ops + &spaced(&rest, &ws);
         let back = read_json_trace(doc.as_bytes()).unwrap();
         prop_assert_eq!(decoded(&back), decoded(&trace));
+    }
+}
+
+/// Writes `v` as a varint of at least `min_len` bytes: a shorter encoding
+/// is padded with zero groups (`0x80 0x00` for 0 at `min_len` 2).
+fn push_varint(out: &mut Vec<u8>, mut v: u64, min_len: usize) {
+    let start = out.len();
+    loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 && out.len() + 1 - start >= min_len {
+            out.push(byte);
+            return;
+        }
+        out.push(byte | 0x80);
+    }
+}
+
+/// Encodes `trace` as VBT the way `write_vbt` lays it out, except that
+/// frame `k` holds `frame_ops[k % len]` ops and the `i`th id of the ops
+/// takes at least `id_lens[i % len]` bytes.
+fn vbt_with(trace: &Trace, frame_ops: &[usize], id_lens: &[usize]) -> Vec<u8> {
+    let mut out = MAGIC.to_vec();
+    out.push(VERSION);
+    let names = trace.names();
+    for entries in [
+        names.thread_entries(),
+        names.var_entries(),
+        names.lock_entries(),
+        names.label_entries(),
+    ] {
+        push_varint(&mut out, entries.len() as u64, 0);
+        for (id, name) in entries {
+            push_varint(&mut out, id as u64, 0);
+            push_varint(&mut out, name.len() as u64, 0);
+            out.extend_from_slice(name.as_bytes());
+        }
+    }
+    push_varint(&mut out, trace.synthesized().len() as u64, 0);
+    let mut prev = 0;
+    for &idx in trace.synthesized() {
+        push_varint(&mut out, (idx - prev) as u64, 0);
+        prev = idx + 1;
+    }
+    let (mut ops, mut ids) = (trace.ops(), 0);
+    for &n in frame_ops.iter().cycle() {
+        if ops.is_empty() {
+            break;
+        }
+        let (frame, rest) = ops.split_at(n.min(ops.len()));
+        ops = rest;
+        let mut body = Vec::new();
+        push_varint(&mut body, frame.len() as u64, 0);
+        for &op in frame {
+            let (tag, t, operand) = match op {
+                Op::Read { t, x } => (0u8, t, Some(x.raw())),
+                Op::Write { t, x } => (1, t, Some(x.raw())),
+                Op::Acquire { t, m } => (2, t, Some(m.raw())),
+                Op::Release { t, m } => (3, t, Some(m.raw())),
+                Op::Begin { t, l } => (4, t, Some(l.raw())),
+                Op::End { t } => (5, t, None),
+                Op::Fork { t, child } => (6, t, Some(child.raw())),
+                Op::Join { t, child } => (7, t, Some(child.raw())),
+            };
+            body.push(tag);
+            for id in [Some(t.raw()), operand].into_iter().flatten() {
+                push_varint(&mut body, id as u64, id_lens[ids % id_lens.len()]);
+                ids += 1;
+            }
+        }
+        push_varint(&mut out, body.len() as u64, 0);
+        out.extend_from_slice(&body);
+    }
+    out.push(0);
+    out
+}
+
+/// A trace from decoded parts, in the form [`decoded`] compares.
+fn assembled(
+    ops: Vec<Op>,
+    names: &velodrome_events::SymbolTable,
+    synthesized: &[usize],
+) -> (Vec<Op>, String, Vec<usize>) {
+    let mut trace = Trace::from_ops(ops);
+    *trace.names_mut() = names.clone();
+    for &i in synthesized {
+        trace.mark_synthesized(i);
+    }
+    decoded(&trace)
+}
+
+/// The reference decode: `VbtReader::next_op` alone, one op at a time,
+/// then the end-of-stream bounds check on the synthesized indices that
+/// `read_vbt` makes.
+fn next_op_drain(bytes: &[u8]) -> Result<(Vec<Op>, String, Vec<usize>), String> {
+    let mut r = VbtReader::new(bytes).map_err(|e| e.to_string())?;
+    let mut ops = Vec::new();
+    while let Some(op) = r.next_op().map_err(|e| e.to_string())? {
+        ops.push(op);
+    }
+    if let Some(&last) = r.synthesized().iter().max() {
+        if last >= ops.len() {
+            return Err(format!(
+                "byte {}: synthesized index {last} out of bounds for {} ops",
+                bytes.len(),
+                ops.len()
+            ));
+        }
+    }
+    Ok(assembled(ops, r.names(), r.synthesized()))
+}
+
+/// `read_vbt` and, if `bytes` opens with the VBT magic (otherwise it is
+/// sniffed as JSON), `stream_trace`, both through `sizes`-byte reads, must
+/// give what [`next_op_drain`] gives: the same trace or the same error.
+fn assert_vbt_paths_agree(bytes: &[u8], sizes: &[usize]) {
+    let want = next_op_drain(bytes);
+    let read = read_vbt(chunked(bytes, sizes.to_vec()))
+        .map(|t| decoded(&t))
+        .map_err(|e| e.to_string());
+    prop_assert_eq!(&read, &want);
+    if bytes.starts_with(&MAGIC) {
+        let mut ops = Vec::new();
+        let streamed = stream_trace(chunked(bytes, sizes.to_vec()), |first, block| {
+            assert_eq!(first, ops.len());
+            ops.extend_from_slice(block);
+        })
+        .map(|summary| assembled(ops, &summary.names, &summary.synthesized))
+        .map_err(|e| e.to_string());
+        prop_assert_eq!(&streamed, &want);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The VBT frame loop decodes what `next_op` decodes, over ids of 1 to
+    /// 5 bytes, padded (non-canonical) ids up to 6 bytes, frames of random
+    /// op counts and random read sizes. After one byte is overwritten, or
+    /// the input is cut, both give the same trace or the same error at the
+    /// same offset. The new byte values include the edges the frame loop
+    /// tests for: the tag 8, a 5th varint byte of `0x10` and a byte that
+    /// ends a varint early.
+    #[test]
+    fn vbt_frame_loop_matches_next_op(
+        trace in arb_wide_trace(),
+        frame_ops in prop::collection::vec(prop_oneof![1usize..4, 1usize..300], 1..6),
+        id_lens in prop::collection::vec(
+            prop_oneof![Just(0usize), Just(0), Just(0), Just(2), Just(5), Just(6)],
+            1..16,
+        ),
+        sizes in prop::collection::vec(1usize..200, 1..8),
+        damage in prop::collection::vec(
+            (
+                any::<usize>(),
+                prop_oneof![Just(0u8), Just(7), Just(8), Just(0x0f), Just(0x10), Just(0x80), any::<u8>()],
+                any::<bool>(),
+            ),
+            1..16,
+        ),
+    ) {
+        prop_assert_eq!(vbt_with(&trace, &[FRAME_OPS], &[0]), trace_to_vbt(&trace));
+        let bytes = vbt_with(&trace, &frame_ops, &id_lens);
+        prop_assert_eq!(next_op_drain(&bytes), Ok(decoded(&trace)));
+        assert_vbt_paths_agree(&bytes, &sizes);
+        for (at, byte, cut) in damage {
+            let mut bad = bytes.clone();
+            let at = at % bad.len();
+            if cut {
+                bad.truncate(at);
+            } else {
+                bad[at] = byte;
+            }
+            assert_vbt_paths_agree(&bad, &sizes);
+        }
     }
 }
 

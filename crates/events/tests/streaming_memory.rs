@@ -1,5 +1,6 @@
-//! Regression test: streaming JSON ingestion must hold bounded memory even
-//! for multi-hundred-megabyte traces.
+//! Regression tests: streaming JSON ingestion must hold bounded memory even
+//! for multi-hundred-megabyte traces, and a hostile VBT header must not
+//! make the reader allocate for counts it has not read.
 //!
 //! The old CLI path slurped the whole file into a `String` and then built a
 //! JSON value tree — roughly 3× the input size in peak heap. The streaming
@@ -7,18 +8,24 @@
 //! table). We assert this with an allocation counter rather than OS RSS,
 //! which is noisy and platform-dependent.
 //!
-//! This file intentionally contains a single test: a parallel test in the
-//! same process would pollute the allocator counters.
+//! The counters are process-wide, so every test takes [`SERIAL`] first: a
+//! test running in parallel would pollute them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Read;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-/// Counts live heap bytes and tracks the high-water mark.
+/// Counts live heap bytes and tracks the high-water mark and the largest
+/// single allocation.
 struct CountingAlloc;
 
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+/// Held by each test for its whole run.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -26,6 +33,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if !p.is_null() {
             let cur = CURRENT.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
             PEAK.fetch_max(cur, Ordering::Relaxed);
+            LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
         }
         p
     }
@@ -38,6 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
+            LARGEST.fetch_max(new_size, Ordering::Relaxed);
             if new_size >= layout.size() {
                 let cur = CURRENT.fetch_add(new_size - layout.size(), Ordering::Relaxed) + new_size
                     - layout.size();
@@ -169,6 +178,7 @@ fn scan_holds_bounded_memory_on_a_multi_hundred_mb_trace() {
         }
     }
 
+    let _serial = SERIAL.lock().expect("a test panicked holding SERIAL");
     let mut src = Counted {
         inner: SyntheticTraceJson::new(OPS),
         bytes: 0,
@@ -197,5 +207,27 @@ fn scan_holds_bounded_memory_on_a_multi_hundred_mb_trace() {
         peak_delta < 4 << 20,
         "peak allocation grew by {peak_delta} bytes while streaming {} bytes",
         src.bytes
+    );
+}
+
+/// A 13-byte VBT header claiming 2^24 synthesized indices, the most the
+/// reader accepts, and then ending. The reader must fail at the missing
+/// first delta without having allocated for all 2^24 of them (128 MiB).
+#[test]
+fn hostile_synthesized_count_is_not_preallocated() {
+    let _serial = SERIAL.lock().expect("a test panicked holding SERIAL");
+    let mut bytes = b"VBTF\x01".to_vec();
+    bytes.extend_from_slice(&[0, 0, 0, 0]); // four empty string tables
+    bytes.extend_from_slice(&[0x80, 0x80, 0x80, 0x08]); // count = 2^24
+    assert_eq!(bytes.len(), 13);
+
+    LARGEST.store(0, Ordering::Relaxed);
+    let e = velodrome_events::read_vbt(&bytes[..]).unwrap_err();
+    let largest = LARGEST.load(Ordering::Relaxed);
+
+    assert_eq!(e.to_string(), "byte 13: unexpected end of input in varint");
+    assert!(
+        largest < 1 << 20,
+        "largest single allocation was {largest} bytes for a 13-byte input"
     );
 }
