@@ -12,7 +12,7 @@
 
 use crate::{err, io_err, CliError, USAGE};
 use std::time::{Duration, Instant};
-use velodrome::{HybridConfig, HybridVelodrome, Velodrome, VelodromeConfig};
+use velodrome::{Velodrome, VelodromeConfig};
 use velodrome_atomizer::Atomizer;
 use velodrome_events::{Op, SymbolTable, Trace};
 use velodrome_lockset::{Eraser, StrictTwoPhase};
@@ -24,8 +24,8 @@ use velodrome_telemetry::{names, JsonlExporter, PhaseStat, Telemetry};
 use velodrome_vclock::{FastTrack, HbRaceDetector};
 
 /// Warnings plus analysis-health notes (metrics output, budget
-/// suppression, degradation, screen escalation) that the text renderer
-/// appends after the warning list.
+/// suppression, degradation) that the text renderer appends after the
+/// warning list.
 #[derive(Debug)]
 pub struct Analysis {
     /// The backend's warnings.
@@ -120,8 +120,6 @@ pub struct RunConfig {
     pub gc: bool,
     /// Resource budget driving the engine's degradation ladder.
     pub budget: ResourceBudget,
-    /// Escalation-replay window of the two-tier checkers (0 = unbounded).
-    pub window: usize,
     /// Registry the engine records into and publishes its final gauges to.
     pub telemetry: Telemetry,
     /// Export JSON Lines snapshots of `telemetry` to this file during the
@@ -142,7 +140,6 @@ impl Default for RunConfig {
             merge: true,
             gc: true,
             budget: ResourceBudget::UNLIMITED,
-            window: 0,
             telemetry: Telemetry::disabled(),
             metrics_out: None,
             metrics_interval: 10_000,
@@ -203,8 +200,6 @@ pub static BACKENDS: &[Backend] = &[
         .in_table1(3)
         .compared(),
     Backend::new("velodrome-nomerge", |e, c| velodrome(e, c, false)).metered(),
-    Backend::new("velodrome-hybrid", |e, c| hybrid(e, c, false)).metered(),
-    Backend::new("aerodrome", |e, c| hybrid(e, c, true)).metered(),
     Backend::new("atomizer", |e, c| plain(e, c, Atomizer::new()))
         .in_table1(2)
         .compared(),
@@ -229,8 +224,14 @@ pub fn lookup(name: &str) -> Option<&'static Backend> {
 pub(crate) fn resolve(name: &str, metered: bool) -> Result<&'static Backend, CliError> {
     let backend = lookup(name);
     if metered && !backend.is_some_and(|b| b.meterable) {
+        let meterable: Vec<&str> = BACKENDS
+            .iter()
+            .filter(|b| b.meterable)
+            .map(|b| b.name)
+            .collect();
         return Err(err(format!(
-            "--metrics-out requires a velodrome or hybrid backend, not `{name}`"
+            "--metrics-out requires one of the backends {}, not `{name}`",
+            meterable.join(", ")
         )));
     }
     backend.ok_or_else(|| err(format!("unknown backend `{name}`\n{USAGE}")))
@@ -419,45 +420,6 @@ fn engine_notes(engine: &Velodrome, notes: &mut Vec<String>) {
     }
 }
 
-/// The two-tier checker: vector-clock screen online, graph engine replayed
-/// on escalation. `verdict_only` is the `aerodrome` trim.
-fn hybrid(events: Events<'_>, cfg: &RunConfig, verdict_only: bool) -> Result<Analysis, CliError> {
-    let checker = HybridVelodrome::with_config(HybridConfig {
-        engine: engine_config(cfg, cfg.merge),
-        max_window: cfg.window,
-        verdict_only,
-    });
-    let (checker, mut analysis) = drive(
-        events,
-        cfg,
-        checker,
-        HybridVelodrome::publish_telemetry_to,
-        HybridVelodrome::set_names,
-    )?;
-    let stats = checker.stats();
-    analysis.notes.push(match stats.escalated_at {
-        Some(at) => format!(
-            "vector-clock screen escalated to the graph engine at event {at} \
-             ({} buffered events replayed, {} graph operations)",
-            stats.buffered_peak,
-            stats.graph_ops()
-        ),
-        None => format!(
-            "vector-clock screen held for all {} events: 0 graph operations, \
-             {} epoch fast-path hits",
-            stats.ops, stats.screen.epoch_hits
-        ),
-    });
-    if stats.truncated > 0 {
-        analysis.notes.push(format!(
-            "{} events were evicted from the bounded escalation window \
-             (--window={}); warnings may be incomplete",
-            stats.truncated, cfg.window
-        ));
-    }
-    Ok(analysis)
-}
-
 /// A comparison tool: nothing to configure, publish or name.
 fn plain<T: Tool>(events: Events<'_>, cfg: &RunConfig, tool: T) -> Result<Analysis, CliError> {
     Ok(drive(events, cfg, tool, |_, _| {}, |_, _| {})?.1)
@@ -577,22 +539,6 @@ mod tests {
             snap.scalar(names::ARENA_ALLOCATED).unwrap()
         };
         assert!(allocated("velodrome-nomerge") >= allocated("velodrome"));
-    }
-
-    #[test]
-    fn hybrid_matches_velodrome_byte_for_byte() {
-        let trace = rmw_trace();
-        let cfg = RunConfig::default();
-        let pure = run("velodrome", &trace, &cfg);
-        let hybrid = run("velodrome-hybrid", &trace, &cfg);
-        assert_eq!(
-            serde_json::to_string(&hybrid.warnings).unwrap(),
-            serde_json::to_string(&pure.warnings).unwrap()
-        );
-        assert!(hybrid.notes[0].contains("escalated to the graph engine"));
-        let aero = run("aerodrome", &trace, &cfg);
-        assert_eq!(aero.warnings.len(), pure.warnings.len());
-        assert!(aero.warnings.iter().all(|w| w.tool == "aerodrome"));
     }
 
     #[test]

@@ -688,7 +688,7 @@ mod tests {
             "check-batch",
             dir.to_str().unwrap(),
             "--jobs=2",
-            "--backend=velodrome-hybrid",
+            "--backend=velodrome",
             &format!("--report={}", report_path.display()),
             &format!("--metrics-out={}", metrics_path.display()),
         ])
@@ -715,7 +715,7 @@ mod tests {
             metrics_path.to_str().unwrap(),
             "--require=batch.traces_checked,batch.traces_failed,batch.traces_quarantined,\
              batch.events_total,batch.events_per_sec,batch.warnings_total,batch.jobs,\
-             aerodrome.joins,hybrid.escalations",
+             phase.advance,phase.decode",
         ])
         .unwrap();
         assert!(verified.contains("ok:"), "{verified}");

@@ -115,7 +115,6 @@ struct Options {
     max_vars: usize,
     metrics_out: Option<String>,
     metrics_interval: u64,
-    window: usize,
     require: Option<String>,
     jobs: usize,
     report: Option<String>,
@@ -164,8 +163,6 @@ fn parse(args: &[String]) -> Result<Options, CliError> {
                 .ok()
                 .filter(|n| *n > 0)
                 .ok_or_else(|| err(format!("bad --metrics-interval (want events > 0): {v}")))?;
-        } else if let Some(v) = a.strip_prefix("--window=") {
-            o.window = v.parse().map_err(|_| err(format!("bad --window: {v}")))?;
         } else if let Some(v) = a.strip_prefix("--require=") {
             o.require = Some(v.to_owned());
         } else if let Some(v) = a.strip_prefix("--jobs=") {
@@ -202,19 +199,15 @@ pub const USAGE: &str = "usage:
   velodrome metrics-verify <FILE> [--require=NAME,NAME]
 trace files: JSON or binary VBT, sniffed by magic bytes; `convert`
   translates between the formats and every command accepts either
-backends: velodrome (default), velodrome-hybrid (vector-clock screen online,
-  graph engine replayed on escalation; same warnings as velodrome),
-  aerodrome (the same two-tier checker, verdicts only), velodrome-nomerge,
-  atomizer, eraser, hb-race, fasttrack, s2pl, empty, all (velodrome,
-  atomizer, eraser and hb-race in one run)
+backends: velodrome (default), velodrome-nomerge, atomizer, eraser, hb-race,
+  fasttrack, s2pl, empty, all (velodrome, atomizer, eraser and hb-race in
+  one run)
 velodrome flags: --no-merge (naive Figure 2 rule), --no-gc,
   --max-alive=N / --max-vars=N (resource budgets; tripping one degrades the
   analysis down an explicit ladder instead of growing without bound)
-hybrid flags: --window=N (bounded escalation-replay window; 0 = unbounded,
-  the default, which keeps output byte-identical to velodrome)
 output flags: --dot (error graphs), --json (machine-readable warnings)
 metrics flags: --metrics-out=FILE (JSON Lines telemetry snapshots;
-  velodrome and hybrid backends), --metrics-interval=N (events per
+  backends that run the graph engine), --metrics-interval=N (events per
   snapshot, default 10000; a final snapshot is always written)
 batch flags: --jobs=N (worker-pool size, default 4), --report=FILE (JSONL
   per-trace report to FILE, human summary to stdout; without it the JSONL
@@ -327,7 +320,6 @@ fn analyze_with(
             max_tracked_vars: opts.max_vars,
             ..velodrome_monitor::ResourceBudget::UNLIMITED
         },
-        window: opts.window,
         telemetry: telemetry.clone(),
         metrics_out: opts.metrics_out.clone(),
         metrics_interval: opts.metrics_interval,
@@ -599,7 +591,7 @@ const REQUIRED_METRICS: &[&str] = &[
 /// carries `seq`/`events`/`metrics`, `seq` counts up from 0, and each
 /// snapshot contains the required metric names — [`REQUIRED_METRICS`] plus
 /// any extra names given via `--require=a,b,c` (how `scripts/ci-gate.sh`
-/// pins the hybrid backend's `aerodrome.*`/`hybrid.*` gauges).
+/// pins the `phase.*` and `batch.*` records).
 fn metrics_verify(opts: &Options) -> Result<String, CliError> {
     let path = opts.positional.first().ok_or_else(|| err(USAGE))?;
     let mut required: Vec<&str> = REQUIRED_METRICS.to_vec();
@@ -905,6 +897,37 @@ mod tests {
     }
 
     #[test]
+    fn metrics_out_verifies_required_names() {
+        let dir = std::env::temp_dir().join("velodrome-cli-metrics-require");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("require.jsonl");
+        let path_str = path.to_str().unwrap();
+        let out = run(&[
+            "check",
+            "multiset",
+            "--seed=1",
+            "--scale=4",
+            &format!("--metrics-out={path_str}"),
+            "--metrics-interval=100",
+        ])
+        .unwrap();
+        assert!(out.contains("metric snapshots written"), "{out}");
+        // The base contract plus the engine's phase records all verify.
+        let verified = run(&[
+            "metrics-verify",
+            path_str,
+            "--require=phase.advance,phase.add_edge,phase.cycle_check,phase.gc,phase.decode",
+        ])
+        .unwrap();
+        assert!(verified.contains("ok:"), "{verified}");
+        // Demanding a metric nobody publishes fails with exit 4.
+        let e = run(&["metrics-verify", path_str, "--require=no.such.metric"]).unwrap_err();
+        assert_eq!(e.kind, CliErrorKind::MalformedInput, "{e}");
+        assert_eq!(e.exit_code(), 4);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn metrics_final_snapshot_always_written() {
         let dir = std::env::temp_dir().join("velodrome-cli-metrics-final");
         std::fs::create_dir_all(&dir).unwrap();
@@ -931,6 +954,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("m.jsonl");
         let metrics_out = format!("--metrics-out={}", path.display());
+        let meterable = "velodrome, velodrome-nomerge, all";
         for backend in BACKENDS {
             let flag = format!("--backend={}", backend.name);
             let result = run(&["check", "multiset", &flag, &metrics_out]);
@@ -940,7 +964,7 @@ mod tests {
             } else {
                 let e = result.unwrap_err();
                 assert_eq!(e.kind, CliErrorKind::Usage, "{e}");
-                assert!(e.message.contains("velodrome or hybrid backend"), "{e}");
+                assert!(e.message.contains(meterable), "{e}");
             }
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -955,99 +979,16 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_backend_output_matches_velodrome() {
-        let pure = run(&["check", "multiset", "--seed=1", "--json"]).unwrap();
-        let hybrid = run(&[
-            "check",
-            "multiset",
-            "--seed=1",
-            "--backend=velodrome-hybrid",
-            "--json",
-        ])
-        .unwrap();
-        assert_eq!(pure, hybrid, "hybrid warnings must be byte-identical");
-        let text = run(&[
-            "check",
-            "multiset",
-            "--seed=1",
-            "--backend=velodrome-hybrid",
-        ])
-        .unwrap();
-        assert!(text.contains("escalated to the graph engine"), "{text}");
-    }
-
-    #[test]
-    fn aerodrome_backend_reports_verdicts_without_details() {
-        let out = run(&[
-            "check",
-            "multiset",
-            "--seed=1",
-            "--backend=aerodrome",
-            "--json",
-        ])
-        .unwrap();
-        let parsed: serde_json::Value = serde_json::from_str(&out).unwrap();
-        let warnings = parsed.as_array().unwrap();
-        assert!(!warnings.is_empty(), "{out}");
-        for w in warnings {
-            assert_eq!(w["tool"], "aerodrome", "{w:?}");
-            assert!(w["details"].is_null(), "verdict-only strips details: {w:?}");
+    fn retired_backends_and_window_flag_are_usage_errors() {
+        for args in [
+            &["check", "multiset", "--backend=velodrome-hybrid"][..],
+            &["check", "multiset", "--backend=aerodrome"],
+            &["check", "multiset", "--window=4"],
+        ] {
+            let e = run(args).unwrap_err();
+            assert_eq!(e.kind, CliErrorKind::Usage, "{args:?}: {e}");
+            assert_eq!(e.exit_code(), 2, "{args:?}");
         }
-    }
-
-    #[test]
-    fn hybrid_screen_note_reports_the_fast_path() {
-        // raja's observed trace is serializable; if the screen holds, the
-        // note says so and confirms zero graph operations.
-        let out = run(&["check", "raja", "--backend=velodrome-hybrid"]).unwrap();
-        assert!(out.contains("vector-clock screen"), "{out}");
-        assert!(out.contains("no warnings"), "{out}");
-    }
-
-    #[test]
-    fn window_flag_is_validated_and_accepted() {
-        let e = run(&["check", "multiset", "--window=abc"]).unwrap_err();
-        assert_eq!(e.kind, CliErrorKind::Usage, "{e}");
-        let out = run(&[
-            "check",
-            "multiset",
-            "--seed=1",
-            "--backend=velodrome-hybrid",
-            "--window=4",
-        ])
-        .unwrap();
-        assert!(out.contains("events analyzed"), "{out}");
-    }
-
-    #[test]
-    fn hybrid_metrics_out_carries_screen_gauges() {
-        let dir = std::env::temp_dir().join("velodrome-cli-hybrid-metrics");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("hybrid.jsonl");
-        let path_str = path.to_str().unwrap();
-        let out = run(&[
-            "check",
-            "multiset",
-            "--seed=1",
-            "--scale=4",
-            "--backend=velodrome-hybrid",
-            &format!("--metrics-out={path_str}"),
-            "--metrics-interval=100",
-        ])
-        .unwrap();
-        assert!(out.contains("metric snapshots written"), "{out}");
-        // The base contract plus the screen's own gauges all verify.
-        let verified = run(&[
-            "metrics-verify",
-            path_str,
-            "--require=aerodrome.joins,aerodrome.epoch_hits,hybrid.escalations,hybrid.graph_ops",
-        ])
-        .unwrap();
-        assert!(verified.contains("ok:"), "{verified}");
-        // Demanding a gauge nobody publishes fails with exit 4.
-        let e = run(&["metrics-verify", path_str, "--require=no.such.metric"]).unwrap_err();
-        assert_eq!(e.kind, CliErrorKind::MalformedInput, "{e}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

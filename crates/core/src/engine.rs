@@ -197,17 +197,6 @@ pub struct VelodromeStats {
     pub ladder: DegradationLevel,
 }
 
-impl VelodromeStats {
-    /// Graph node + edge operations performed: nodes allocated plus edge
-    /// insertions attempted (stored or elided). This is the per-event
-    /// graph-maintenance cost the hybrid backend's vector-clock screen
-    /// avoids on serializable traces; the `hotpath` benchmark compares it
-    /// across backends.
-    pub fn graph_ops(&self) -> u64 {
-        self.nodes_allocated + self.edges_added + self.edges_elided
-    }
-}
-
 impl std::fmt::Display for VelodromeStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -248,8 +237,6 @@ impl std::fmt::Display for VelodromeStats {
 struct Block {
     label: Label,
     start_ts: Ts,
-    #[allow(dead_code)]
-    begin_op: usize,
 }
 
 #[derive(Debug, Default)]
@@ -648,7 +635,6 @@ impl Velodrome {
             st.stack.push(Block {
                 label: l,
                 start_ts: ts,
-                begin_op: idx,
             });
         } else {
             // [INS2 ENTER]: allocate a fresh transaction node, ordered after
@@ -678,7 +664,6 @@ impl Velodrome {
             st.stack = vec![Block {
                 label: l,
                 start_ts: ts,
-                begin_op: idx,
             }];
         }
     }

@@ -117,7 +117,7 @@ pub fn run_tool<T: Tool + ?Sized>(tool: &mut T, trace: &Trace) -> Vec<Warning> {
 /// original trace indices.
 ///
 /// This is the dispatch primitive for *deferred* analysis: a recorder (or
-/// a two-tier checker like `velodrome`'s hybrid backend) buffers the
+/// a two-tier checker like `velodrome::HybridVelodrome`) buffers the
 /// stream and only engages an expensive tool later — warnings produced
 /// from the replay then carry the same `op_index` values an online run
 /// would have reported, so downstream consumers cannot tell the

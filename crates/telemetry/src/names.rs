@@ -3,15 +3,13 @@
 //! Every stat surface in the workspace registers under one of these names,
 //! so exporters, dashboards, and the CI metrics smoke can rely on them.
 //! Names are `<source>.<metric>`; sources are `arena` (the node arena),
-//! `engine` (the Velodrome analysis), `aerodrome` (the vector-clock
-//! atomicity screen), `hybrid` (the two-tier screen-then-diagnose
-//! checker), `watchdog` (the adversarial scheduler's pause watchdog),
-//! `runtime` (the live-monitoring shim), `batch` (the parallel
-//! `check-batch` runner), and `phase` (hot-path phase records, see
-//! [`crate::PhaseStat`]: an exact call count, a total estimated from the
-//! timed calls, and the max over the timed calls). Renaming an
-//! entry here is a breaking change to the exported JSONL schema — add,
-//! don't rename.
+//! `engine` (the Velodrome analysis), `watchdog` (the adversarial
+//! scheduler's pause watchdog), `runtime` (the live-monitoring shim),
+//! `batch` (the parallel `check-batch` runner), and `phase` (hot-path
+//! phase records, see [`crate::PhaseStat`]: an exact call count, a total
+//! estimated from the timed calls, and the max over the timed calls).
+//! Renaming an entry here is a breaking change to the exported JSONL
+//! schema — add, don't rename.
 
 /// Total transaction nodes ever allocated (Table 1 "Allocated").
 pub const ARENA_ALLOCATED: &str = "arena.allocated";
@@ -53,29 +51,6 @@ pub const ENGINE_VARS_QUARANTINED: &str = "engine.vars_quarantined";
 /// Current rung of the engine's degradation ladder (0 = full fidelity,
 /// rising as fidelity is shed; monotone non-decreasing over a run).
 pub const ENGINE_LADDER: &str = "engine.ladder";
-
-/// Operations screened by the vector-clock screen.
-pub const AERODROME_EVENTS: &str = "aerodrome.events";
-/// Conflict-edge clock joins attempted by the screen.
-pub const AERODROME_JOINS: &str = "aerodrome.joins";
-/// Joins resolved against a still-active publisher's live clock.
-pub const AERODROME_LIVE_JOINS: &str = "aerodrome.live_joins";
-/// Joins absorbed by the clock-version (epoch) fast path.
-pub const AERODROME_EPOCH_HITS: &str = "aerodrome.epoch_hits";
-/// Definite own-time violations found by the screen.
-pub const AERODROME_VIOLATIONS: &str = "aerodrome.violations";
-/// Conservative escalation flags raised without a definite violation.
-pub const AERODROME_POTENTIAL_FLAGS: &str = "aerodrome.potential_flags";
-
-/// Screen-to-graph-engine escalations taken by the hybrid checker (0 or 1
-/// per run; the engine stays engaged once entered).
-pub const HYBRID_ESCALATIONS: &str = "hybrid.escalations";
-/// Peak number of operations held in the hybrid's replay buffer.
-pub const HYBRID_BUFFERED_EVENTS: &str = "hybrid.buffered_events";
-/// Operations evicted from a bounded replay window before escalation.
-pub const HYBRID_TRUNCATED_EVENTS: &str = "hybrid.truncated_events";
-/// Graph node + edge operations actually performed (zero until escalation).
-pub const HYBRID_GRAPH_OPS: &str = "hybrid.graph_ops";
 
 /// Pauses issued by the adversarial scheduler on the advisor's suspicion.
 pub const WATCHDOG_PAUSES_ISSUED: &str = "watchdog.pauses_issued";

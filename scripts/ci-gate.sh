@@ -61,20 +61,6 @@ for name in arena.allocated arena.cur_alive engine.ops engine.ladder watchdog.pa
     fi
 done
 
-echo "==> hybrid metrics smoke (screen gauges present alongside the base contract)"
-cargo run --release -q -p velodrome-cli -- check multiset --seed=1 --scale=4 \
-    --backend=velodrome-hybrid \
-    --metrics-out="$tmp/hybrid.jsonl" --metrics-interval=200 >/dev/null
-cargo run --release -q -p velodrome-cli -- metrics-verify "$tmp/hybrid.jsonl" \
-    --require="aerodrome.joins,aerodrome.epoch_hits,hybrid.escalations,hybrid.graph_ops,$phases" \
-    >/dev/null
-for name in aerodrome.joins hybrid.escalations; do
-    if ! grep -q "\"$name\"" "$tmp/hybrid.jsonl"; then
-        echo "hybrid metrics smoke: required metric $name missing from snapshots" >&2
-        exit 1
-    fi
-done
-
 echo "==> batch smoke (fixed-seed corpus, JSONL schema + batch.* gauges)"
 mkdir -p "$tmp/batch"
 cargo run --release -q -p velodrome-cli -- record multiset --seed=1 --scale=4 \
@@ -90,7 +76,7 @@ if ! cmp -s "$tmp/back.json" "$tmp/batch/a.json"; then
     exit 1
 fi
 cargo run --release -q -p velodrome-cli -- check-batch "$tmp/batch" --jobs=4 \
-    --backend=velodrome-hybrid --report="$tmp/batch/report.jsonl" \
+    --backend=velodrome --report="$tmp/batch/report.jsonl" \
     --metrics-out="$tmp/batch/metrics.jsonl" >/dev/null
 if [[ "$(wc -l < "$tmp/batch/report.jsonl")" -ne 4 ]]; then
     echo "batch smoke: expected 4 JSONL lines (3 traces + summary)" >&2
@@ -207,6 +193,18 @@ code=$?
 set -e
 if [[ "$code" -ne 2 || -e "$tmp/batch/nope.jsonl" ]]; then
     echo "expected exit code 2 and no report for an unknown backend, got $code" >&2
+    cat "$tmp/err" >&2
+    exit 1
+fi
+
+echo "==> the retired velodrome-hybrid backend is a usage error (exit code 2)"
+set +e
+cargo run --release -q -p velodrome-cli -- check multiset --backend=velodrome-hybrid \
+    >/dev/null 2>"$tmp/err"
+code=$?
+set -e
+if [[ "$code" -ne 2 ]]; then
+    echo "expected exit code 2 for --backend=velodrome-hybrid, got $code" >&2
     cat "$tmp/err" >&2
     exit 1
 fi

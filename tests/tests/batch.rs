@@ -51,8 +51,7 @@ fn run(args: &[&str]) -> String {
 }
 
 /// Every `.trace.json` has a `.trace.vbt` twin decoding to the identical
-/// trace, and the checker's warnings are byte-identical across the twins
-/// for both the graph engine and the hybrid backend.
+/// trace, and the checker's warnings are byte-identical across the twins.
 #[test]
 fn corpus_vbt_twins_are_verdict_identical() {
     for stem in corpus_stems() {
@@ -75,21 +74,9 @@ fn corpus_vbt_twins_are_verdict_identical() {
             "{vbt_path}: stale twin; regenerate_corpus -- --ignored"
         );
 
-        for backend in ["velodrome", "velodrome-hybrid"] {
-            let serial = run(&[
-                "trace",
-                &json_path,
-                "--json",
-                &format!("--backend={backend}"),
-            ]);
-            let twin = run(&[
-                "trace",
-                &vbt_path,
-                "--json",
-                &format!("--backend={backend}"),
-            ]);
-            assert_eq!(serial, twin, "{vbt_path}: {backend} verdict diverges");
-        }
+        let serial = run(&["trace", &json_path, "--json"]);
+        let twin = run(&["trace", &vbt_path, "--json"]);
+        assert_eq!(serial, twin, "{vbt_path}: verdict diverges");
     }
 }
 
@@ -103,7 +90,7 @@ fn check_batch_agrees_with_serial_runs_over_the_corpus() {
         "check-batch",
         dir.to_str().unwrap(),
         "--jobs=4",
-        "--backend=velodrome-hybrid",
+        "--backend=velodrome",
     ]);
     let lines: Vec<&str> = out.lines().collect();
     // One line per .json + .vbt trace file plus the summary line.
@@ -114,7 +101,7 @@ fn check_batch_agrees_with_serial_runs_over_the_corpus() {
         let entry: serde_json::Value = serde_json::from_str(line).expect("JSONL line parses");
         let path = entry["path"].as_str().expect("path field").to_owned();
         assert_eq!(entry["status"].as_str(), Some("ok"), "{path}");
-        let serial = run(&["trace", &path, "--json", "--backend=velodrome-hybrid"]);
+        let serial = run(&["trace", &path, "--json", "--backend=velodrome"]);
         let serial: serde_json::Value = serde_json::from_str(&serial).expect("serial parses");
         assert_eq!(
             serde_json::to_string(&entry["warnings"]).unwrap(),

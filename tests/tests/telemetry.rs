@@ -178,39 +178,38 @@ fn telemetry_never_changes_a_verdict() {
     let metrics = dir.join("m.jsonl").display().to_string();
     let metrics_flag = format!("--metrics-out={metrics}");
     for path in corpus_files() {
-        for backend in ["velodrome", "velodrome-hybrid"] {
-            let backend_flag = format!("--backend={backend}");
-            for format in ["--text", "--json", "--dot"] {
-                let mut args = vec!["trace", path.as_str(), backend_flag.as_str()];
-                if format != "--text" {
-                    args.push(format);
-                }
-                let plain = run(&args);
-                args.push(&metrics_flag);
-                let metered = run(&args);
-                assert_eq!(
-                    without_metrics_note(&metered),
-                    plain,
-                    "{path} {backend} {format}"
-                );
+        let backend = "velodrome";
+        let backend_flag = format!("--backend={backend}");
+        for format in ["--text", "--json", "--dot"] {
+            let mut args = vec!["trace", path.as_str(), backend_flag.as_str()];
+            if format != "--text" {
+                args.push(format);
             }
-            // The same through the backend table, notes included.
-            let trace = load(&path);
-            let entry = lookup(backend).unwrap();
-            let with = |telemetry: Telemetry| {
-                let cfg = RunConfig {
-                    telemetry,
-                    ..RunConfig::default()
-                };
-                let a = (entry.run)((&trace).into(), &cfg).unwrap();
-                (serde_json::to_string(&a.warnings).unwrap(), a.notes)
-            };
+            let plain = run(&args);
+            args.push(&metrics_flag);
+            let metered = run(&args);
             assert_eq!(
-                with(Telemetry::registry()),
-                with(Telemetry::disabled()),
-                "{path} {backend}"
+                without_metrics_note(&metered),
+                plain,
+                "{path} {backend} {format}"
             );
         }
+        // The same through the backend table, notes included.
+        let trace = load(&path);
+        let entry = lookup(backend).unwrap();
+        let with = |telemetry: Telemetry| {
+            let cfg = RunConfig {
+                telemetry,
+                ..RunConfig::default()
+            };
+            let a = (entry.run)((&trace).into(), &cfg).unwrap();
+            (serde_json::to_string(&a.warnings).unwrap(), a.notes)
+        };
+        assert_eq!(
+            with(Telemetry::registry()),
+            with(Telemetry::disabled()),
+            "{path} {backend}"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -258,27 +257,6 @@ const WATCHDOG_NAMES: [&str; 4] = [
     "watchdog.pauses_issued",
 ];
 
-const SCREEN_NAMES: [&str; 10] = [
-    "aerodrome.epoch_hits",
-    "aerodrome.events",
-    "aerodrome.joins",
-    "aerodrome.live_joins",
-    "aerodrome.potential_flags",
-    "aerodrome.violations",
-    "hybrid.buffered_events",
-    "hybrid.escalations",
-    "hybrid.graph_ops",
-    "hybrid.truncated_events",
-];
-
-/// The live counters a graph engine registers when it is built; a hybrid
-/// whose screen never escalated has none.
-const LIVE_COUNTERS: [&str; 3] = [
-    "arena.exhausted",
-    "arena.ts_overflow",
-    "engine.degradations",
-];
-
 fn sorted(names: impl IntoIterator<Item = &'static str>) -> Vec<String> {
     let set: BTreeSet<String> = names.into_iter().map(str::to_owned).collect();
     set.into_iter().collect()
@@ -293,28 +271,22 @@ fn snapshot_name_sets_are_pinned() {
             .chain([names::PHASE_DECODE])
             .chain(WATCHDOG_NAMES)
     };
-    let escalated = sorted(velodrome().chain(SCREEN_NAMES));
-    let dormant = sorted(
-        velodrome()
-            .chain(SCREEN_NAMES)
-            .filter(|n| !LIVE_COUNTERS.contains(n)),
-    );
-    assert_eq!(sorted(velodrome()).len(), 27);
+    let expected = sorted(velodrome());
+    assert_eq!(expected.len(), 27);
     let dir = scratch_dir("schema");
     let metrics = dir.join("m.jsonl").display().to_string();
     let metrics_flag = format!("--metrics-out={metrics}");
-    // The violation escalates the hybrid's screen; the clean trace does not.
     let violating = corpus_path("figure1_rmw_violation.trace.json");
     let clean = corpus_path("figure1_serializable.trace.json");
     let mut checked = 0;
     for backend in BACKENDS.iter().filter(|b| b.meterable) {
-        let (on_violation, on_clean) = match backend.name {
-            "velodrome" | "velodrome-nomerge" | "all" => (sorted(velodrome()), sorted(velodrome())),
-            "velodrome-hybrid" | "aerodrome" => (escalated.clone(), dormant.clone()),
-            other => panic!("meterable backend {other} has no pinned name set"),
-        };
+        assert!(
+            ["velodrome", "velodrome-nomerge", "all"].contains(&backend.name),
+            "meterable backend {} has no pinned name set",
+            backend.name
+        );
         let backend_flag = format!("--backend={}", backend.name);
-        for (trace, expected) in [(&violating, on_violation), (&clean, on_clean)] {
+        for trace in [&violating, &clean] {
             run(&["trace", trace, &backend_flag, &metrics_flag]);
             assert_eq!(
                 snapshot_names(&metrics),
@@ -339,7 +311,7 @@ fn snapshot_name_sets_are_pinned() {
         }
         checked += 1;
     }
-    assert_eq!(checked, 5);
+    assert_eq!(checked, 3);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -363,33 +335,32 @@ fn batch_snapshot_sums_phase_counts() {
     let merged = dir.join("merged.jsonl").display().to_string();
     let single = dir.join("single.jsonl").display().to_string();
     let corpus = corpus_dir().display().to_string();
-    for backend in ["velodrome", "velodrome-hybrid"] {
-        let backend_flag = format!("--backend={backend}");
+    let backend = "velodrome";
+    let backend_flag = format!("--backend={backend}");
+    run(&[
+        "check-batch",
+        &corpus,
+        "--jobs=2",
+        &backend_flag,
+        &format!("--metrics-out={merged}"),
+    ]);
+    let mut expected: BTreeMap<String, u64> = BTreeMap::new();
+    for path in corpus_files() {
         run(&[
-            "check-batch",
-            &corpus,
-            "--jobs=2",
+            "trace",
+            &path,
             &backend_flag,
-            &format!("--metrics-out={merged}"),
+            &format!("--metrics-out={single}"),
         ]);
-        let mut expected: BTreeMap<String, u64> = BTreeMap::new();
-        for path in corpus_files() {
-            run(&[
-                "trace",
-                &path,
-                &backend_flag,
-                &format!("--metrics-out={single}"),
-            ]);
-            let text = std::fs::read_to_string(&single).unwrap();
-            for (name, count) in line_phase_counts(text.lines().last().unwrap()) {
-                *expected.entry(name).or_default() += count;
-            }
+        let text = std::fs::read_to_string(&single).unwrap();
+        for (name, count) in line_phase_counts(text.lines().last().unwrap()) {
+            *expected.entry(name).or_default() += count;
         }
-        let text = std::fs::read_to_string(&merged).unwrap();
-        let got = line_phase_counts(text.lines().next().unwrap());
-        assert_eq!(got, expected, "{backend}");
-        assert!(got[names::PHASE_ADVANCE] > 0, "{backend}: {got:?}");
-        assert!(got[names::PHASE_DECODE] > 0, "{backend}: {got:?}");
     }
+    let text = std::fs::read_to_string(&merged).unwrap();
+    let got = line_phase_counts(text.lines().next().unwrap());
+    assert_eq!(got, expected, "{backend}");
+    assert!(got[names::PHASE_ADVANCE] > 0, "{backend}: {got:?}");
+    assert!(got[names::PHASE_DECODE] > 0, "{backend}: {got:?}");
     std::fs::remove_dir_all(&dir).ok();
 }

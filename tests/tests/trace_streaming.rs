@@ -126,7 +126,7 @@ fn failures_partway_through_the_stream_match_a_whole_read() {
         assert_eq!(e.kind, CliErrorKind::MalformedInput, "{e}");
         assert_eq!(e.exit_code(), 4);
         assert_eq!(&e.message, want);
-        for backend in ["velodrome", "velodrome-hybrid", "all"] {
+        for backend in ["velodrome", "all"] {
             let e = run(&[
                 "trace",
                 path,
@@ -184,23 +184,15 @@ fn names_before_or_after_ops_print_identically() {
         let reference = serde_json::to_string_pretty(&velodrome::check_trace(&trace)).unwrap();
         let streamed = run(&["trace", names_first.to_str().unwrap(), "--json"]).unwrap();
         assert_eq!(streamed, format!("{reference}\n"), "{}", original.display());
-        for backend in ["velodrome", "velodrome-hybrid"] {
-            let backend = format!("--backend={backend}");
-            for mode in [&[][..], &["--json"], &["--dot"]] {
-                let out = |path: &Path| {
-                    let mut args = vec!["trace", path.to_str().unwrap(), &backend];
-                    args.extend(mode);
-                    run(&args).unwrap()
-                };
-                let last = out(&names_last);
-                assert_eq!(
-                    last,
-                    out(&names_first),
-                    "{}: {backend} {mode:?}",
-                    original.display()
-                );
-                violating += usize::from(last.contains("digraph"));
-            }
+        for mode in [&[][..], &["--json"], &["--dot"]] {
+            let out = |path: &Path| {
+                let mut args = vec!["trace", path.to_str().unwrap()];
+                args.extend(mode);
+                run(&args).unwrap()
+            };
+            let last = out(&names_last);
+            assert_eq!(last, out(&names_first), "{}: {mode:?}", original.display());
+            violating += usize::from(last.contains("digraph"));
         }
     }
     assert!(violating > 0, "the corpus has violating traces");
