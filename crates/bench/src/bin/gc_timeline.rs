@@ -15,7 +15,6 @@ fn main() {
     for w in velodrome_workloads::all(scale) {
         let trace = w.run_round_robin();
         let telemetry = Telemetry::registry();
-        let alive_hist = telemetry.histogram(names::ARENA_ALIVE_SAMPLE);
         let mut engine = Velodrome::with_config(VelodromeConfig {
             telemetry: telemetry.clone(),
             ..VelodromeConfig::default()
@@ -25,9 +24,7 @@ fn main() {
         for (i, op) in trace.iter() {
             engine.op(i, op);
             if i % sample_every == 0 {
-                let alive = engine.alive_nodes() as u64;
-                alive_hist.record(alive);
-                samples.push(alive);
+                samples.push(engine.alive_nodes() as u64);
             }
         }
         engine.publish_telemetry();

@@ -6,6 +6,7 @@
 use velodrome_bench::arg_u64;
 use velodrome_bench::report;
 use velodrome_bench::table1::{exclusion_spec, snapshot_run};
+use velodrome_cli::backend::RunConfig;
 use velodrome_telemetry::{names, Snapshot};
 
 fn main() {
@@ -14,9 +15,18 @@ fn main() {
     let mut rows = Vec::new();
     for w in velodrome_workloads::all(scale) {
         let trace = w.run_round_robin();
-        let spec = exclusion_spec(&w, &trace);
-        let without = snapshot_run("velodrome-nomerge", &trace, spec.clone());
-        let with = snapshot_run("velodrome", &trace, spec);
+        let cfg = RunConfig {
+            spec: Some(exclusion_spec(&w, &trace)),
+            ..RunConfig::default()
+        };
+        let without = snapshot_run(
+            &trace,
+            RunConfig {
+                merge: false,
+                ..cfg.clone()
+            },
+        );
+        let with = snapshot_run(&trace, cfg);
         let gauge = |snap: &Snapshot, name: &str| snap.scalar(name).unwrap_or(0);
         rows.push(vec![
             w.name.to_string(),

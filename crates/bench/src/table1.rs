@@ -55,16 +55,15 @@ pub fn exclusion_spec(workload: &Workload, trace: &Trace) -> AtomicitySpec {
     AtomicitySpec::excluding(excluded)
 }
 
-/// Runs the named backend under `spec` with a live telemetry registry and
-/// returns the final snapshot. The node-statistics columns are read back
-/// from its `arena.*` gauges.
-pub fn snapshot_run(backend: &str, trace: &Trace, spec: AtomicitySpec) -> Snapshot {
+/// Runs the graph engine over `trace` under `cfg` with a fresh telemetry
+/// registry and returns the final snapshot. The node-statistics columns
+/// are read back from its `arena.*` gauges.
+pub fn snapshot_run(trace: &Trace, cfg: RunConfig) -> Snapshot {
     let cfg = RunConfig {
         telemetry: Telemetry::registry(),
-        spec: Some(spec),
-        ..RunConfig::default()
+        ..cfg
     };
-    let backend = lookup(backend).expect("backend is in the table");
+    let backend = lookup("velodrome").expect("backend is in the table");
     (backend.run)(trace.into(), &cfg).expect("backend runs");
     cfg.telemetry
         .snapshot(0, trace.len() as u64)
@@ -104,8 +103,14 @@ pub fn measure(workload: &Workload, repeats: u32) -> Table1Row {
         ns_per_op[3] / empty,
     ];
 
-    let without = snapshot_run("velodrome-nomerge", &trace, spec.clone());
-    let with = snapshot_run("velodrome", &trace, spec);
+    let without = snapshot_run(
+        &trace,
+        RunConfig {
+            merge: false,
+            ..cfg.clone()
+        },
+    );
+    let with = snapshot_run(&trace, cfg);
     let gauge = |snap: &Snapshot, name: &str| snap.scalar(name).unwrap_or(0);
 
     Table1Row {

@@ -195,11 +195,10 @@ impl Backend {
 
 /// Every backend, in the order `compare` prints its rows.
 pub static BACKENDS: &[Backend] = &[
-    Backend::new("velodrome", |e, c| velodrome(e, c, c.merge))
+    Backend::new("velodrome", velodrome)
         .metered()
         .in_table1(3)
         .compared(),
-    Backend::new("velodrome-nomerge", |e, c| velodrome(e, c, false)).metered(),
     Backend::new("atomizer", |e, c| plain(e, c, Atomizer::new()))
         .in_table1(2)
         .compared(),
@@ -379,9 +378,9 @@ fn drive<T: Tool>(
     Ok((tool, analysis))
 }
 
-fn engine_config(cfg: &RunConfig, merge: bool) -> VelodromeConfig {
+fn engine_config(cfg: &RunConfig) -> VelodromeConfig {
     VelodromeConfig {
-        merge,
+        merge: cfg.merge,
         gc: cfg.gc,
         budget: cfg.budget,
         telemetry: cfg.telemetry.clone(),
@@ -390,8 +389,8 @@ fn engine_config(cfg: &RunConfig, merge: bool) -> VelodromeConfig {
 }
 
 /// The paper's graph engine, noting budget suppression and degradation.
-fn velodrome(events: Events<'_>, cfg: &RunConfig, merge: bool) -> Result<Analysis, CliError> {
-    let engine = Velodrome::with_config(engine_config(cfg, merge));
+fn velodrome(events: Events<'_>, cfg: &RunConfig) -> Result<Analysis, CliError> {
+    let engine = Velodrome::with_config(engine_config(cfg));
     let (engine, mut analysis) = drive(
         events,
         cfg,
@@ -467,7 +466,7 @@ impl Tool for All {
 /// interleaved by event index. Only the engine is metered.
 fn all(events: Events<'_>, cfg: &RunConfig) -> Result<Analysis, CliError> {
     let tools = All {
-        engine: Velodrome::with_config(engine_config(cfg, cfg.merge)),
+        engine: Velodrome::with_config(engine_config(cfg)),
         atomizer: Atomizer::new(),
         eraser: Eraser::new(),
         hb_race: HbRaceDetector::new(),
@@ -529,16 +528,20 @@ mod tests {
     #[test]
     fn velodrome_variants_agree_and_expose_stats() {
         let trace = rmw_trace();
-        let allocated = |name: &str| {
+        let allocated = |cfg: RunConfig| {
             let cfg = RunConfig {
                 telemetry: Telemetry::registry(),
-                ..RunConfig::default()
+                ..cfg
             };
-            assert_eq!(run(name, &trace, &cfg).warnings.len(), 1, "{name}");
+            assert_eq!(run("velodrome", &trace, &cfg).warnings.len(), 1);
             let snap = cfg.telemetry.snapshot(0, trace.len() as u64).unwrap();
             snap.scalar(names::ARENA_ALLOCATED).unwrap()
         };
-        assert!(allocated("velodrome-nomerge") >= allocated("velodrome"));
+        let naive = RunConfig {
+            merge: false,
+            ..RunConfig::default()
+        };
+        assert!(allocated(naive) >= allocated(RunConfig::default()));
     }
 
     #[test]

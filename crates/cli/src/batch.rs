@@ -282,9 +282,9 @@ fn check_one(
 }
 
 /// Merges `from` into the accumulated batch metrics: counters and gauges
-/// add, phases and histograms combine their summaries. (Summing gauges is
-/// the useful batch semantics: `arena.allocated` over the batch is total
-/// allocation, not one arbitrary trace's.)
+/// add, phases combine their summaries. (Summing gauges is the useful
+/// batch semantics: `arena.allocated` over the batch is total allocation,
+/// not one arbitrary trace's.)
 fn merge_metrics(into: &mut BTreeMap<String, MetricValue>, from: &Snapshot) {
     for (name, value) in &from.metrics {
         match into.entry(name.clone()) {
@@ -310,30 +310,6 @@ fn merge_metrics(into: &mut BTreeMap<String, MetricValue>, from: &Snapshot) {
                         *count += c2;
                         *total_nanos += t2;
                         *max_nanos = (*max_nanos).max(*m2);
-                    }
-                    (
-                        MetricValue::Histogram {
-                            count,
-                            sum,
-                            max,
-                            buckets,
-                        },
-                        MetricValue::Histogram {
-                            count: c2,
-                            sum: s2,
-                            max: m2,
-                            buckets: b2,
-                        },
-                    ) => {
-                        *count += c2;
-                        *sum += s2;
-                        *max = (*max).max(*m2);
-                        if buckets.len() < b2.len() {
-                            buckets.resize(b2.len(), 0);
-                        }
-                        for (slot, b) in buckets.iter_mut().zip(b2) {
-                            *slot += b;
-                        }
                     }
                     // Mismatched shapes under one name cannot happen with
                     // our registries; keep the first value if they do.

@@ -199,9 +199,8 @@ pub const USAGE: &str = "usage:
   velodrome metrics-verify <FILE> [--require=NAME,NAME]
 trace files: JSON or binary VBT, sniffed by magic bytes; `convert`
   translates between the formats and every command accepts either
-backends: velodrome (default), velodrome-nomerge, atomizer, eraser, hb-race,
-  fasttrack, s2pl, empty, all (velodrome, atomizer, eraser and hb-race in
-  one run)
+backends: velodrome (default), atomizer, eraser, hb-race, fasttrack, s2pl,
+  empty, all (velodrome, atomizer, eraser and hb-race in one run)
 velodrome flags: --no-merge (naive Figure 2 rule), --no-gc,
   --max-alive=N / --max-vars=N (resource budgets; tripping one degrades the
   analysis down an explicit ladder instead of growing without bound)
@@ -954,7 +953,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("m.jsonl");
         let metrics_out = format!("--metrics-out={}", path.display());
-        let meterable = "velodrome, velodrome-nomerge, all";
+        let meterable = "velodrome, all";
         for backend in BACKENDS {
             let flag = format!("--backend={}", backend.name);
             let result = run(&["check", "multiset", &flag, &metrics_out]);
@@ -983,6 +982,7 @@ mod tests {
         for args in [
             &["check", "multiset", "--backend=velodrome-hybrid"][..],
             &["check", "multiset", "--backend=aerodrome"],
+            &["check", "multiset", "--backend=velodrome-nomerge"],
             &["check", "multiset", "--window=4"],
         ] {
             let e = run(args).unwrap_err();

@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use velodrome_events::{Label, LockId, Op, SymbolTable, ThreadId, Trace, VarId};
 use velodrome_monitor::budget::{DegradationLevel, ResourceBudget};
 use velodrome_monitor::tool::{PerLabelDedup, Tool, Warning, WarningCategory};
-use velodrome_telemetry::{names, Counter, Gauge, PhaseStat, Telemetry};
+use velodrome_telemetry::{names, PhaseStat, Telemetry};
 
 /// Configuration of the [`Velodrome`] engine.
 #[derive(Debug, Clone)]
@@ -91,9 +91,9 @@ pub struct VelodromeConfig {
     pub names: SymbolTable,
     /// Telemetry registry the engine reports into (default: the disabled
     /// no-op handle — zero overhead, see the `velodrome-telemetry` crate).
-    /// When enabled, the engine keeps phase records of its hot spots and
-    /// counters for arena capacity failures and ladder transitions, and
-    /// [`Velodrome::publish_telemetry`] mirrors the phases and the full
+    /// When enabled, the engine also keeps phase records of its hot spots;
+    /// the registry is written only by [`Velodrome::publish_telemetry`],
+    /// which mirrors the phases and the full
     /// [`VelodromeStats`]/[`crate::arena::ArenaStats`] surface.
     pub telemetry: Telemetry,
 }
@@ -118,9 +118,8 @@ impl Default for VelodromeConfig {
 /// are counted on every call but timed on one in this many.
 const PHASE_SAMPLE_PERIOD: u64 = 64;
 
-/// The engine's telemetry state. Phases are plain integers owned by the
-/// engine and published at snapshot time; the counters are live registry
-/// handles (no-ops when the configured [`Telemetry`] is disabled).
+/// The engine's phase records: plain integers owned by the engine and
+/// published at snapshot time.
 #[derive(Debug)]
 struct EngineTele {
     /// A registry is attached. Gates all phase bookkeeping, so a disabled
@@ -135,14 +134,6 @@ struct EngineTele {
     /// GC cascades, `Arena::finish` (every call timed: the max is the
     /// longest GC stall).
     gc: PhaseStat,
-    /// Arena slot-exhaustion events.
-    exhausted: Counter,
-    /// Arena 48-bit timestamp overflows.
-    ts_overflow: Counter,
-    /// Degradation-ladder transitions.
-    degradations: Counter,
-    /// Current ladder rung (monotone non-decreasing over a run).
-    ladder: Gauge,
 }
 
 impl EngineTele {
@@ -153,10 +144,6 @@ impl EngineTele {
             add_edge: PhaseStat::default(),
             cycle_check: PhaseStat::default(),
             gc: PhaseStat::default(),
-            exhausted: t.counter(names::ARENA_EXHAUSTED),
-            ts_overflow: t.counter(names::ARENA_TS_OVERFLOW),
-            degradations: t.counter(names::ENGINE_DEGRADATIONS),
-            ladder: t.gauge(names::ENGINE_LADDER),
         }
     }
 }
@@ -191,6 +178,10 @@ pub struct VelodromeStats {
     /// Degradation-ladder transitions taken (see
     /// [`VelodromeConfig::budget`]).
     pub degradations: u64,
+    /// Arena slot-exhaustion events (each degrades to recorder-only).
+    pub arena_exhausted: u64,
+    /// Arena 48-bit timestamp overflows (each degrades to recorder-only).
+    pub ts_overflows: u64,
     /// Variables quarantined from happens-before edge creation.
     pub vars_quarantined: u64,
     /// Current rung of the degradation ladder.
@@ -355,12 +346,13 @@ impl Velodrome {
 
     /// Mirrors the engine's statistics surface into the configured
     /// telemetry registry under the stable names in
-    /// [`velodrome_telemetry::names`]: the stats as gauges and the four
-    /// `phase.*` records as phases. The counters the engine updates live
-    /// (`arena.exhausted`, `arena.ts_overflow`, `engine.degradations`) are
-    /// not touched. A no-op when telemetry is disabled; callers invoke this
-    /// before each snapshot (pull-model publishing keeps the hot path free
-    /// of per-op registry writes).
+    /// [`velodrome_telemetry::names`]: the failure counts
+    /// (`arena.exhausted`, `arena.ts_overflow`, `engine.degradations`) as
+    /// counters, the other stats as gauges, and the four `phase.*` records
+    /// as phases. This is the engine's only write into the registry. A
+    /// no-op when telemetry is disabled; callers invoke this before each
+    /// snapshot (pull-model publishing keeps the hot path free of per-op
+    /// registry writes).
     pub fn publish_telemetry(&self) {
         self.publish_telemetry_to(&self.cfg.telemetry);
     }
@@ -391,6 +383,9 @@ impl Velodrome {
         t.set_gauge(names::ENGINE_WARNINGS_SUPPRESSED, s.warnings_suppressed);
         t.set_gauge(names::ENGINE_VARS_QUARANTINED, s.vars_quarantined);
         t.set_gauge(names::ENGINE_LADDER, s.ladder.rung());
+        t.set_counter(names::ARENA_EXHAUSTED, s.arena_exhausted);
+        t.set_counter(names::ARENA_TS_OVERFLOW, s.ts_overflows);
+        t.set_counter(names::ENGINE_DEGRADATIONS, s.degradations);
         let p = &self.tele;
         p.advance.publish(t, names::PHASE_ADVANCE);
         p.add_edge.publish(t, names::PHASE_ADD_EDGE);
@@ -478,15 +473,15 @@ impl Velodrome {
     }
 
     /// Maps a recoverable arena capacity failure onto the degradation
-    /// ladder: count it in telemetry, step straight to recorder-only with a
+    /// ladder: count it in the stats, step straight to recorder-only with a
     /// `Degraded` warning, and release the instrumentation store (its steps
     /// are never consulted again; events are only counted from here on).
     /// The host keeps running — this is the crash class the ladder exists
     /// to absorb.
     fn degrade_fatal(&mut self, err: ArenaError, t: ThreadId, idx: usize) {
         match err {
-            ArenaError::Exhausted => self.tele.exhausted.incr(),
-            ArenaError::TsOverflow => self.tele.ts_overflow.incr(),
+            ArenaError::Exhausted => self.stats.arena_exhausted += 1,
+            ArenaError::TsOverflow => self.stats.ts_overflows += 1,
         }
         self.degrade(DegradationLevel::RecorderOnly, t, idx, &err.to_string());
         self.u.clear();
@@ -761,8 +756,6 @@ impl Velodrome {
         }
         self.stats.ladder = to;
         self.stats.degradations += 1;
-        self.tele.degradations.incr();
-        self.tele.ladder.set(to.rung());
         self.warnings.push(Warning {
             tool: "velodrome",
             category: WarningCategory::Degraded,

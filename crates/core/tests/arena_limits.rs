@@ -3,16 +3,16 @@
 //! Slot exhaustion and 48-bit timestamp overflow used to be `assert!`s that
 //! brought the whole process down; they are now recoverable [`ArenaError`]s
 //! that the engine maps onto the degradation ladder (recorder-only mode
-//! plus a `Degraded` warning), counted in telemetry. Slot index `u16::MAX`
-//! is reserved so a maximal slot/timestamp pair can never collide with the
-//! `Step::NONE` encoding.
+//! plus a `Degraded` warning), counted in the engine's stats. Slot index
+//! `u16::MAX` is reserved so a maximal slot/timestamp pair can never
+//! collide with the `Step::NONE` encoding.
 
 use proptest::prelude::*;
 use velodrome::step::MAX_TS;
 use velodrome::{Arena, ArenaError, NodeDesc, Velodrome, VelodromeConfig};
 use velodrome_events::{Label, LockId, Op, ThreadId, VarId};
 use velodrome_monitor::{DegradationLevel, Tool, Warning, WarningCategory};
-use velodrome_telemetry::{names, Telemetry};
+use velodrome_telemetry::{names, MetricValue, Snapshot, Telemetry};
 
 fn desc(i: usize) -> NodeDesc {
     NodeDesc {
@@ -80,12 +80,8 @@ fn rmw_violation_ops() -> Vec<Op> {
     ]
 }
 
-/// Exhausting the arena (GC disabled, no configured budget) lands the
-/// engine in recorder-only mode with a single `Degraded` warning; verdicts
-/// reached before the degradation point are byte-identical to an
-/// unconstrained run, and telemetry counts the event.
-#[test]
-fn slot_exhaustion_degrades_to_recorder_only() {
+/// The RMW violation followed by more transactions than the arena holds.
+fn exhaustion_ops() -> Vec<Op> {
     let mut ops = rmw_violation_ops();
     // Flood: one empty transaction per fresh thread. With GC off every
     // Begin allocates a slot that is never reclaimed; distinct threads keep
@@ -98,7 +94,16 @@ fn slot_exhaustion_degrades_to_recorder_only() {
         });
         ops.push(Op::End { t });
     }
+    ops
+}
 
+/// Exhausting the arena (GC disabled, no configured budget) lands the
+/// engine in recorder-only mode with a single `Degraded` warning; verdicts
+/// reached before the degradation point are byte-identical to an
+/// unconstrained run, and telemetry counts the event.
+#[test]
+fn slot_exhaustion_degrades_to_recorder_only() {
+    let ops = exhaustion_ops();
     let telemetry = Telemetry::registry();
     let mut constrained = Velodrome::with_config(VelodromeConfig {
         gc: false,
@@ -169,13 +174,11 @@ fn slot_exhaustion_degrades_to_recorder_only() {
     );
 }
 
-/// A timestamp counter at its 48-bit ceiling degrades the engine on the
-/// next in-transaction operation instead of panicking.
-#[test]
-fn ts_overflow_degrades_to_recorder_only() {
-    let telemetry = Telemetry::registry();
+/// Runs a three-op transaction whose slot counter starts at its 48-bit
+/// ceiling, so its write overflows the timestamp.
+fn ts_overflow_run(telemetry: Telemetry) -> Velodrome {
     let mut engine = Velodrome::with_config(VelodromeConfig {
-        telemetry: telemetry.clone(),
+        telemetry,
         ..VelodromeConfig::default()
     });
     let t = ThreadId::new(0);
@@ -192,6 +195,15 @@ fn ts_overflow_degrades_to_recorder_only() {
     engine.op(1, Op::Write { t, x });
     engine.op(2, Op::End { t });
     engine.end_of_trace();
+    engine
+}
+
+/// A timestamp counter at its 48-bit ceiling degrades the engine on the
+/// next in-transaction operation instead of panicking.
+#[test]
+fn ts_overflow_degrades_to_recorder_only() {
+    let telemetry = Telemetry::registry();
+    let mut engine = ts_overflow_run(telemetry.clone());
     engine.check_invariants();
 
     let stats = engine.stats();
@@ -209,6 +221,63 @@ fn ts_overflow_degrades_to_recorder_only() {
     let snap = telemetry.snapshot(0, 3).unwrap();
     assert_eq!(snap.scalar(names::ARENA_TS_OVERFLOW), Some(1));
     assert_eq!(snap.scalar(names::ARENA_EXHAUSTED), Some(0));
+}
+
+/// Publishes `engine` into a fresh registry and snapshots it.
+fn published(engine: &Velodrome) -> Snapshot {
+    let registry = Telemetry::registry();
+    engine.publish_telemetry_to(&registry);
+    registry.snapshot(0, 0).unwrap()
+}
+
+/// The failure counts live in the engine's statistics, not in an attached
+/// registry: an engine run with telemetry disabled still publishes them,
+/// as counters, when asked afterwards.
+#[test]
+fn exhaustion_count_is_published_from_stats() {
+    let ops = exhaustion_ops();
+    let mut engine = Velodrome::with_config(VelodromeConfig {
+        gc: false,
+        telemetry: Telemetry::disabled(),
+        ..VelodromeConfig::default()
+    });
+    for (i, &op) in ops.iter().enumerate() {
+        engine.op(i, op);
+    }
+    engine.end_of_trace();
+    let snap = published(&engine);
+    assert_eq!(
+        snap.metrics[names::ARENA_EXHAUSTED],
+        MetricValue::Counter(1)
+    );
+    assert_eq!(
+        snap.metrics[names::ARENA_TS_OVERFLOW],
+        MetricValue::Counter(0)
+    );
+    assert_eq!(
+        snap.metrics[names::ENGINE_DEGRADATIONS],
+        MetricValue::Counter(1)
+    );
+}
+
+/// As [`exhaustion_count_is_published_from_stats`], for a timestamp
+/// overflow.
+#[test]
+fn ts_overflow_count_is_published_from_stats() {
+    let engine = ts_overflow_run(Telemetry::disabled());
+    let snap = published(&engine);
+    assert_eq!(
+        snap.metrics[names::ARENA_TS_OVERFLOW],
+        MetricValue::Counter(1)
+    );
+    assert_eq!(
+        snap.metrics[names::ARENA_EXHAUSTED],
+        MetricValue::Counter(0)
+    );
+    assert_eq!(
+        snap.metrics[names::ENGINE_DEGRADATIONS],
+        MetricValue::Counter(1)
+    );
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -262,9 +331,8 @@ proptest! {
         prop_assert_eq!(snap.scalar(names::ENGINE_LADDER), Some(stats.ladder.rung()));
     }
 
-    /// The `engine.ladder` gauge is monotone over any trace: the engine
-    /// only ever steps *down* the ladder, and the live gauge (updated at
-    /// each transition, not just at publish time) reflects that.
+    /// The `engine.ladder` gauge, published after every op, is monotone
+    /// over any trace: the engine only ever steps *down* the ladder.
     #[test]
     fn ladder_gauge_is_monotone(
         ops in prop::collection::vec(arb_op(), 0..120),
@@ -285,8 +353,9 @@ proptest! {
         let mut prev = 0u64;
         for (i, &op) in ops.iter().enumerate() {
             engine.op(i, op);
+            engine.publish_telemetry();
             let snap = telemetry.snapshot(i as u64, i as u64 + 1).unwrap();
-            let rung = snap.scalar(names::ENGINE_LADDER).unwrap_or(0);
+            let rung = snap.scalar(names::ENGINE_LADDER).unwrap();
             prop_assert!(rung >= prev, "ladder went back up: {} -> {} at op {}", prev, rung, i);
             prop_assert!(rung <= DegradationLevel::RecorderOnly.rung());
             prev = rung;

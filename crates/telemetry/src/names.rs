@@ -1,6 +1,6 @@
 //! The stable metric name catalogue.
 //!
-//! Every stat surface in the workspace registers under one of these names,
+//! Every stat surface in the workspace publishes under one of these names,
 //! so exporters, dashboards, and the CI metrics smoke can rely on them.
 //! Names are `<source>.<metric>`; sources are `arena` (the node arena),
 //! `engine` (the Velodrome analysis), `watchdog` (the adversarial
@@ -29,8 +29,6 @@ pub const ARENA_EDGES_ELIDED: &str = "arena.edges_elided";
 pub const ARENA_EXHAUSTED: &str = "arena.exhausted";
 /// 48-bit timestamp overflows (analysis degraded, host kept alive).
 pub const ARENA_TS_OVERFLOW: &str = "arena.ts_overflow";
-/// Distribution of live-node counts sampled over a run.
-pub const ARENA_ALIVE_SAMPLE: &str = "arena.alive_sample";
 
 /// Operations processed by the engine.
 pub const ENGINE_OPS: &str = "engine.ops";

@@ -20,42 +20,34 @@ pub enum MetricValue {
         /// Longest timed call, in nanoseconds.
         max_nanos: u64,
     },
-    /// A power-of-two-bucketed distribution.
-    Histogram {
-        /// Samples recorded.
-        count: u64,
-        /// Sum of all samples.
-        sum: u64,
-        /// Largest sample.
-        max: u64,
-        /// Bucket occupancy; bucket 0 holds zeros, bucket `i` holds values
-        /// whose highest set bit is `i - 1`. Trailing empty buckets are
-        /// trimmed.
-        buckets: Vec<u64>,
-    },
 }
 
 impl MetricValue {
-    /// The headline scalar for this metric: counter/gauge value, phase call
-    /// count, or histogram sample count. What consumers that only want "the
-    /// number" (bench bins, smoke checks) read.
+    /// The headline scalar for this metric: counter/gauge value or phase
+    /// call count. What consumers that only want "the number" (bench bins,
+    /// smoke checks) read.
     pub fn scalar(&self) -> u64 {
         match self {
             MetricValue::Counter(v) | MetricValue::Gauge(v) => *v,
-            MetricValue::Phase { count, .. } | MetricValue::Histogram { count, .. } => *count,
+            MetricValue::Phase { count, .. } => *count,
+        }
+    }
+
+    /// The kind's name, as the JSONL `type` field spells it.
+    pub(crate) fn kind(&self) -> &'static str {
+        match self {
+            MetricValue::Counter(_) => "counter",
+            MetricValue::Gauge(_) => "gauge",
+            MetricValue::Phase { .. } => "phase",
         }
     }
 
     fn to_json(&self) -> Value {
         let mut m = Map::new();
         let num = |v: u64| Value::Num(Number::from_u64(v));
+        m.insert("type".into(), Value::Str(self.kind().into()));
         match self {
-            MetricValue::Counter(v) => {
-                m.insert("type".into(), Value::Str("counter".into()));
-                m.insert("value".into(), num(*v));
-            }
-            MetricValue::Gauge(v) => {
-                m.insert("type".into(), Value::Str("gauge".into()));
+            MetricValue::Counter(v) | MetricValue::Gauge(v) => {
                 m.insert("value".into(), num(*v));
             }
             MetricValue::Phase {
@@ -63,25 +55,9 @@ impl MetricValue {
                 total_nanos,
                 max_nanos,
             } => {
-                m.insert("type".into(), Value::Str("phase".into()));
                 m.insert("count".into(), num(*count));
                 m.insert("total_nanos".into(), num(*total_nanos));
                 m.insert("max_nanos".into(), num(*max_nanos));
-            }
-            MetricValue::Histogram {
-                count,
-                sum,
-                max,
-                buckets,
-            } => {
-                m.insert("type".into(), Value::Str("histogram".into()));
-                m.insert("count".into(), num(*count));
-                m.insert("sum".into(), num(*sum));
-                m.insert("max".into(), num(*max));
-                m.insert(
-                    "buckets".into(),
-                    Value::Array(buckets.iter().map(|&b| num(b)).collect()),
-                );
             }
         }
         Value::Object(m)
@@ -142,15 +118,6 @@ mod tests {
                 max_nanos: 600,
             },
         );
-        metrics.insert(
-            "x.hist".to_owned(),
-            MetricValue::Histogram {
-                count: 1,
-                sum: 4,
-                max: 4,
-                buckets: vec![0, 0, 0, 1],
-            },
-        );
         let s = Snapshot {
             seq: 5,
             events: 5000,
@@ -163,10 +130,6 @@ mod tests {
         assert_eq!(v["events"].as_u64(), Some(5000));
         assert_eq!(v["metrics"]["x.counter"]["value"].as_u64(), Some(3));
         assert_eq!(v["metrics"]["x.phase"]["type"], "phase");
-        assert_eq!(
-            v["metrics"]["x.hist"]["buckets"].as_array().unwrap().len(),
-            4
-        );
         assert_eq!(s.scalar("x.gauge"), Some(7));
         assert_eq!(s.scalar("x.phase"), Some(2));
         assert_eq!(s.scalar("missing"), None);

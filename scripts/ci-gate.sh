@@ -54,7 +54,8 @@ cargo run --release -q -p velodrome-cli -- check multiset --seed=1 --scale=4 \
 phases=phase.advance,phase.add_edge,phase.cycle_check,phase.gc
 cargo run --release -q -p velodrome-cli -- metrics-verify "$tmp/metrics.jsonl" \
     --require="$phases,phase.scheduler_step,phase.decode" >/dev/null
-for name in arena.allocated arena.cur_alive engine.ops engine.ladder watchdog.pauses_issued; do
+for name in arena.allocated arena.cur_alive arena.exhausted arena.ts_overflow \
+            engine.ops engine.degradations engine.ladder watchdog.pauses_issued; do
     if ! grep -q "\"$name\"" "$tmp/metrics.jsonl"; then
         echo "metrics smoke: required metric $name missing from snapshots" >&2
         exit 1
@@ -197,17 +198,19 @@ if [[ "$code" -ne 2 || -e "$tmp/batch/nope.jsonl" ]]; then
     exit 1
 fi
 
-echo "==> the retired velodrome-hybrid backend is a usage error (exit code 2)"
-set +e
-cargo run --release -q -p velodrome-cli -- check multiset --backend=velodrome-hybrid \
-    >/dev/null 2>"$tmp/err"
-code=$?
-set -e
-if [[ "$code" -ne 2 ]]; then
-    echo "expected exit code 2 for --backend=velodrome-hybrid, got $code" >&2
-    cat "$tmp/err" >&2
-    exit 1
-fi
+echo "==> the retired backends are usage errors (exit code 2)"
+for retired in velodrome-hybrid velodrome-nomerge; do
+    set +e
+    cargo run --release -q -p velodrome-cli -- check multiset --backend="$retired" \
+        >/dev/null 2>"$tmp/err"
+    code=$?
+    set -e
+    if [[ "$code" -ne 2 ]]; then
+        echo "expected exit code 2 for --backend=$retired, got $code" >&2
+        cat "$tmp/err" >&2
+        exit 1
+    fi
+done
 
 echo "==> cross-backend differential suite + conformance corpus (fixed seeds)"
 cargo test -q -p velodrome-integration --test atomicity_differential >/dev/null

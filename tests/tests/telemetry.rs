@@ -7,12 +7,13 @@
 //! * Attaching a registry never changes what the checker reports: text,
 //!   `--json` and `--dot` output and the analysis notes are byte-identical
 //!   with and without one.
-//! * The metric-name set of a `--metrics-out` snapshot is pinned per
-//!   meterable backend (`phase.decode` included, whatever the event
-//!   source), and the merged `check-batch` snapshot sums the per-trace
-//!   phase counts, decoded blocks included.
+//! * The metric names of a `--metrics-out` snapshot, and the JSONL `type`
+//!   of each, are pinned per meterable backend (`phase.decode` included,
+//!   whatever the event source) and for the merged `check-batch`
+//!   snapshot, which sums the per-trace phase counts, decoded blocks
+//!   included.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use velodrome::{check_trace_with, VelodromeConfig};
 use velodrome_cli::backend::{lookup, RunConfig, BACKENDS};
@@ -214,21 +215,25 @@ fn telemetry_never_changes_a_verdict() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Sorted metric names of the last snapshot in a `--metrics-out` file.
-fn snapshot_names(path: &str) -> Vec<String> {
-    let text = std::fs::read_to_string(path).unwrap();
-    let last = text.lines().last().expect("at least one snapshot");
-    let v: serde_json::Value = serde_json::from_str(last).unwrap();
-    let mut names: Vec<String> = v["metrics"]
+/// Each metric's JSONL `type`, by name, in one snapshot line.
+fn line_types(line: &str) -> BTreeMap<String, String> {
+    let v: serde_json::Value = serde_json::from_str(line).unwrap();
+    v["metrics"]
         .as_object()
         .unwrap()
         .iter()
-        .map(|(k, _)| k.clone())
-        .collect();
-    names.sort();
-    names
+        .map(|(k, m)| (k.clone(), m["type"].as_str().unwrap().to_owned()))
+        .collect()
 }
 
+/// [`line_types`] of the last snapshot in a `--metrics-out` file.
+fn snapshot_types(path: &str) -> BTreeMap<String, String> {
+    let text = std::fs::read_to_string(path).unwrap();
+    line_types(text.lines().last().expect("at least one snapshot"))
+}
+
+/// The engine's scalars, published as gauges, except the three failure
+/// counts, which keep the `counter` type.
 const ENGINE_NAMES: [&str; 18] = [
     "arena.allocated",
     "arena.collected",
@@ -250,6 +255,12 @@ const ENGINE_NAMES: [&str; 18] = [
     "engine.warnings_suppressed",
 ];
 
+const ENGINE_COUNTERS: [&str; 3] = [
+    names::ARENA_EXHAUSTED,
+    names::ARENA_TS_OVERFLOW,
+    names::ENGINE_DEGRADATIONS,
+];
+
 const WATCHDOG_NAMES: [&str; 4] = [
     "watchdog.forced_all_paused",
     "watchdog.forced_deadline",
@@ -257,21 +268,36 @@ const WATCHDOG_NAMES: [&str; 4] = [
     "watchdog.pauses_issued",
 ];
 
-fn sorted(names: impl IntoIterator<Item = &'static str>) -> Vec<String> {
-    let set: BTreeSet<String> = names.into_iter().map(str::to_owned).collect();
-    set.into_iter().collect()
+const BATCH_NAMES: [&str; 7] = [
+    names::BATCH_TRACES_CHECKED,
+    names::BATCH_TRACES_FAILED,
+    names::BATCH_TRACES_QUARANTINED,
+    names::BATCH_EVENTS_TOTAL,
+    names::BATCH_EVENTS_PER_SEC,
+    names::BATCH_WARNINGS_TOTAL,
+    names::BATCH_JOBS,
+];
+
+/// The pinned `type` of every name a meterable backend's snapshot carries.
+fn engine_snapshot_types() -> BTreeMap<String, String> {
+    let mut types = BTreeMap::new();
+    for name in ENGINE_NAMES.into_iter().chain(WATCHDOG_NAMES) {
+        let kind = if ENGINE_COUNTERS.contains(&name) {
+            "counter"
+        } else {
+            "gauge"
+        };
+        types.insert(name.to_owned(), kind.to_owned());
+    }
+    for name in PHASES.into_iter().chain([names::PHASE_DECODE]) {
+        types.insert(name.to_owned(), "phase".to_owned());
+    }
+    types
 }
 
 #[test]
 fn snapshot_name_sets_are_pinned() {
-    let velodrome = || {
-        ENGINE_NAMES
-            .into_iter()
-            .chain(PHASES)
-            .chain([names::PHASE_DECODE])
-            .chain(WATCHDOG_NAMES)
-    };
-    let expected = sorted(velodrome());
+    let expected = engine_snapshot_types();
     assert_eq!(expected.len(), 27);
     let dir = scratch_dir("schema");
     let metrics = dir.join("m.jsonl").display().to_string();
@@ -281,7 +307,7 @@ fn snapshot_name_sets_are_pinned() {
     let mut checked = 0;
     for backend in BACKENDS.iter().filter(|b| b.meterable) {
         assert!(
-            ["velodrome", "velodrome-nomerge", "all"].contains(&backend.name),
+            ["velodrome", "all"].contains(&backend.name),
             "meterable backend {} has no pinned name set",
             backend.name
         );
@@ -289,7 +315,7 @@ fn snapshot_name_sets_are_pinned() {
         for trace in [&violating, &clean] {
             run(&["trace", trace, &backend_flag, &metrics_flag]);
             assert_eq!(
-                snapshot_names(&metrics),
+                snapshot_types(&metrics),
                 expected,
                 "{} {trace}",
                 backend.name
@@ -303,7 +329,7 @@ fn snapshot_name_sets_are_pinned() {
             };
             (backend.run)((&load(trace)).into(), &cfg).unwrap();
             assert_eq!(
-                snapshot_names(&metrics),
+                snapshot_types(&metrics),
                 expected,
                 "{} {trace} in memory",
                 backend.name
@@ -311,7 +337,18 @@ fn snapshot_name_sets_are_pinned() {
         }
         checked += 1;
     }
-    assert_eq!(checked, 3);
+    assert_eq!(checked, 2);
+    // The merged `check-batch` snapshot: the same types (the merge keeps
+    // each kind) plus the `batch.*` gauges.
+    let mut batch_expected = expected;
+    for name in BATCH_NAMES {
+        batch_expected.insert(name.to_owned(), "gauge".to_owned());
+    }
+    let corpus = corpus_dir().display().to_string();
+    run(&["check-batch", &corpus, "--jobs=2", &metrics_flag]);
+    let text = std::fs::read_to_string(&metrics).unwrap();
+    assert_eq!(text.lines().count(), 1, "one merged snapshot");
+    assert_eq!(line_types(&text), batch_expected, "check-batch");
     std::fs::remove_dir_all(&dir).ok();
 }
 
