@@ -281,10 +281,19 @@ fn check_one(
     (outcome, snapshot)
 }
 
-/// Merges `from` into the accumulated batch metrics: counters and gauges
-/// add, phases combine their summaries. (Summing gauges is the useful
-/// batch semantics: `arena.allocated` over the batch is total allocation,
-/// not one arbitrary trace's.)
+/// Gauges that merge by maximum: a ladder rung and a peak mean the same
+/// over a batch as over one trace, the worst one seen.
+const MAX_GAUGES: [&str; 3] = [
+    names::ENGINE_LADDER,
+    names::RUNTIME_LADDER,
+    names::ARENA_MAX_ALIVE,
+];
+
+/// Merges `from` into the accumulated batch metrics: the gauges in
+/// [`MAX_GAUGES`] keep the maximum, other counters and gauges add, and
+/// phases combine their summaries. (Summing is the useful batch semantics
+/// for totals: `arena.allocated` over the batch is total allocation, not
+/// one arbitrary trace's.)
 fn merge_metrics(into: &mut BTreeMap<String, MetricValue>, from: &Snapshot) {
     for (name, value) in &from.metrics {
         match into.entry(name.clone()) {
@@ -294,7 +303,13 @@ fn merge_metrics(into: &mut BTreeMap<String, MetricValue>, from: &Snapshot) {
             std::collections::btree_map::Entry::Occupied(mut e) => {
                 match (e.get_mut(), value) {
                     (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
-                    (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a += b,
+                    (MetricValue::Gauge(a), MetricValue::Gauge(b)) => {
+                        if MAX_GAUGES.contains(&name.as_str()) {
+                            *a = (*a).max(*b);
+                        } else {
+                            *a += b;
+                        }
+                    }
                     (
                         MetricValue::Phase {
                             count,

@@ -13,6 +13,13 @@
 //! * `H` — the happens-before graph, held in the [`Arena`] with chain
 //!   clocks, timestamped edges, and reference-counting GC.
 //!
+//! `C` and `L` live in one record per thread, and `R` and `W` in one
+//! record per variable, together with the variable's budget bookkeeping.
+//! Ids in a trace are arbitrary `u32`s, so both kinds of record sit in a
+//! first-seen table that maps each distinct id to a dense row: memory
+//! follows the number of distinct threads and variables, not the largest
+//! id.
+//!
 //! With [`VelodromeConfig::merge`] enabled the engine uses the optimized
 //! Figure 4 rules: operations outside any transaction allocate a node only
 //! when they have two or more incomparable predecessors, and otherwise
@@ -27,7 +34,9 @@
 use crate::arena::{Arena, ArenaError, CycleFound, NodeDesc};
 use crate::report::{CycleReport, ReportEdge, ReportNode};
 use crate::step::{SlotIdx, Step, Ts};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
+use std::ops::{Index, IndexMut};
 use velodrome_events::{Label, LockId, Op, SymbolTable, ThreadId, Trace, VarId};
 use velodrome_monitor::budget::{DegradationLevel, ResourceBudget};
 use velodrome_monitor::tool::{PerLabelDedup, Tool, Warning, WarningCategory};
@@ -251,6 +260,91 @@ struct ThreadState {
     skip: Option<Step>,
 }
 
+/// One variable's part of the instrumentation store.
+#[derive(Debug, Default)]
+struct VarState {
+    /// `W(x)`: step of the last write.
+    w: Step,
+    /// `R(x)`: last read step per thread since the last write. Keyed and
+    /// ordered by raw thread id, not by thread row, so predecessors reach
+    /// the arena in the same order whatever order the threads were first
+    /// seen in (edge order decides which cycle path a report shows).
+    r: BTreeMap<ThreadId, Step>,
+    /// Accesses while tracked, counted only when a budget is configured;
+    /// non-zero exactly for the tracked variables. Picks the hottest ones
+    /// for quarantine.
+    heat: u64,
+    /// Excluded from happens-before edge creation after the tracked-variable
+    /// (or alive-node) budget tripped. Reads and writes of a quarantined
+    /// variable are ignored entirely — dropping edges can only lose real
+    /// cycles (completeness), never invent false ones (soundness). Never
+    /// cleared, so [`Velodrome::quarantined_vars`] survives recorder-only.
+    quarantined: bool,
+}
+
+/// A first-seen table: maps each distinct raw id to a dense row, rows in
+/// the order their ids were first seen. Ids in a trace are arbitrary
+/// `u32`s, so memory follows the number of distinct ids, not the largest.
+#[derive(Debug)]
+struct Table<K, V> {
+    /// Raw id → row.
+    index: HashMap<K, u32>,
+    rows: Vec<V>,
+    /// The id [`row`](Self::row) resolved last, and its row: consecutive
+    /// ops of one thread, or on one variable, skip the hash.
+    last: Option<(K, u32)>,
+}
+
+impl<K: Copy + Eq + Hash, V: Default> Table<K, V> {
+    fn new() -> Self {
+        Self {
+            index: HashMap::new(),
+            rows: Vec::new(),
+            last: None,
+        }
+    }
+
+    /// The row of `k`, created on first sight.
+    fn row(&mut self, k: K) -> usize {
+        if let Some((last, row)) = self.last {
+            if last == k {
+                return row as usize;
+            }
+        }
+        let next = u32::try_from(self.rows.len()).expect("at most 2^32 distinct u32 ids");
+        let row = *self.index.entry(k).or_insert(next);
+        if row == next {
+            self.rows.push(V::default());
+        }
+        self.last = Some((k, row));
+        row as usize
+    }
+
+    /// The state of `k`, if it has a row. Never creates one.
+    fn get(&self, k: K) -> Option<&V> {
+        self.index.get(&k).map(|&row| &self.rows[row as usize])
+    }
+
+    /// Every id with its row, in no particular order.
+    fn ids(&self) -> impl Iterator<Item = (K, usize)> + '_ {
+        self.index.iter().map(|(&k, &row)| (k, row as usize))
+    }
+}
+
+impl<K, V> Index<usize> for Table<K, V> {
+    type Output = V;
+
+    fn index(&self, row: usize) -> &V {
+        &self.rows[row]
+    }
+}
+
+impl<K, V> IndexMut<usize> for Table<K, V> {
+    fn index_mut(&mut self, row: usize) -> &mut V {
+        &mut self.rows[row]
+    }
+}
+
 /// The sound and complete dynamic serializability analysis.
 ///
 /// Feed it operations through the [`Tool`] interface (usually via
@@ -261,15 +355,15 @@ struct ThreadState {
 pub struct Velodrome {
     cfg: VelodromeConfig,
     arena: Arena,
-    threads: Vec<ThreadState>,
+    /// `C` and `L`, one row per thread.
+    threads: Table<ThreadId, ThreadState>,
     /// `U`: last release step per lock.
     u: HashMap<LockId, Step>,
-    /// `W`: last write step per variable.
-    w: HashMap<VarId, Step>,
-    /// `R`: last read step per variable and thread (since the last write).
-    /// Ordered by thread so edge-insertion order (and thus reports and
-    /// statistics) is deterministic.
-    r: HashMap<VarId, BTreeMap<ThreadId, Step>>,
+    /// `R`, `W` and the budget bookkeeping, one row per variable.
+    vars: Table<VarId, VarState>,
+    /// Variables with non-zero heat: accessed under a budget and neither
+    /// quarantined nor released since.
+    tracked: usize,
     warnings: Vec<Warning>,
     /// `(warning, report)` indices of the atomicity warnings whose
     /// `message` and `details` are still to be rendered. Rendering waits
@@ -279,15 +373,6 @@ pub struct Velodrome {
     reports: Vec<CycleReport>,
     dedup: PerLabelDedup,
     stats: VelodromeStats,
-    /// Variables excluded from happens-before edge creation after the
-    /// tracked-variable (or alive-node) budget tripped. Reads and writes of
-    /// a quarantined variable are ignored entirely — dropping edges can only
-    /// lose real cycles (completeness), never invent false ones (soundness).
-    quarantined: HashSet<VarId>,
-    /// Access counts per still-tracked variable; maintained only when a
-    /// budget is configured, and used to pick the *hottest* variables for
-    /// quarantine (ties broken by lower raw id, so runs are deterministic).
-    var_heat: HashMap<VarId, u64>,
     /// After an alive-node-triggered quarantine, escalation to
     /// recorder-only waits until this many ops have been processed, giving
     /// GC a window to reclaim nodes the quarantine unpinned.
@@ -315,17 +400,15 @@ impl Velodrome {
         Self {
             cfg,
             arena,
-            threads: Vec::new(),
+            threads: Table::new(),
             u: HashMap::new(),
-            w: HashMap::new(),
-            r: HashMap::new(),
+            vars: Table::new(),
+            tracked: 0,
             warnings: Vec::new(),
             unrendered: Vec::new(),
             reports: Vec::new(),
             dedup: PerLabelDedup::new(),
             stats: VelodromeStats::default(),
-            quarantined: HashSet::new(),
-            var_heat: HashMap::new(),
             grace_until: 0,
             tele,
         }
@@ -419,7 +502,12 @@ impl Velodrome {
 
     /// Variables currently quarantined from happens-before edge creation.
     pub fn quarantined_vars(&self) -> Vec<VarId> {
-        let mut vars: Vec<VarId> = self.quarantined.iter().copied().collect();
+        let mut vars: Vec<VarId> = self
+            .vars
+            .ids()
+            .filter(|&(_, row)| self.vars[row].quarantined)
+            .map(|(x, _)| x)
+            .collect();
         vars.sort_by_key(|x| x.raw());
         vars
     }
@@ -436,18 +524,6 @@ impl Velodrome {
     #[doc(hidden)]
     pub fn force_arena_counter_for_test(&mut self, slot: SlotIdx, counter: Ts) {
         self.arena.force_counter_for_test(slot, counter);
-    }
-
-    fn thread_mut(&mut self, t: ThreadId) -> &mut ThreadState {
-        let idx = t.index();
-        if idx >= self.threads.len() {
-            self.threads.resize_with(idx + 1, ThreadState::default);
-        }
-        &mut self.threads[idx]
-    }
-
-    fn in_txn(&mut self, t: ThreadId) -> bool {
-        !self.thread_mut(t).stack.is_empty()
     }
 
     /// [`Arena::add_edge`], recorded as `phase.add_edge`.
@@ -472,10 +548,26 @@ impl Velodrome {
         self.tele.gc.end(start);
     }
 
+    /// Releases the instrumentation store once the ladder reaches
+    /// recorder-only: its steps are never consulted again, and events are
+    /// only counted from here on. Each variable keeps its quarantine bit
+    /// (reported by [`quarantined_vars`](Self::quarantined_vars)); thread
+    /// rows stay, because an `end` still pops its block and finishes its
+    /// node. Row indices stay valid.
+    fn release_store(&mut self) {
+        self.u.clear();
+        for v in &mut self.vars.rows {
+            *v = VarState {
+                quarantined: v.quarantined,
+                ..VarState::default()
+            };
+        }
+        self.tracked = 0;
+    }
+
     /// Maps a recoverable arena capacity failure onto the degradation
     /// ladder: count it in the stats, step straight to recorder-only with a
-    /// `Degraded` warning, and release the instrumentation store (its steps
-    /// are never consulted again; events are only counted from here on).
+    /// `Degraded` warning, and release the instrumentation store.
     /// The host keeps running — this is the crash class the ladder exists
     /// to absorb.
     fn degrade_fatal(&mut self, err: ArenaError, t: ThreadId, idx: usize) {
@@ -484,18 +576,21 @@ impl Velodrome {
             ArenaError::TsOverflow => self.stats.ts_overflows += 1,
         }
         self.degrade(DegradationLevel::RecorderOnly, t, idx, &err.to_string());
-        self.u.clear();
-        self.w.clear();
-        self.r.clear();
-        self.var_heat.clear();
+        self.release_store();
     }
 
-    /// Advances thread `t` by one operation with happens-before
-    /// predecessors `preds`, returning the operation's step (possibly `⊥`
-    /// for vanishing non-transactional operations).
-    fn advance(&mut self, t: ThreadId, preds: &[Step], op: Op, idx: usize) -> Step {
-        if self.in_txn(t) {
-            let node = self.thread_mut(t).node;
+    /// The ladder is at recorder-only, so the store is released: a handler
+    /// whose `advance` has just degraded must not write its step back.
+    fn released(&self) -> bool {
+        self.stats.ladder == DegradationLevel::RecorderOnly
+    }
+
+    /// Advances thread `t` (row `tr`) by one operation with
+    /// happens-before predecessors `preds`, returning the operation's step
+    /// (possibly `⊥` for vanishing non-transactional operations).
+    fn advance(&mut self, t: ThreadId, tr: usize, preds: &[Step], op: Op, idx: usize) -> Step {
+        if !self.threads[tr].stack.is_empty() {
+            let node = self.threads[tr].node;
             let s = match self.arena.bump(node) {
                 Ok(s) => s,
                 Err(e) => {
@@ -507,7 +602,7 @@ impl Velodrome {
             for &p in preds {
                 // Epoch fast path: a predecessor that was a no-op for this
                 // transaction stays one (see `ThreadState::skip`).
-                if elide && self.threads[t.index()].skip == Some(p) {
+                if elide && self.threads[tr].skip == Some(p) {
                     self.stats.epoch_hits += 1;
                     continue;
                 }
@@ -515,19 +610,19 @@ impl Velodrome {
                     Ok(true) => {}
                     Ok(false) => {
                         if elide {
-                            self.threads[t.index()].skip = Some(p);
+                            self.threads[tr].skip = Some(p);
                         }
                     }
-                    Err(c) => self.report_cycle(c, t, op, idx),
+                    Err(c) => self.report_cycle(c, t, tr, op, idx),
                 }
             }
-            self.thread_mut(t).l = s;
+            self.threads[tr].l = s;
             return s;
         }
         // Non-transactional operation: gather the resolved predecessors,
         // including the thread-order predecessor L(t), deduplicated per node
         // (keeping the latest timestamp).
-        let l = self.thread_mut(t).l;
+        let l = self.threads[tr].l;
         let mut args: Vec<Step> = Vec::with_capacity(preds.len() + 1);
         for &p in preds.iter().chain(std::iter::once(&l)) {
             let p = self.arena.resolve(p);
@@ -609,14 +704,14 @@ impl Velodrome {
             }
             s
         };
-        self.thread_mut(t).l = s;
+        self.threads[tr].l = s;
         s
     }
 
-    fn on_begin(&mut self, t: ThreadId, l: Label, idx: usize) {
-        if self.in_txn(t) {
+    fn on_begin(&mut self, t: ThreadId, tr: usize, l: Label, idx: usize) {
+        if !self.threads[tr].stack.is_empty() {
             // [INS2 RE-ENTER]: nested block within the current transaction.
-            let node = self.thread_mut(t).node;
+            let node = self.threads[tr].node;
             let s = match self.arena.bump(node) {
                 Ok(s) => s,
                 Err(e) => {
@@ -625,7 +720,7 @@ impl Velodrome {
                 }
             };
             let ts = s.ts().expect("bumped step");
-            let st = self.thread_mut(t);
+            let st = &mut self.threads[tr];
             st.l = s;
             st.stack.push(Block {
                 label: l,
@@ -634,7 +729,7 @@ impl Velodrome {
         } else {
             // [INS2 ENTER]: allocate a fresh transaction node, ordered after
             // the thread's previous transaction.
-            let prev = self.thread_mut(t).l;
+            let prev = self.threads[tr].l;
             let desc = NodeDesc {
                 thread: t,
                 label: Some(l),
@@ -650,7 +745,7 @@ impl Velodrome {
             let op = Op::Begin { t, l };
             let _ = self.add_edge(prev, s, op, idx);
             let (slot, ts) = s.unpack();
-            let st = self.thread_mut(t);
+            let st = &mut self.threads[tr];
             st.l = s;
             st.node = slot;
             // The cache is only valid for one fixed transaction node: the
@@ -663,11 +758,11 @@ impl Velodrome {
         }
     }
 
-    fn on_end(&mut self, t: ThreadId, idx: usize) {
-        if !self.in_txn(t) {
+    fn on_end(&mut self, t: ThreadId, tr: usize, idx: usize) {
+        if self.threads[tr].stack.is_empty() {
             return; // Stray end: tolerated, as in the trace semantics.
         }
-        let node = self.thread_mut(t).node;
+        let node = self.threads[tr].node;
         // On timestamp overflow the end step is `⊥` (L(t) keeps its last
         // valid step) but the block is still popped and the node finished,
         // so the graph stays consistent while the engine degrades.
@@ -678,7 +773,7 @@ impl Velodrome {
                 Step::NONE
             }
         };
-        let st = self.thread_mut(t);
+        let st = &mut self.threads[tr];
         if s.is_some() {
             st.l = s;
         }
@@ -690,43 +785,43 @@ impl Velodrome {
         }
     }
 
-    fn on_read(&mut self, t: ThreadId, x: VarId, op: Op, idx: usize) {
-        let w = self.w.get(&x).copied().unwrap_or(Step::NONE);
-        let s = self.advance(t, &[w], op, idx);
-        // A `⊥` step must not materialize an empty per-variable map:
-        // `advance` may just have degraded and released the whole store.
-        if s.is_some() {
-            self.r.entry(x).or_default().insert(t, s);
-        } else if let Some(per_var) = self.r.get_mut(&x) {
-            per_var.remove(&t);
+    fn on_read(&mut self, t: ThreadId, tr: usize, x: VarId, op: Op, idx: usize) {
+        let v = self.vars.row(x);
+        let w = self.vars[v].w;
+        let s = self.advance(t, tr, &[w], op, idx);
+        if self.released() {
+            return;
         }
-    }
-
-    fn on_write(&mut self, t: ThreadId, x: VarId, op: Op, idx: usize) {
-        let mut preds: Vec<Step> = Vec::new();
-        if let Some(per_var) = self.r.get(&x) {
-            preds.extend(per_var.values().copied());
-        }
-        preds.push(self.w.get(&x).copied().unwrap_or(Step::NONE));
-        let s = self.advance(t, &preds, op, idx);
+        let r = &mut self.vars[v].r;
         if s.is_some() {
-            self.w.insert(x, s);
+            r.insert(t, s);
         } else {
-            self.w.remove(&x);
+            r.remove(&t);
         }
+    }
+
+    fn on_write(&mut self, t: ThreadId, tr: usize, x: VarId, op: Op, idx: usize) {
+        let v = self.vars.row(x);
+        let mut preds: Vec<Step> = Vec::new();
+        preds.extend(self.vars[v].r.values().copied());
+        preds.push(self.vars[v].w);
+        let s = self.advance(t, tr, &preds, op, idx);
+        if self.released() {
+            return;
+        }
+        let var = &mut self.vars[v];
+        var.w = s;
         // Older reads are now transitively ordered through this write.
-        if let Some(per_var) = self.r.get_mut(&x) {
-            per_var.clear();
-        }
+        var.r.clear();
     }
 
-    fn on_acquire(&mut self, t: ThreadId, m: LockId, op: Op, idx: usize) {
+    fn on_acquire(&mut self, t: ThreadId, tr: usize, m: LockId, op: Op, idx: usize) {
         let u = self.u.get(&m).copied().unwrap_or(Step::NONE);
-        let _ = self.advance(t, &[u], op, idx);
+        let _ = self.advance(t, tr, &[u], op, idx);
     }
 
-    fn on_release(&mut self, t: ThreadId, m: LockId, op: Op, idx: usize) {
-        let s = self.advance(t, &[], op, idx);
+    fn on_release(&mut self, t: ThreadId, tr: usize, m: LockId, op: Op, idx: usize) {
+        let s = self.advance(t, tr, &[], op, idx);
         if s.is_some() {
             self.u.insert(m, s);
         } else {
@@ -734,16 +829,17 @@ impl Velodrome {
         }
     }
 
-    fn on_fork(&mut self, t: ThreadId, child: ThreadId, op: Op, idx: usize) {
-        let s = self.advance(t, &[], op, idx);
+    fn on_fork(&mut self, t: ThreadId, tr: usize, child: ThreadId, op: Op, idx: usize) {
+        let s = self.advance(t, tr, &[], op, idx);
         // The child's first operation is ordered after the fork: seed its
         // thread-order predecessor.
-        self.thread_mut(child).l = s;
+        let c = self.threads.row(child);
+        self.threads[c].l = s;
     }
 
-    fn on_join(&mut self, t: ThreadId, child: ThreadId, op: Op, idx: usize) {
-        let lc = self.thread_mut(child).l;
-        let _ = self.advance(t, &[lc], op, idx);
+    fn on_join(&mut self, t: ThreadId, tr: usize, child: ThreadId, op: Op, idx: usize) {
+        let lc = self.threads.get(child).map_or(Step::NONE, |c| c.l);
+        let _ = self.advance(t, tr, &[lc], op, idx);
     }
 
     /// Steps the ladder down to `to` (monotonic; a repeat at the same rung
@@ -769,21 +865,27 @@ impl Velodrome {
 
     /// Quarantines the hottest variables until at most `target` remain
     /// tracked. Hotter first; ties broken by lower raw id so runs are
-    /// deterministic. Quarantined variables drop their `R`/`W` entries,
+    /// deterministic. Quarantined variables drop their `R`/`W` steps,
     /// unpinning any transaction nodes those steps kept alive.
     fn quarantine_hottest(&mut self, target: usize) {
-        if self.var_heat.len() <= target {
+        if self.tracked <= target {
             return;
         }
-        let mut by_heat: Vec<(VarId, u64)> = self.var_heat.iter().map(|(&x, &h)| (x, h)).collect();
+        let mut by_heat: Vec<(VarId, u64, usize)> = self
+            .vars
+            .ids()
+            .map(|(x, row)| (x, self.vars[row].heat, row))
+            .filter(|&(_, heat, _)| heat > 0)
+            .collect();
         by_heat.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.raw().cmp(&b.0.raw())));
-        for (x, _) in by_heat.drain(..self.var_heat.len() - target) {
-            self.var_heat.remove(&x);
-            self.quarantined.insert(x);
-            self.w.remove(&x);
-            self.r.remove(&x);
+        for &(_, _, row) in &by_heat[..self.tracked - target] {
+            self.vars[row] = VarState {
+                quarantined: true,
+                ..VarState::default()
+            };
             self.stats.vars_quarantined += 1;
         }
+        self.tracked = target;
     }
 
     /// Budget enforcement, run before each operation when a budget is
@@ -792,16 +894,20 @@ impl Velodrome {
     fn enforce_budgets(&mut self, op: Op, idx: usize) -> bool {
         let b = self.cfg.budget;
         let var = match op {
-            Op::Read { x, .. } | Op::Write { x, .. } => Some(x),
+            Op::Read { x, .. } | Op::Write { x, .. } => Some(self.vars.row(x)),
             _ => None,
         };
-        if let Some(x) = var {
-            if self.quarantined.contains(&x) {
+        if let Some(v) = var {
+            let var = &mut self.vars[v];
+            if var.quarantined {
                 return true;
             }
-            *self.var_heat.entry(x).or_insert(0) += 1;
+            if var.heat == 0 {
+                self.tracked += 1;
+            }
+            var.heat += 1;
         }
-        if b.max_tracked_vars > 0 && self.var_heat.len() > b.max_tracked_vars {
+        if b.max_tracked_vars > 0 && self.tracked > b.max_tracked_vars {
             self.quarantine_hottest(b.max_tracked_vars);
             self.degrade(
                 DegradationLevel::VarQuarantine,
@@ -810,10 +916,8 @@ impl Velodrome {
                 "tracked-variable budget exhausted",
             );
             // The current op's variable may itself have been quarantined.
-            if let Some(x) = var {
-                if self.quarantined.contains(&x) {
-                    return true;
-                }
+            if var.is_some_and(|v| self.vars[v].quarantined) {
+                return true;
             }
         }
         if b.max_alive_nodes > 0 && self.arena.alive_count() > b.max_alive_nodes {
@@ -821,7 +925,7 @@ impl Velodrome {
                 // First trip: quarantine the hotter half of the tracked
                 // variables and give GC a grace window to reclaim the nodes
                 // their R/W steps were pinning.
-                self.quarantine_hottest((self.var_heat.len() / 2).max(1));
+                self.quarantine_hottest((self.tracked / 2).max(1));
                 self.degrade(
                     DegradationLevel::VarQuarantine,
                     op.tid(),
@@ -838,10 +942,7 @@ impl Velodrome {
                 );
                 // Analysis is over: release the store so memory stops
                 // growing. Events are still counted in `stats.ops`.
-                self.u.clear();
-                self.w.clear();
-                self.r.clear();
-                self.var_heat.clear();
+                self.release_store();
                 return true;
             }
         }
@@ -851,30 +952,32 @@ impl Velodrome {
     /// Applies one operation to the instrumentation store and the graph.
     #[inline]
     fn dispatch(&mut self, index: usize, op: Op) {
+        let t = op.tid();
+        let tr = self.threads.row(t);
         match op {
-            Op::Read { t, x } => self.on_read(t, x, op, index),
-            Op::Write { t, x } => self.on_write(t, x, op, index),
-            Op::Acquire { t, m } => self.on_acquire(t, m, op, index),
-            Op::Release { t, m } => self.on_release(t, m, op, index),
-            Op::Begin { t, l } => self.on_begin(t, l, index),
-            Op::End { t } => self.on_end(t, index),
-            Op::Fork { t, child } => self.on_fork(t, child, op, index),
-            Op::Join { t, child } => self.on_join(t, child, op, index),
+            Op::Read { x, .. } => self.on_read(t, tr, x, op, index),
+            Op::Write { x, .. } => self.on_write(t, tr, x, op, index),
+            Op::Acquire { m, .. } => self.on_acquire(t, tr, m, op, index),
+            Op::Release { m, .. } => self.on_release(t, tr, m, op, index),
+            Op::Begin { l, .. } => self.on_begin(t, tr, l, index),
+            Op::End { .. } => self.on_end(t, tr, index),
+            Op::Fork { child, .. } => self.on_fork(t, tr, child, op, index),
+            Op::Join { child, .. } => self.on_join(t, tr, child, op, index),
         }
     }
 
     /// Reports a detected cycle (path reconstruction, blame, warning),
     /// timed as `phase.cycle_check`.
-    fn report_cycle(&mut self, c: CycleFound, t: ThreadId, op: Op, idx: usize) {
+    fn report_cycle(&mut self, c: CycleFound, t: ThreadId, tr: usize, op: Op, idx: usize) {
         if !self.tele.on {
-            return self.record_cycle(c, t, op, idx);
+            return self.record_cycle(c, t, tr, op, idx);
         }
         let start = self.tele.cycle_check.begin(1);
-        self.record_cycle(c, t, op, idx);
+        self.record_cycle(c, t, tr, op, idx);
         self.tele.cycle_check.end(start);
     }
 
-    fn record_cycle(&mut self, c: CycleFound, t: ThreadId, op: Op, idx: usize) {
+    fn record_cycle(&mut self, c: CycleFound, t: ThreadId, tr: usize, op: Op, idx: usize) {
         self.stats.cycles_detected += 1;
         // Reconstruct the existing path current-txn →* edge-source; the
         // rejected edge closes the cycle.
@@ -909,7 +1012,7 @@ impl Velodrome {
         // timestamp; every enclosing atomic block whose begin precedes the
         // root contains both root and target operations and is refuted.
         let root_ts = edges[0].from_ts;
-        let stack = &self.threads[t.index()].stack;
+        let stack = &self.threads[tr].stack;
         let refuted: Vec<Label> = if increasing {
             stack
                 .iter()
@@ -1020,6 +1123,25 @@ pub fn check_trace_with(trace: &Trace, cfg: VelodromeConfig) -> (Vec<Warning>, V
 mod tests {
     use super::*;
     use velodrome_events::TraceBuilder;
+
+    #[test]
+    fn table_rows_follow_first_sight_not_raw_ids() {
+        let mut table: Table<ThreadId, u64> = Table::new();
+        let (big, small) = (ThreadId::new(u32::MAX), ThreadId::new(3));
+        assert!(table.get(big).is_none());
+        assert_eq!(table.rows.len(), 0, "get never creates a row");
+        assert_eq!(table.row(big), 0);
+        assert_eq!(table.row(small), 1);
+        table[0] = 7;
+        // The memo holds `small`; `big` goes through the map.
+        assert_eq!(table.row(big), 0);
+        assert_eq!(table.row(big), 0);
+        assert_eq!(table.get(big), Some(&7));
+        assert_eq!(table.rows.len(), 2);
+        let mut ids: Vec<(ThreadId, usize)> = table.ids().collect();
+        ids.sort();
+        assert_eq!(ids, [(small, 1), (big, 0)]);
+    }
 
     #[test]
     fn names_set_after_the_last_op_render_the_warnings() {

@@ -3,8 +3,8 @@
 //! and long-running stability.
 
 use velodrome::{check_trace_with, Velodrome, VelodromeConfig};
-use velodrome_events::{oracle, Trace, TraceBuilder};
-use velodrome_monitor::{run_tool, Tool};
+use velodrome_events::{oracle, Label, Op, ThreadId, Trace, TraceBuilder, VarId};
+use velodrome_monitor::{run_tool, DegradationLevel, ResourceBudget, Tool, WarningCategory};
 
 /// Millions of transactions force heavy slot recycling: stale steps from
 /// prior incarnations must never be misinterpreted.
@@ -247,4 +247,109 @@ fn engine_survives_multiple_trace_segments() {
     assert_eq!(engine.stats().cycles_detected, 3);
     let warnings = engine.take_warnings();
     assert_eq!(warnings.len(), 1, "per-label dedup across segments");
+}
+
+/// Quarantine picks the hottest tracked variables first and breaks a tie
+/// in heat by the lower raw id (not by first sight), and recorder-only
+/// mode keeps the quarantined list while it releases the store.
+#[test]
+fn quarantine_order_and_recorder_only_keep_the_list() {
+    let cfg = VelodromeConfig {
+        budget: ResourceBudget {
+            max_tracked_vars: 2,
+            max_alive_nodes: 2,
+            ..ResourceBudget::UNLIMITED
+        },
+        ..VelodromeConfig::default()
+    };
+    let mut engine = Velodrome::with_config(cfg);
+    let mut idx = 0;
+    let mut feed = |engine: &mut Velodrome, op: Op| {
+        engine.op(idx, op);
+        idx += 1;
+    };
+    let t0 = ThreadId::new(0);
+    let read = |t: ThreadId, x: u32| Op::Read {
+        t,
+        x: VarId::new(x),
+    };
+    // Heat (accesses while tracked) per variable, in first-seen order.
+    // T0's lone non-transactional reads allocate no node.
+    for (x, heat) in [(30, 2), (10, 2), (50, 1), (40, 3), (60, 1)] {
+        for _ in 0..heat {
+            feed(&mut engine, read(t0, x));
+        }
+    }
+    // x50 tripped the budget with x30 and x10 tied at heat 2: x10 goes
+    // (lower raw id), though x30 was seen first. x40's first access then
+    // quarantined x30 (heat 2 over x50's 1), and x60's the hottest, x40.
+    let phase1 = vec![VarId::new(10), VarId::new(30), VarId::new(40)];
+    assert_eq!(engine.quarantined_vars(), phase1);
+    assert_eq!(engine.stats().vars_quarantined, 3);
+    assert_eq!(engine.ladder(), DegradationLevel::VarQuarantine);
+    // Accesses to a quarantined variable are dropped: no heat, no change.
+    feed(&mut engine, read(t0, 10));
+    assert_eq!(engine.quarantined_vars(), phase1);
+
+    // Three open transactions break the alive-node budget at T3's read.
+    // The first trip quarantines the hotter half of the two tracked
+    // variables: x60, at heat 4 against x50's 1.
+    for t in 1..=3 {
+        let t = ThreadId::new(t);
+        feed(
+            &mut engine,
+            Op::Begin {
+                t,
+                l: Label::new(0),
+            },
+        );
+        feed(&mut engine, read(t, 60));
+    }
+    feed(&mut engine, read(t0, 60));
+    let phase2 = vec![
+        VarId::new(10),
+        VarId::new(30),
+        VarId::new(40),
+        VarId::new(60),
+    ];
+    assert_eq!(engine.quarantined_vars(), phase2);
+    assert_eq!(engine.stats().vars_quarantined, 4);
+    assert_eq!(engine.ladder(), DegradationLevel::VarQuarantine);
+    // The nodes stay alive through the grace window: recorder-only. (An
+    // access to a quarantined variable is dropped before the node check.)
+    for _ in 0..32 {
+        feed(&mut engine, read(t0, 50));
+    }
+    assert_eq!(engine.ladder(), DegradationLevel::RecorderOnly);
+    assert_eq!(engine.quarantined_vars(), phase2);
+    assert_eq!(engine.stats().vars_quarantined, 4);
+    // Later ops of every kind are only counted.
+    let before = engine.stats().ops;
+    for x in [10, 30, 60, 70] {
+        feed(&mut engine, read(ThreadId::new(1), x));
+        feed(
+            &mut engine,
+            Op::Write {
+                t: ThreadId::new(4),
+                x: VarId::new(x),
+            },
+        );
+    }
+    for t in 1..=3 {
+        feed(
+            &mut engine,
+            Op::End {
+                t: ThreadId::new(t),
+            },
+        );
+    }
+    engine.end_of_trace();
+    assert_eq!(engine.stats().ops, before + 11);
+    assert_eq!(engine.quarantined_vars(), phase2);
+    let degraded = engine
+        .take_warnings()
+        .into_iter()
+        .filter(|w| w.category == WarningCategory::Degraded)
+        .count();
+    assert_eq!(degraded, 2, "one warning per ladder transition");
 }

@@ -2,9 +2,13 @@
 //!
 //! The paper's semantics (Figure 1) ranges over thread identifiers `t ∈ Tid`,
 //! variables `x ∈ Var`, locks `m ∈ Lock`, and atomic-block labels `l ∈ Label`.
-//! Each is a dense small integer here so that analyses can use them as direct
-//! indices into per-entity tables. Human-readable names live in a side
-//! [`SymbolTable`] so the hot path never touches strings.
+//! Each is a plain `u32` here. A recorded or generated trace numbers its
+//! entities densely from 0, but a trace file may use any `u32`, such as
+//! thread id 4,000,000,000. So an id is not an index: an analysis that
+//! keeps per-entity tables must map each id to a dense row when it first
+//! sees it (as the Velodrome engine does), or its memory follows the
+//! largest id instead of the number of entities. Human-readable names live
+//! in a side [`SymbolTable`] so the hot path never touches strings.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -20,12 +24,14 @@ macro_rules! id_type {
         pub struct $name(u32);
 
         impl $name {
-            /// Creates an identifier from its dense index.
+            /// Creates an identifier from its raw value.
             pub const fn new(index: u32) -> Self {
                 Self(index)
             }
 
-            /// Returns the dense index backing this identifier.
+            /// Returns the raw value as a `usize`. It is dense only where
+            /// the trace numbers its entities densely (see the module
+            /// docs).
             pub const fn index(self) -> usize {
                 self.0 as usize
             }

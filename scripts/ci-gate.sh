@@ -118,13 +118,15 @@ if ! cmp -s "$tmp/canonical.out" "$tmp/spaced.out"; then
 fi
 
 echo "==> a VBT trace with multi-byte varint ids prints what its JSON source prints"
-# Ids of 2 to 5 varint bytes (≥ 128, ≥ 2^14, ≥ 2^21, ≥ 2^28). Thread ids
-# stay below 2^15: the engine keeps a dense per-thread table, so a thread
-# id of 2^28 would allocate gigabytes. The JSON is canonical, so the
-# VBT → JSON convert must give back its bytes.
+# Ids of 2 to 5 varint bytes (≥ 128, ≥ 2^14, ≥ 2^21, ≥ 2^28), the worker
+# thread's among them. Ids are arbitrary u32s, not indices: the checker
+# maps each distinct id to a row when first seen, so its memory follows
+# the number of threads, not the largest id, and the trace checks within
+# 1 GiB. The JSON is canonical, so the VBT → JSON convert must give back
+# its bytes.
 printf '{"ops":[%s],"names":{%s}}' \
-    '{"Fork":{"t":130,"child":20000}},{"Begin":{"t":130,"l":128}},{"Read":{"t":130,"x":129}},{"Write":{"t":20000,"x":129}},{"Write":{"t":130,"x":129}},{"End":{"t":130}},{"Begin":{"t":20000,"l":16384}},{"Acquire":{"t":20000,"m":70000}},{"Write":{"t":20000,"x":16500}},{"Release":{"t":20000,"m":70000}},{"End":{"t":20000}},{"Begin":{"t":130,"l":268435456}},{"Read":{"t":130,"x":268435500}},{"Write":{"t":130,"x":3000000}},{"End":{"t":130}},{"Join":{"t":130,"child":20000}}' \
-    '"threads":{"130":"main","20000":"worker"},"vars":{"129":"x","16500":"y","268435500":"z","3000000":"w"},"locks":{"70000":"lock"},"labels":{"128":"inc","16384":"put","268435456":"far"}' \
+    '{"Fork":{"t":130,"child":300000000}},{"Begin":{"t":130,"l":128}},{"Read":{"t":130,"x":129}},{"Write":{"t":300000000,"x":129}},{"Write":{"t":130,"x":129}},{"End":{"t":130}},{"Begin":{"t":300000000,"l":16384}},{"Acquire":{"t":300000000,"m":70000}},{"Write":{"t":300000000,"x":16500}},{"Release":{"t":300000000,"m":70000}},{"End":{"t":300000000}},{"Begin":{"t":130,"l":268435456}},{"Read":{"t":130,"x":268435500}},{"Write":{"t":130,"x":3000000}},{"End":{"t":130}},{"Join":{"t":130,"child":300000000}}' \
+    '"threads":{"130":"main","300000000":"worker"},"vars":{"129":"x","16500":"y","268435500":"z","3000000":"w"},"locks":{"70000":"lock"},"labels":{"128":"inc","16384":"put","268435456":"far"}' \
     > "$tmp/wide.json"
 cargo run --release -q -p velodrome-cli -- convert "$tmp/wide.json" "$tmp/wide.vbt" >/dev/null
 cargo run --release -q -p velodrome-cli -- convert "$tmp/wide.vbt" "$tmp/wide-back.json" >/dev/null
@@ -133,8 +135,14 @@ if ! cmp -s "$tmp/wide.json" "$tmp/wide-back.json"; then
     exit 1
 fi
 for flag in "" --json; do
-    cargo run --release -q -p velodrome-cli -- trace "$tmp/wide.json" $flag > "$tmp/wide-json.out"
-    cargo run --release -q -p velodrome-cli -- trace "$tmp/wide.vbt" $flag > "$tmp/wide-vbt.out"
+    for ext in json vbt; do
+        if ! (ulimit -v 1048576 && target/release/velodrome trace "$tmp/wide.$ext" $flag) \
+            > "$tmp/wide-$ext.out" 2>&1; then
+            echo "wide-id smoke: trace wide.$ext ${flag:-(plain)} failed within 1 GiB" >&2
+            cat "$tmp/wide-$ext.out" >&2
+            exit 1
+        fi
+    done
     if ! cmp -s "$tmp/wide-json.out" "$tmp/wide-vbt.out"; then
         echo "wide-id smoke: trace ${flag:-(plain)} output differs for wide.vbt" >&2
         diff "$tmp/wide-json.out" "$tmp/wide-vbt.out" | head -20 >&2

@@ -11,7 +11,7 @@
 //!   of each, are pinned per meterable backend (`phase.decode` included,
 //!   whatever the event source) and for the merged `check-batch`
 //!   snapshot, which sums the per-trace phase counts, decoded blocks
-//!   included.
+//!   included, and keeps the maximum of the ladder and peak gauges.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -399,5 +399,66 @@ fn batch_snapshot_sums_phase_counts() {
     assert_eq!(got, expected, "{backend}");
     assert!(got[names::PHASE_ADVANCE] > 0, "{backend}: {got:?}");
     assert!(got[names::PHASE_DECODE] > 0, "{backend}: {got:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The merged `check-batch` snapshot keeps the meaning of a rung and of a
+/// peak: `engine.ladder` and `arena.max_alive` merge by maximum, so two
+/// traces that each exhaust the arena read rung 3 and one trace's peak,
+/// while totals such as `engine.ops` still add.
+#[test]
+fn batch_snapshot_takes_the_max_of_ladder_and_peak_gauges() {
+    let dir = scratch_dir("batch-max");
+    let traces = dir.join("traces");
+    std::fs::create_dir_all(&traces).unwrap();
+    // T0 holds one block open around 70,000 short readers of x: more
+    // alive nodes than the arena has slots.
+    let mut ops = vec![
+        r#"{"Begin":{"t":0,"l":0}}"#.to_owned(),
+        r#"{"Write":{"t":0,"x":0}}"#.to_owned(),
+    ];
+    for _ in 0..70_000 {
+        ops.push(r#"{"Begin":{"t":1,"l":1}},{"Read":{"t":1,"x":0}},{"End":{"t":1}}"#.to_owned());
+    }
+    ops.push(r#"{"End":{"t":0}}"#.to_owned());
+    let json = format!(
+        r#"{{"ops":[{}],"names":{{"threads":{{}},"vars":{{}},"locks":{{}},"labels":{{}}}}}}"#,
+        ops.join(",")
+    );
+    for name in ["a.json", "b.json"] {
+        std::fs::write(traces.join(name), &json).unwrap();
+    }
+    let single = dir.join("single.jsonl").display().to_string();
+    run(&[
+        "trace",
+        &traces.join("a.json").display().to_string(),
+        &format!("--metrics-out={single}"),
+    ]);
+    let merged = dir.join("merged.jsonl").display().to_string();
+    run(&[
+        "check-batch",
+        &traces.display().to_string(),
+        "--jobs=2",
+        &format!("--metrics-out={merged}"),
+    ]);
+    let value = |path: &str, name: &str| -> u64 {
+        let text = std::fs::read_to_string(path).unwrap();
+        let v: serde_json::Value = serde_json::from_str(text.lines().last().unwrap()).unwrap();
+        v["metrics"][name]["value"]
+            .as_u64()
+            .unwrap_or_else(|| panic!("{name} in {path}"))
+    };
+    assert_eq!(value(&single, names::ENGINE_LADDER), 3, "one trace");
+    assert_eq!(value(&merged, names::ENGINE_LADDER), 3, "merged");
+    let peak = value(&single, names::ARENA_MAX_ALIVE);
+    assert!(peak > 60_000, "the readers fill the arena: {peak}");
+    assert_eq!(value(&merged, names::ARENA_MAX_ALIVE), peak);
+    assert_eq!(value(&single, names::ARENA_EXHAUSTED), 1);
+    assert_eq!(value(&merged, names::ARENA_EXHAUSTED), 2, "counters add");
+    assert_eq!(
+        value(&merged, names::ENGINE_OPS),
+        2 * value(&single, names::ENGINE_OPS),
+        "totals add"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
