@@ -8,17 +8,26 @@
 //! * `L` — per-thread step of the thread's last operation;
 //! * `U` — per-lock step of the last release;
 //! * `R` — per-variable, per-thread step of the last read (since the last
-//!   write — older reads are transitively ordered through the write chain);
+//!   write — older reads are transitively ordered through the write chain),
+//!   held as a vec sorted by raw thread id, with the reads that do not
+//!   extend it appended and sorted in when the vec fills or a write comes;
 //! * `W` — per-variable step of the last write;
 //! * `H` — the happens-before graph, held in the [`Arena`] with chain
 //!   clocks, timestamped edges, and reference-counting GC.
 //!
-//! `C` and `L` live in one record per thread, and `R` and `W` in one
-//! record per variable, together with the variable's budget bookkeeping.
-//! Ids in a trace are arbitrary `u32`s, so both kinds of record sit in a
-//! first-seen table that maps each distinct id to a dense row: memory
-//! follows the number of distinct threads and variables, not the largest
-//! id.
+//! `C` and `L` live in one record per thread, `R` and `W` in one record
+//! per variable, together with the variable's budget bookkeeping, and `U`
+//! in one per lock. Ids in a trace are arbitrary `u32`s, so each kind of
+//! record sits in a first-seen table that maps each distinct id to a dense
+//! row: memory follows the number of distinct ids, not the largest one.
+//! The tables hash ids with one folded multiply under a key drawn once per
+//! engine, so a trace crafted to collide ids cannot know the key.
+//!
+//! In a steady state (every id seen, no new peak in read-set size or alive
+//! nodes, no cycle reported) an operation allocates nothing: read sets are
+//! sorted and cleared in place, each thread's block stack is reused, and the
+//! predecessor lists of an operation are built in scratch buffers the
+//! engine keeps.
 //!
 //! With [`VelodromeConfig::merge`] enabled the engine uses the optimized
 //! Figure 4 rules: operations outside any transaction allocate a node only
@@ -34,8 +43,10 @@
 use crate::arena::{Arena, ArenaError, CycleFound, NodeDesc};
 use crate::report::{CycleReport, ReportEdge, ReportNode};
 use crate::step::{SlotIdx, Step, Ts};
-use std::collections::{BTreeMap, HashMap};
-use std::hash::Hash;
+use std::cmp::Reverse;
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::ops::{Index, IndexMut};
 use velodrome_events::{Label, LockId, Op, SymbolTable, ThreadId, Trace, VarId};
 use velodrome_monitor::budget::{DegradationLevel, ResourceBudget};
@@ -265,11 +276,18 @@ struct ThreadState {
 struct VarState {
     /// `W(x)`: step of the last write.
     w: Step,
-    /// `R(x)`: last read step per thread since the last write. Keyed and
-    /// ordered by raw thread id, not by thread row, so predecessors reach
-    /// the arena in the same order whatever order the threads were first
-    /// seen in (edge order decides which cycle path a report shows).
-    r: BTreeMap<ThreadId, Step>,
+    /// `R(x)`: the last read step per thread since the last write, `⊥`
+    /// for none. The first `settled` entries are sorted by raw thread id
+    /// (not by thread row, so predecessors reach the arena in the same
+    /// order whatever order the threads were first seen in; edge order
+    /// decides which cycle path a report shows), one per thread. A read
+    /// by one of those threads updates its entry; a read by any other
+    /// thread extends the sorted entries if it sorts after them all, and
+    /// is appended otherwise. [`settle`](Self::settle) folds the appended
+    /// reads in when the vec fills and before a write, which then clears
+    /// it and keeps its capacity.
+    r: Vec<Read>,
+    settled: u32,
     /// Accesses while tracked, counted only when a budget is configured;
     /// non-zero exactly for the tracked variables. Picks the hottest ones
     /// for quarantine.
@@ -282,13 +300,96 @@ struct VarState {
     quarantined: bool,
 }
 
+/// One entry of a read set ([`VarState::r`]).
+#[derive(Debug, Clone, Copy)]
+struct Read {
+    t: ThreadId,
+    /// The entry's place in the vec, kept through
+    /// [`settle`](VarState::settle)'s sort: of one thread's reads, the
+    /// latest has the largest `seq`.
+    seq: u32,
+    /// The read's step, `⊥` where the read resolved to none.
+    s: Step,
+}
+
+impl VarState {
+    /// Folds the appended reads in: leaves `r` sorted by raw thread id,
+    /// each thread's latest read only. Sorts in place: no allocation.
+    fn settle(&mut self) {
+        let r = &mut self.r;
+        r.sort_unstable_by_key(|e| (e.t, Reverse(e.seq)));
+        r.dedup_by_key(|e| e.t);
+        for (i, e) in r.iter_mut().enumerate() {
+            e.seq = i as u32;
+        }
+        self.settled = r.len() as u32;
+    }
+}
+
+/// The hash of a [`Table`]'s ids: one folded multiply of the id under a
+/// random key. Cheaper than std's SipHash, and still keyed: ids come from
+/// the trace, and under an unkeyed multiply a file using ids `i << 16`
+/// collides them into one run of buckets (the trace in
+/// `tests/crafted_ids.rs` then took 90× as long). The key is drawn from
+/// std's [`RandomState`] once per engine.
+#[derive(Debug, Clone, Copy)]
+struct IdHash {
+    key: u64,
+    mul: u64,
+}
+
+impl IdHash {
+    fn random() -> Self {
+        let s = RandomState::new();
+        Self {
+            key: s.hash_one(0u64),
+            mul: s.hash_one(1u64) | 1,
+        }
+    }
+}
+
+impl BuildHasher for IdHash {
+    type Hasher = IdHasher;
+
+    fn build_hasher(&self) -> IdHasher {
+        IdHasher {
+            keys: *self,
+            hash: 0,
+        }
+    }
+}
+
+/// The [`Hasher`] of [`IdHash`]. Ids hash as one `u32`; other input is
+/// folded in a byte at a time.
+struct IdHasher {
+    keys: IdHash,
+    hash: u64,
+}
+
+impl Hasher for IdHasher {
+    fn write_u32(&mut self, n: u32) {
+        let x = (self.hash ^ u64::from(n) ^ self.keys.key) as u128 * self.keys.mul as u128;
+        self.hash = (x as u64) ^ ((x >> 64) as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
 /// A first-seen table: maps each distinct raw id to a dense row, rows in
 /// the order their ids were first seen. Ids in a trace are arbitrary
 /// `u32`s, so memory follows the number of distinct ids, not the largest.
 #[derive(Debug)]
 struct Table<K, V> {
     /// Raw id → row.
-    index: HashMap<K, u32>,
+    index: HashMap<K, u32, IdHash>,
     rows: Vec<V>,
     /// The id [`row`](Self::row) resolved last, and its row: consecutive
     /// ops of one thread, or on one variable, skip the hash.
@@ -296,9 +397,9 @@ struct Table<K, V> {
 }
 
 impl<K: Copy + Eq + Hash, V: Default> Table<K, V> {
-    fn new() -> Self {
+    fn new(hash: IdHash) -> Self {
         Self {
-            index: HashMap::new(),
+            index: HashMap::with_hasher(hash),
             rows: Vec::new(),
             last: None,
         }
@@ -357,10 +458,21 @@ pub struct Velodrome {
     arena: Arena,
     /// `C` and `L`, one row per thread.
     threads: Table<ThreadId, ThreadState>,
-    /// `U`: last release step per lock.
-    u: HashMap<LockId, Step>,
+    /// `U`: last release step, one row per lock.
+    u: Table<LockId, Step>,
     /// `R`, `W` and the budget bookkeeping, one row per variable.
     vars: Table<VarId, VarState>,
+    /// Scratch for [`on_write`](Self::on_write)'s predecessors, kept
+    /// across ops for its capacity.
+    preds: Vec<Step>,
+    /// Scratch for the non-transactional path of
+    /// [`advance`](Self::advance): the op's resolved predecessors, one per
+    /// node.
+    args: Vec<Step>,
+    /// `args_at[slot]`: where slot's entry sits in `args`, valid only if
+    /// that entry is on `slot` (a sparse set, so it needs no clearing).
+    /// Kept across ops; grows to the largest slot seen.
+    args_at: Vec<u32>,
     /// Variables with non-zero heat: accessed under a budget and neither
     /// quarantined nor released since.
     tracked: usize,
@@ -397,12 +509,16 @@ impl Velodrome {
     pub fn with_config(cfg: VelodromeConfig) -> Self {
         let arena = Arena::with_options(cfg.gc, cfg.elide_redundant_edges);
         let tele = EngineTele::new(&cfg.telemetry);
+        let hash = IdHash::random();
         Self {
             cfg,
             arena,
-            threads: Table::new(),
-            u: HashMap::new(),
-            vars: Table::new(),
+            threads: Table::new(hash),
+            u: Table::new(hash),
+            vars: Table::new(hash),
+            preds: Vec::new(),
+            args: Vec::new(),
+            args_at: Vec::new(),
             tracked: 0,
             warnings: Vec::new(),
             unrendered: Vec::new(),
@@ -555,7 +671,7 @@ impl Velodrome {
     /// rows stay, because an `end` still pops its block and finishes its
     /// node. Row indices stay valid.
     fn release_store(&mut self) {
-        self.u.clear();
+        self.u.rows.fill(Step::NONE);
         for v in &mut self.vars.rows {
             *v = VarState {
                 quarantined: v.quarantined,
@@ -621,19 +737,28 @@ impl Velodrome {
         }
         // Non-transactional operation: gather the resolved predecessors,
         // including the thread-order predecessor L(t), deduplicated per node
-        // (keeping the latest timestamp).
+        // (first occurrence order, keeping the latest timestamp).
         let l = self.threads[tr].l;
-        let mut args: Vec<Step> = Vec::with_capacity(preds.len() + 1);
+        let mut args = std::mem::take(&mut self.args);
+        args.clear();
         for &p in preds.iter().chain(std::iter::once(&l)) {
             let p = self.arena.resolve(p);
             if let Some((n, ts)) = p.is_some().then(|| p.unpack()) {
-                match args.iter_mut().find(|a| a.slot() == Some(n)) {
+                let n = usize::from(n);
+                if n >= self.args_at.len() {
+                    self.args_at.resize(n + 1, 0);
+                }
+                let at = self.args_at[n] as usize;
+                match args.get_mut(at).filter(|a| a.slot() == p.slot()) {
                     Some(a) => {
                         if ts > a.ts().expect("resolved step") {
                             *a = p;
                         }
                     }
-                    None => args.push(p),
+                    None => {
+                        self.args_at[n] = args.len() as u32;
+                        args.push(p);
+                    }
                 }
             }
         }
@@ -704,6 +829,7 @@ impl Velodrome {
             }
             s
         };
+        self.args = args;
         self.threads[tr].l = s;
         s
     }
@@ -751,10 +877,11 @@ impl Velodrome {
             // The cache is only valid for one fixed transaction node: the
             // previous node's slot may since have been recycled.
             st.skip = None;
-            st.stack = vec![Block {
+            st.stack.clear();
+            st.stack.push(Block {
                 label: l,
                 start_ts: ts,
-            }];
+            });
         }
     }
 
@@ -792,20 +919,46 @@ impl Velodrome {
         if self.released() {
             return;
         }
-        let r = &mut self.vars[v].r;
-        if s.is_some() {
-            r.insert(t, s);
-        } else {
-            r.remove(&t);
+        let var = &mut self.vars[v];
+        let settled = var.settled as usize;
+        match var.r[..settled].binary_search_by_key(&t, |e| e.t) {
+            Ok(i) => {
+                var.r[i].s = s;
+                return;
+            }
+            // Past every sorted entry, with nothing appended yet: the
+            // entries stay sorted.
+            Err(i) if i == var.r.len() => {
+                let seq = i as u32;
+                var.r.push(Read { t, seq, s });
+                var.settled += 1;
+                return;
+            }
+            Err(_) => {}
         }
+        if var.r.len() == var.r.capacity() {
+            // Leave as much room as there are entries, so the next settle
+            // is as many reads away: amortized O(log |R(x)|) per read in
+            // any thread order.
+            var.settle();
+            var.r.reserve(var.r.len());
+        }
+        let seq = var.r.len() as u32;
+        var.r.push(Read { t, seq, s });
     }
 
     fn on_write(&mut self, t: ThreadId, tr: usize, x: VarId, op: Op, idx: usize) {
         let v = self.vars.row(x);
-        let mut preds: Vec<Step> = Vec::new();
-        preds.extend(self.vars[v].r.values().copied());
-        preds.push(self.vars[v].w);
+        let mut preds = std::mem::take(&mut self.preds);
+        preds.clear();
+        let var = &mut self.vars[v];
+        if var.settled as usize != var.r.len() {
+            var.settle();
+        }
+        preds.extend(var.r.iter().filter(|e| e.s.is_some()).map(|e| e.s));
+        preds.push(var.w);
         let s = self.advance(t, tr, &preds, op, idx);
+        self.preds = preds;
         if self.released() {
             return;
         }
@@ -813,20 +966,19 @@ impl Velodrome {
         var.w = s;
         // Older reads are now transitively ordered through this write.
         var.r.clear();
+        var.settled = 0;
     }
 
     fn on_acquire(&mut self, t: ThreadId, tr: usize, m: LockId, op: Op, idx: usize) {
-        let u = self.u.get(&m).copied().unwrap_or(Step::NONE);
+        let row = self.u.row(m);
+        let u = self.u[row];
         let _ = self.advance(t, tr, &[u], op, idx);
     }
 
     fn on_release(&mut self, t: ThreadId, tr: usize, m: LockId, op: Op, idx: usize) {
         let s = self.advance(t, tr, &[], op, idx);
-        if s.is_some() {
-            self.u.insert(m, s);
-        } else {
-            self.u.remove(&m);
-        }
+        let row = self.u.row(m);
+        self.u[row] = s;
     }
 
     fn on_fork(&mut self, t: ThreadId, tr: usize, child: ThreadId, op: Op, idx: usize) {
@@ -1126,7 +1278,7 @@ mod tests {
 
     #[test]
     fn table_rows_follow_first_sight_not_raw_ids() {
-        let mut table: Table<ThreadId, u64> = Table::new();
+        let mut table: Table<ThreadId, u64> = Table::new(IdHash::random());
         let (big, small) = (ThreadId::new(u32::MAX), ThreadId::new(3));
         assert!(table.get(big).is_none());
         assert_eq!(table.rows.len(), 0, "get never creates a row");
@@ -1141,6 +1293,57 @@ mod tests {
         let mut ids: Vec<(ThreadId, usize)> = table.ids().collect();
         ids.sort();
         assert_eq!(ids, [(small, 1), (big, 0)]);
+    }
+
+    /// The most ids that hash into any one of 64 equal runs of a table
+    /// of `2^bits` buckets. The table picks a bucket from the hash's low
+    /// `bits` bits.
+    fn fullest_run(hashes: impl Iterator<Item = u64>, bits: u32) -> usize {
+        let mut runs = [0; 64];
+        for h in hashes {
+            runs[((h & ((1 << bits) - 1)) >> (bits - 6)) as usize] += 1;
+        }
+        runs.into_iter().max().unwrap()
+    }
+
+    #[test]
+    fn id_hash_spreads_crafted_ids_over_buckets() {
+        // The ids of `tests/crafted_ids.rs`: 2^16 variables `i << 16` fill
+        // a table of 2^17 buckets, 2^12 threads `r << 20` one of 2^13.
+        // Each of 64 runs of buckets should hold near its share of the
+        // ids, under every key.
+        for _ in 0..4 {
+            let hash = IdHash::random();
+            let vars = (0..1u32 << 16).map(|i| hash.hash_one(VarId::new(i << 16)));
+            assert!(fullest_run(vars, 17) <= 2 * (1 << 16) / 64);
+            let threads = (0..1u32 << 12).map(|r| hash.hash_one(ThreadId::new(r << 20)));
+            assert!(fullest_run(threads, 13) <= 2 * (1 << 12) / 64);
+        }
+    }
+
+    #[test]
+    fn settle_keeps_each_threads_latest_read_in_id_order() {
+        let (t1, t5, t9) = (ThreadId::new(1), ThreadId::new(5), ThreadId::new(9));
+        let step = |ts| Step::new(0, ts);
+        let mut var = VarState::default();
+        for (t, s) in [
+            (t9, step(1)),
+            (t1, step(2)),
+            (t5, step(3)),
+            (t9, step(4)),
+            (t1, Step::NONE),
+            (t5, step(5)),
+        ] {
+            let seq = var.r.len() as u32;
+            var.r.push(Read { t, seq, s });
+        }
+        var.settle();
+        let got: Vec<(ThreadId, Step, u32)> = var.r.iter().map(|e| (e.t, e.s, e.seq)).collect();
+        assert_eq!(
+            got,
+            [(t1, Step::NONE, 0), (t5, step(5), 1), (t9, step(4), 2)]
+        );
+        assert_eq!(var.settled, 3);
     }
 
     #[test]

@@ -15,6 +15,18 @@ fn arb_clock() -> impl Strategy<Value = VectorClock> {
     })
 }
 
+/// A clock over sparse thread ids `0..16`, with its dense twin.
+fn arb_sparse() -> impl Strategy<Value = (VectorClock, [u64; 16])> {
+    prop::collection::vec((0u32..16, 0u64..5), 0..12).prop_map(|sets| {
+        let (mut c, mut dense) = (VectorClock::new(), [0; 16]);
+        for (t, v) in sets {
+            c.set(ThreadId::new(t), v);
+            dense[t as usize] = v;
+        }
+        (c, dense)
+    })
+}
+
 fn joined(a: &VectorClock, b: &VectorClock) -> VectorClock {
     let mut j = a.clone();
     j.join(b);
@@ -79,5 +91,16 @@ proptest! {
     fn concurrent_is_symmetric_and_irreflexive(a in arb_clock(), b in arb_clock()) {
         prop_assert_eq!(a.concurrent_with(&b), b.concurrent_with(&a));
         prop_assert!(!a.concurrent_with(&a));
+    }
+
+    #[test]
+    fn join_and_le_match_a_dense_reference(a in arb_sparse(), b in arb_sparse()) {
+        let ((a, da), (b, db)) = (a, b);
+        let ab = joined(&a, &b);
+        for t in 0..16 {
+            prop_assert_eq!(ab.get(ThreadId::new(t)), da[t as usize].max(db[t as usize]));
+        }
+        prop_assert_eq!(a.le(&b), da.iter().zip(&db).all(|(x, y)| x <= y));
+        prop_assert_eq!(a.is_zero(), da.iter().all(|&x| x == 0));
     }
 }
