@@ -16,23 +16,31 @@
 //!   telemetry registry, so per-trace warnings and notes are byte-identical
 //!   to a serial single-trace run of the same backend.
 //! * **Deterministic report order.** Workers claim work from an atomic
-//!   queue, but results are stored by input index: the JSONL report lists
-//!   traces in input order no matter how the pool interleaved.
+//!   queue, but hand each result to the sink in input order: a result
+//!   that finishes before an earlier trace waits in a commit window, which
+//!   is drained as soon as the gap closes.
+//! * **Memory that follows the pool, not the batch.** A trace's report
+//!   line goes out as soon as it and every earlier trace are done, and its
+//!   metrics merge into the batch totals when it finishes. The runner
+//!   holds `jobs` traces' analysis state plus the lines waiting in the
+//!   window; the worst case is one slow early trace, behind which every
+//!   later line waits.
 //! * **Isolation.** A panicking analysis quarantines that trace (status
 //!   `quarantined`, the panic message preserved); unreadable or malformed
 //!   files fail that trace (status `error`); neither aborts the batch.
 
 use crate::backend::{self, Backend, Events, RunConfig};
-use crate::{err, io_err, CliError, Options, USAGE};
+use crate::{err, io_err, remove_partial, write_err, CliError, Options, USAGE};
 use serde::value::{Map, Number, Value};
 use serde::Serialize as _;
 use std::collections::BTreeMap;
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use velodrome_monitor::Warning;
 use velodrome_sim::WatchdogStats;
-use velodrome_telemetry::{names, MetricValue, Snapshot, Telemetry};
+use velodrome_telemetry::{names, JsonlExporter, MetricValue, Snapshot, Telemetry};
 
 /// What to run: the trace files, the pool size, and the backend.
 #[derive(Debug, Clone)]
@@ -96,125 +104,154 @@ pub struct TraceOutcome {
     pub message: Option<String>,
 }
 
-/// Everything `check-batch` reports: per-trace outcomes plus aggregates.
-#[derive(Debug)]
-pub struct BatchReport {
-    /// Per-trace outcomes, in input order.
-    pub outcomes: Vec<TraceOutcome>,
+fn num(v: u64) -> Value {
+    Value::Num(Number::from_u64(v))
+}
+
+impl TraceOutcome {
+    /// Renders this trace's line of the JSONL report, newline included.
+    pub(crate) fn to_json_line(&self) -> String {
+        let mut m = Map::new();
+        m.insert("path".into(), Value::Str(self.path.clone()));
+        m.insert("status".into(), Value::Str(self.status.as_str().into()));
+        match self.status {
+            TraceStatus::Ok => {
+                m.insert("events".into(), num(self.events as u64));
+                m.insert("millis".into(), num(self.millis));
+                m.insert("decode_ms".into(), num(self.decode_ms));
+                m.insert("analyze_ms".into(), num(self.analyze_ms));
+                m.insert("serializable".into(), Value::Bool(self.warnings.is_empty()));
+                m.insert("warnings".into(), self.warnings.serialize_value());
+                m.insert(
+                    "notes".into(),
+                    Value::Array(self.notes.iter().map(|n| Value::Str(n.clone())).collect()),
+                );
+            }
+            TraceStatus::Error | TraceStatus::Quarantined => {
+                m.insert(
+                    "error".into(),
+                    Value::Str(self.message.clone().unwrap_or_default()),
+                );
+            }
+        }
+        json_line(Value::Object(m))
+    }
+}
+
+fn json_line(v: Value) -> String {
+    let mut line = serde_json::to_string(&v).expect("report serializes");
+    line.push('\n');
+    line
+}
+
+/// Aggregate counts over a batch, kept as a running tally while it runs.
+#[derive(Debug, Clone, Default)]
+pub struct BatchSummary {
+    /// Traces checked.
+    pub traces: usize,
+    /// Traces with [`TraceStatus::Ok`].
+    pub ok: usize,
+    /// Traces with [`TraceStatus::Error`].
+    pub failed: usize,
+    /// Traces with [`TraceStatus::Quarantined`].
+    pub quarantined: usize,
+    /// Total operations across successfully checked traces.
+    pub events: u64,
+    /// Total warnings across successfully checked traces.
+    pub warnings: u64,
     /// Wall milliseconds for the whole batch.
     pub wall_millis: u64,
     /// Worker-pool size the batch ran with.
     pub jobs: usize,
     /// Backend every trace was checked with.
     pub backend: String,
-    /// Merged telemetry snapshot (with `batch.*` gauges), when requested.
-    pub merged: Option<Snapshot>,
 }
 
-impl BatchReport {
-    /// Traces with [`TraceStatus::Ok`].
-    pub fn ok(&self) -> usize {
-        self.count(TraceStatus::Ok)
-    }
-
-    /// Traces with [`TraceStatus::Error`].
-    pub fn failed(&self) -> usize {
-        self.count(TraceStatus::Error)
-    }
-
-    /// Traces with [`TraceStatus::Quarantined`].
-    pub fn quarantined(&self) -> usize {
-        self.count(TraceStatus::Quarantined)
-    }
-
-    fn count(&self, status: TraceStatus) -> usize {
-        self.outcomes.iter().filter(|o| o.status == status).count()
-    }
-
-    /// Total operations across successfully checked traces.
-    pub fn events(&self) -> u64 {
-        self.outcomes.iter().map(|o| o.events as u64).sum()
-    }
-
-    /// Total warnings across successfully checked traces.
-    pub fn warnings_total(&self) -> u64 {
-        self.outcomes.iter().map(|o| o.warnings.len() as u64).sum()
+impl BatchSummary {
+    fn count(&mut self, status: TraceStatus, events: u64, warnings: u64) {
+        self.traces += 1;
+        match status {
+            TraceStatus::Ok => self.ok += 1,
+            TraceStatus::Error => self.failed += 1,
+            TraceStatus::Quarantined => self.quarantined += 1,
+        }
+        self.events += events;
+        self.warnings += warnings;
     }
 
     /// Aggregate throughput in events per second of wall time.
     pub fn events_per_sec(&self) -> u64 {
         if self.wall_millis == 0 {
-            return self.events() * 1000;
+            return self.events * 1000;
         }
-        self.events() * 1000 / self.wall_millis
+        self.events * 1000 / self.wall_millis
     }
 
-    /// Renders the machine-readable report: one JSON line per trace (in
-    /// input order), then one `{"summary":…}` line.
-    pub fn to_jsonl(&self) -> String {
-        let num = |v: u64| Value::Num(Number::from_u64(v));
-        let mut out = String::new();
-        for o in &self.outcomes {
-            let mut m = Map::new();
-            m.insert("path".into(), Value::Str(o.path.clone()));
-            m.insert("status".into(), Value::Str(o.status.as_str().into()));
-            match o.status {
-                TraceStatus::Ok => {
-                    m.insert("events".into(), num(o.events as u64));
-                    m.insert("millis".into(), num(o.millis));
-                    m.insert("decode_ms".into(), num(o.decode_ms));
-                    m.insert("analyze_ms".into(), num(o.analyze_ms));
-                    m.insert("serializable".into(), Value::Bool(o.warnings.is_empty()));
-                    m.insert("warnings".into(), o.warnings.serialize_value());
-                    m.insert(
-                        "notes".into(),
-                        Value::Array(o.notes.iter().map(|n| Value::Str(n.clone())).collect()),
-                    );
-                }
-                TraceStatus::Error | TraceStatus::Quarantined => {
-                    m.insert(
-                        "error".into(),
-                        Value::Str(o.message.clone().unwrap_or_default()),
-                    );
-                }
-            }
-            out.push_str(&serde_json::to_string(&Value::Object(m)).expect("report serializes"));
-            out.push('\n');
-        }
+    /// Renders the report's last line, `{"summary":…}`, newline included.
+    pub(crate) fn to_json_line(&self) -> String {
         let mut s = Map::new();
-        s.insert("traces".into(), num(self.outcomes.len() as u64));
-        s.insert("ok".into(), num(self.ok() as u64));
-        s.insert("failed".into(), num(self.failed() as u64));
-        s.insert("quarantined".into(), num(self.quarantined() as u64));
-        s.insert("events".into(), num(self.events()));
-        s.insert("warnings".into(), num(self.warnings_total()));
+        s.insert("traces".into(), num(self.traces as u64));
+        s.insert("ok".into(), num(self.ok as u64));
+        s.insert("failed".into(), num(self.failed as u64));
+        s.insert("quarantined".into(), num(self.quarantined as u64));
+        s.insert("events".into(), num(self.events));
+        s.insert("warnings".into(), num(self.warnings));
         s.insert("wall_millis".into(), num(self.wall_millis));
         s.insert("events_per_sec".into(), num(self.events_per_sec()));
         s.insert("jobs".into(), num(self.jobs as u64));
         s.insert("backend".into(), Value::Str(self.backend.clone()));
         let mut root = Map::new();
         root.insert("summary".into(), Value::Object(s));
-        out.push_str(&serde_json::to_string(&Value::Object(root)).expect("report serializes"));
-        out.push('\n');
-        out
+        json_line(Value::Object(root))
     }
 
     /// One human-readable summary line.
-    pub fn summary_line(&self) -> String {
+    pub(crate) fn text_line(&self) -> String {
         format!(
             "checked {} traces ({} ok, {} failed, {} quarantined): {} events, \
              {} warnings, {} ms with {} jobs ({} events/sec)\n",
-            self.outcomes.len(),
-            self.ok(),
-            self.failed(),
-            self.quarantined(),
-            self.events(),
-            self.warnings_total(),
+            self.traces,
+            self.ok,
+            self.failed,
+            self.quarantined,
+            self.events,
+            self.warnings,
             self.wall_millis,
             self.jobs,
             self.events_per_sec(),
         )
     }
+
+    /// The merged telemetry of the batch with the `batch.*` gauges added.
+    fn snapshot(&self, mut metrics: BTreeMap<String, MetricValue>) -> Snapshot {
+        for (name, value) in [
+            (names::BATCH_TRACES_CHECKED, self.ok as u64),
+            (names::BATCH_TRACES_FAILED, self.failed as u64),
+            (names::BATCH_TRACES_QUARANTINED, self.quarantined as u64),
+            (names::BATCH_EVENTS_TOTAL, self.events),
+            (names::BATCH_EVENTS_PER_SEC, self.events_per_sec()),
+            (names::BATCH_WARNINGS_TOTAL, self.warnings),
+            (names::BATCH_JOBS, self.jobs as u64),
+        ] {
+            metrics.insert(name.into(), MetricValue::Gauge(value));
+        }
+        Snapshot {
+            seq: 0,
+            events: self.events,
+            metrics,
+        }
+    }
+}
+
+/// Everything [`run_batch`] collects: per-trace outcomes plus aggregates.
+#[derive(Debug)]
+pub struct BatchReport {
+    /// Per-trace outcomes, in input order.
+    pub outcomes: Vec<TraceOutcome>,
+    /// Aggregate counts and timing.
+    pub summary: BatchSummary,
+    /// Merged telemetry snapshot (with `batch.*` gauges), when requested.
+    pub merged: Option<Snapshot>,
 }
 
 /// Checks one trace file end to end: stream it (either format) into the
@@ -335,83 +372,136 @@ fn merge_metrics(into: &mut BTreeMap<String, MetricValue>, from: &Snapshot) {
     }
 }
 
-/// Runs the batch: fans `cfg.paths` over a pool of `cfg.jobs` workers and
-/// aggregates per-trace outcomes (in input order) plus, when requested,
-/// one merged telemetry snapshot carrying the `batch.*` gauges.
-pub fn run_batch(cfg: &BatchConfig) -> Result<BatchReport, CliError> {
+/// Checks what a batch needs before anything is read or created: the pool
+/// size, then the backend name.
+fn validate(cfg: &BatchConfig) -> Result<&'static Backend, CliError> {
     if cfg.jobs == 0 {
         return Err(err("check-batch requires --jobs >= 1"));
     }
-    let backend = backend::resolve(&cfg.backend, cfg.collect_metrics)?;
-    type Slot = Option<(TraceOutcome, Option<Snapshot>)>;
+    backend::resolve(&cfg.backend, cfg.collect_metrics)
+}
+
+/// The state the workers share behind one lock: the commit window and the
+/// running totals.
+struct Window<T, S> {
+    /// Input index of the next result the sink takes.
+    next: usize,
+    /// Finished results waiting on an earlier trace, by input index.
+    parked: BTreeMap<usize, T>,
+    sink: S,
+    /// The sink's first error; later results are dropped.
+    error: Option<io::Error>,
+    summary: BatchSummary,
+    metrics: BTreeMap<String, MetricValue>,
+}
+
+impl<T, S: FnMut(T) -> io::Result<()>> Window<T, S> {
+    /// Takes trace `i`'s result, then hands the sink every result that is
+    /// now next in input order.
+    fn commit(&mut self, i: usize, mut item: T) {
+        if self.error.is_some() {
+            return;
+        }
+        if i != self.next {
+            self.parked.insert(i, item);
+            return;
+        }
+        loop {
+            if let Err(e) = (self.sink)(item) {
+                self.error = Some(e);
+                self.parked.clear();
+                return;
+            }
+            self.next += 1;
+            match self.parked.remove(&self.next) {
+                Some(parked) => item = parked,
+                None => return,
+            }
+        }
+    }
+}
+
+/// The pool core: fans `cfg.paths` over `cfg.jobs` workers. Each worker
+/// turns its outcome into a `T` with `prepare` outside the lock, merges the
+/// trace's metrics and counts into the running totals, and commits the
+/// `T`; `sink` takes the `T`s in input order. After a sink error no new
+/// trace is started, and the error is returned.
+fn run_pool<T: Send>(
+    cfg: &BatchConfig,
+    backend: &Backend,
+    prepare: impl Fn(TraceOutcome) -> T + Sync,
+    sink: impl FnMut(T) -> io::Result<()> + Send,
+) -> io::Result<(BatchSummary, Option<Snapshot>)> {
     let start = std::time::Instant::now();
     let n = cfg.paths.len();
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Slot>> = Mutex::new((0..n).map(|_| None).collect());
+    let claim = AtomicUsize::new(0);
+    let window = Mutex::new(Window {
+        next: 0,
+        parked: BTreeMap::new(),
+        sink,
+        error: None,
+        summary: BatchSummary::default(),
+        metrics: BTreeMap::new(),
+    });
     std::thread::scope(|scope| {
         for _ in 0..cfg.jobs.min(n.max(1)) {
             scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
+                // The cursor publishes no other data: Relaxed suffices.
+                let i = claim.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
                 }
-                let result = check_one(&cfg.paths[i], backend, cfg.collect_metrics);
-                slots.lock().expect("batch results poisoned")[i] = Some(result);
+                let (outcome, snapshot) = check_one(&cfg.paths[i], backend, cfg.collect_metrics);
+                let (status, events) = (outcome.status, outcome.events as u64);
+                let warnings = outcome.warnings.len() as u64;
+                let item = prepare(outcome);
+                let mut w = window.lock().expect("batch window poisoned");
+                w.summary.count(status, events, warnings);
+                if let Some(snap) = &snapshot {
+                    merge_metrics(&mut w.metrics, snap);
+                }
+                w.commit(i, item);
+                if w.error.is_some() {
+                    claim.store(n, Ordering::Relaxed);
+                }
             });
         }
     });
-    let mut outcomes = Vec::with_capacity(n);
-    let mut metrics = BTreeMap::new();
-    for slot in slots.into_inner().expect("batch results poisoned") {
-        let (outcome, snapshot) = slot.expect("every work item completes");
-        if let Some(snap) = snapshot {
-            merge_metrics(&mut metrics, &snap);
-        }
-        outcomes.push(outcome);
+    let w = window.into_inner().expect("batch window poisoned");
+    if let Some(e) = w.error {
+        return Err(e);
     }
-    let mut report = BatchReport {
+    let mut summary = w.summary;
+    summary.wall_millis = start.elapsed().as_millis() as u64;
+    summary.jobs = cfg.jobs;
+    summary.backend = cfg.backend.clone();
+    let merged = cfg.collect_metrics.then(|| summary.snapshot(w.metrics));
+    Ok((summary, merged))
+}
+
+/// Runs the batch and collects every outcome: fans `cfg.paths` over a pool
+/// of `cfg.jobs` workers and returns the per-trace outcomes (in input
+/// order) plus, when requested, one merged telemetry snapshot carrying the
+/// `batch.*` gauges. `check-batch` runs the same pool but streams each
+/// report line out instead of keeping the outcomes.
+pub fn run_batch(cfg: &BatchConfig) -> Result<BatchReport, CliError> {
+    let backend = validate(cfg)?;
+    let mut outcomes = Vec::with_capacity(cfg.paths.len());
+    let (summary, merged) = run_pool(
+        cfg,
+        backend,
+        |o| o,
+        |o| {
+            outcomes.push(o);
+            Ok(())
+        },
+    )
+    .expect("collecting outcomes in memory cannot fail");
+    Ok(BatchReport {
         outcomes,
-        wall_millis: start.elapsed().as_millis() as u64,
-        jobs: cfg.jobs,
-        backend: cfg.backend.clone(),
-        merged: None,
-    };
-    if cfg.collect_metrics {
-        metrics.insert(
-            names::BATCH_TRACES_CHECKED.into(),
-            MetricValue::Gauge(report.ok() as u64),
-        );
-        metrics.insert(
-            names::BATCH_TRACES_FAILED.into(),
-            MetricValue::Gauge(report.failed() as u64),
-        );
-        metrics.insert(
-            names::BATCH_TRACES_QUARANTINED.into(),
-            MetricValue::Gauge(report.quarantined() as u64),
-        );
-        metrics.insert(
-            names::BATCH_EVENTS_TOTAL.into(),
-            MetricValue::Gauge(report.events()),
-        );
-        metrics.insert(
-            names::BATCH_EVENTS_PER_SEC.into(),
-            MetricValue::Gauge(report.events_per_sec()),
-        );
-        metrics.insert(
-            names::BATCH_WARNINGS_TOTAL.into(),
-            MetricValue::Gauge(report.warnings_total()),
-        );
-        metrics.insert(
-            names::BATCH_JOBS.into(),
-            MetricValue::Gauge(cfg.jobs as u64),
-        );
-        report.merged = Some(Snapshot {
-            seq: 0,
-            events: report.events(),
-            metrics,
-        });
-    }
-    Ok(report)
+        summary,
+        merged,
+    })
 }
 
 /// Expands the `check-batch` input argument into the work list: a
@@ -460,8 +550,28 @@ fn collect_paths(input: &str) -> Result<Vec<PathBuf>, CliError> {
     }
 }
 
-/// The `check-batch` subcommand: collect the work list, run the pool,
-/// write the report (and merged metrics), print the summary.
+/// Streams the JSONL report into `out`: each trace's line as soon as it and
+/// every earlier trace are done, then the summary line.
+fn write_report(
+    cfg: &BatchConfig,
+    backend: &Backend,
+    out: &mut (impl Write + Send),
+) -> io::Result<(BatchSummary, Option<Snapshot>)> {
+    let (summary, merged) = run_pool(
+        cfg,
+        backend,
+        |o| o.to_json_line(),
+        |line| out.write_all(line.as_bytes()),
+    )?;
+    out.write_all(summary.to_json_line().as_bytes())?;
+    out.flush()?;
+    Ok((summary, merged))
+}
+
+/// The `check-batch` subcommand: collect the work list, check the flags,
+/// create the output files, then run the pool, streaming the report (and
+/// writing the merged metrics at the end). If the run fails after the
+/// outputs were created, they are removed.
 pub(crate) fn check_batch_cmd(opts: &Options) -> Result<String, CliError> {
     let input = opts.positional.first().ok_or_else(|| err(USAGE))?;
     let paths = collect_paths(input)?;
@@ -474,24 +584,52 @@ pub(crate) fn check_batch_cmd(opts: &Options) -> Result<String, CliError> {
         backend: opts.backend.clone(),
         collect_metrics: opts.metrics_out.is_some(),
     };
-    let report = run_batch(&cfg)?;
-    if let Some(path) = opts.metrics_out.as_deref() {
-        let snap = report.merged.as_ref().expect("collect_metrics was set");
-        let file =
-            std::fs::File::create(path).map_err(|e| io_err(format!("creating {path}: {e}")))?;
-        let mut exporter = velodrome_telemetry::JsonlExporter::new(std::io::BufWriter::new(file));
-        exporter
-            .export(snap)
-            .map_err(|e| io_err(format!("writing {path}: {e}")))?;
+    let backend = validate(&cfg)?;
+    let mut created = Vec::new();
+    let result = check_batch_into(&cfg, backend, opts, &mut created);
+    if result.is_err() {
+        created.into_iter().for_each(remove_partial);
     }
-    match opts.report.as_deref() {
-        Some(path) => {
-            std::fs::write(path, report.to_jsonl())
-                .map_err(|e| io_err(format!("writing {path}: {e}")))?;
-            Ok(report.summary_line())
+    result
+}
+
+/// Creates `--report` and `--metrics-out` (noting each in `created`) and
+/// runs the batch into them. Without `--report` the JSONL goes to stdout,
+/// and is then built in memory whole, since the command returns it.
+fn check_batch_into<'a>(
+    cfg: &BatchConfig,
+    backend: &Backend,
+    opts: &'a Options,
+    created: &mut Vec<&'a str>,
+) -> Result<String, CliError> {
+    let mut create = |path: &'a str| {
+        let file = std::fs::File::create(path).map_err(|e| write_err(path, e))?;
+        created.push(path);
+        Ok::<_, CliError>((path, file))
+    };
+    let report = opts.report.as_deref().map(&mut create).transpose()?;
+    let metrics = opts.metrics_out.as_deref().map(&mut create).transpose()?;
+    let (stdout, merged) = match report {
+        Some((path, file)) => {
+            let (summary, merged) = write_report(cfg, backend, &mut BufWriter::new(file))
+                .map_err(|e| write_err(path, e))?;
+            (summary.text_line(), merged)
         }
-        None => Ok(report.to_jsonl()),
+        None => {
+            let mut out = Vec::new();
+            let (_, merged) =
+                write_report(cfg, backend, &mut out).expect("writing to memory cannot fail");
+            let out = String::from_utf8(out).expect("JSON lines are UTF-8");
+            (out, merged)
+        }
+    };
+    if let Some((path, file)) = metrics {
+        let snap = merged.expect("collect_metrics was set");
+        JsonlExporter::new(BufWriter::new(file))
+            .export(&snap)
+            .map_err(|e| write_err(path, e))?;
     }
+    Ok(stdout)
 }
 
 #[cfg(test)]
@@ -743,6 +881,160 @@ mod tests {
         };
         let e = run_batch(&cfg).unwrap_err();
         assert_eq!(e.kind, crate::CliErrorKind::Usage, "{e}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn check_batch_creates_its_outputs_before_checking() {
+        let dir = scratch_dir("batch-unwritable");
+        record_corpus(&dir);
+        let report = dir.join("report.jsonl");
+        let unwritable = dir.join("no-such-dir").join("out.jsonl");
+        let input = dir.to_str().unwrap();
+        // An unwritable --report fails before any trace is checked.
+        let e = run(&[
+            "check-batch",
+            input,
+            &format!("--report={}", unwritable.display()),
+        ])
+        .unwrap_err();
+        assert_eq!(e.kind, crate::CliErrorKind::Io, "{e}");
+        assert_eq!(e.exit_code(), 3);
+        assert!(e.message.starts_with("writing "), "{e}");
+        // So does an unwritable --metrics-out, and the report file already
+        // created for the run is removed again.
+        let e = run(&[
+            "check-batch",
+            input,
+            &format!("--report={}", report.display()),
+            &format!("--metrics-out={}", unwritable.display()),
+        ])
+        .unwrap_err();
+        assert_eq!(e.exit_code(), 3, "{e}");
+        assert!(!report.exists(), "no partial report is left");
+        // A write that fails once checking is under way exits 3 too.
+        if Path::new("/dev/full").exists() {
+            let e = run(&["check-batch", input, "--report=/dev/full"]).unwrap_err();
+            assert_eq!(e.exit_code(), 3, "{e}");
+            assert!(
+                Path::new("/dev/full").exists(),
+                "only regular files are removed"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Removes the fields that time a run from a JSONL report.
+    fn strip_timings(report: &str) -> String {
+        let mut out = report.to_owned();
+        for key in [
+            "millis",
+            "decode_ms",
+            "analyze_ms",
+            "wall_millis",
+            "events_per_sec",
+            "jobs",
+        ] {
+            let pat = format!("\"{key}\":");
+            while let Some(at) = out.find(&pat) {
+                let value = &out[at + pat.len()..];
+                let mut end = at + pat.len() + value.bytes().take_while(u8::is_ascii_digit).count();
+                if out[end..].starts_with(',') {
+                    end += 1;
+                }
+                out.replace_range(at..end, "");
+            }
+        }
+        out
+    }
+
+    /// One large trace first, then many tiny ones with a malformed file
+    /// among them: with two workers the tiny ones finish while the large
+    /// one runs and wait in the commit window. The report still lists
+    /// every trace in input order, the error in its slot, and matches the
+    /// one-worker run byte for byte apart from timings; the merged
+    /// metrics match apart from phase timings.
+    #[test]
+    fn check_batch_commits_in_input_order_under_skew() {
+        let dir = scratch_dir("batch-skew");
+        let mut large = velodrome_events::TraceBuilder::new();
+        for round in 0..10_000 {
+            let t = format!("T{}", round % 4);
+            large.begin(&t, "inc").acquire(&t, "m").read(&t, "x");
+            large.write(&t, "x").release(&t, "m").end(&t);
+        }
+        std::fs::write(dir.join("large.json"), large.finish().to_json()).unwrap();
+        let mut manifest = String::from("large.json\n");
+        for i in 0..24 {
+            let name = if i == 12 {
+                std::fs::write(dir.join("broken.json"), "{\"ops\": [{\"Read\"").unwrap();
+                "broken.json".to_owned()
+            } else {
+                let mut tiny = velodrome_events::TraceBuilder::new();
+                for j in 0..=i % 3 {
+                    let label = format!("inc{j}");
+                    tiny.begin("T1", &label).read("T1", "x");
+                    tiny.write("T2", "x");
+                    tiny.write("T1", "x").end("T1");
+                }
+                let name = format!("tiny-{i}.json");
+                std::fs::write(dir.join(&name), tiny.finish().to_json()).unwrap();
+                name
+            };
+            manifest.push_str(&name);
+            manifest.push('\n');
+        }
+        let manifest_path = dir.join("traces.txt");
+        std::fs::write(&manifest_path, &manifest).unwrap();
+        let files: Vec<&str> = manifest.lines().collect();
+        let mut runs = Vec::new();
+        for jobs in [1, 2] {
+            let report = dir.join(format!("report-{jobs}.jsonl"));
+            let metrics = dir.join(format!("metrics-{jobs}.jsonl"));
+            run(&[
+                "check-batch",
+                manifest_path.to_str().unwrap(),
+                &format!("--jobs={jobs}"),
+                &format!("--report={}", report.display()),
+                &format!("--metrics-out={}", metrics.display()),
+            ])
+            .unwrap();
+            let report = std::fs::read_to_string(&report).unwrap();
+            let lines: Vec<&str> = report.lines().collect();
+            assert_eq!(lines.len(), files.len() + 1, "{report}");
+            for (line, name) in lines.iter().zip(&files) {
+                let v: serde_json::Value = serde_json::from_str(line).unwrap();
+                assert!(v["path"].as_str().unwrap().ends_with(name), "{line}");
+                let status = if *name == "broken.json" {
+                    "error"
+                } else {
+                    "ok"
+                };
+                assert_eq!(v["status"], status, "{line}");
+            }
+            let metrics = std::fs::read_to_string(&metrics).unwrap();
+            let snap: serde_json::Value = serde_json::from_str(metrics.trim_end()).unwrap();
+            runs.push((strip_timings(&report), snap));
+        }
+        assert_eq!(runs[0].0, runs[1].0, "reports differ beyond timings");
+        let (one, two) = (&runs[0].1["metrics"], &runs[1].1["metrics"]);
+        let metric_names = |m: &serde_json::Value| {
+            m.as_object()
+                .unwrap()
+                .iter()
+                .map(|(k, _)| k.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(metric_names(one), metric_names(two));
+        for name in metric_names(one) {
+            let (a, b) = (&one[name.as_str()], &two[name.as_str()]);
+            if a["type"] == "phase" {
+                assert_eq!(a["count"], b["count"], "{name}");
+            } else if name != names::BATCH_EVENTS_PER_SEC && name != names::BATCH_JOBS {
+                assert_eq!(a, b, "{name}");
+            }
+        }
+        assert_eq!(runs[0].1["events"], runs[1].1["events"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -446,10 +446,18 @@ fn write_output<T>(
 ) -> Result<T, CliError> {
     let file = std::fs::File::create(path).map_err(|e| write_err(path, e))?;
     let result = write(file);
-    if result.is_err() && std::fs::metadata(path).is_ok_and(|m| m.is_file()) {
-        let _ = std::fs::remove_file(path);
+    if result.is_err() {
+        remove_partial(path);
     }
     result
+}
+
+/// Deletes the output a failed run left at `path` if it is a regular file
+/// (never, say, `/dev/stdout`).
+fn remove_partial(path: &str) {
+    if std::fs::metadata(path).is_ok_and(|m| m.is_file()) {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 fn write_err(path: &str, e: std::io::Error) -> CliError {

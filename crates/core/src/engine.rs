@@ -133,9 +133,9 @@ impl Default for VelodromeConfig {
     }
 }
 
-/// Calls of the per-op phases (`advance`, `add_edge`) per clock read. Two
-/// clock reads cost about as much as a whole engine op, so these phases
-/// are counted on every call but timed on one in this many.
+/// Calls of the frequent phases (`advance`, `add_edge`, `gc`) per clock
+/// read. Two clock reads cost about as much as a whole engine op, so these
+/// phases are counted on every call but timed on one in this many.
 const PHASE_SAMPLE_PERIOD: u64 = 64;
 
 /// The engine's phase records: plain integers owned by the engine and
@@ -151,8 +151,8 @@ struct EngineTele {
     add_edge: PhaseStat,
     /// Cycle reconstruction and blame assignment (every call timed).
     cycle_check: PhaseStat,
-    /// GC cascades, `Arena::finish` (every call timed: the max is the
-    /// longest GC stall).
+    /// GC cascades, `Arena::finish` (sampled timing: the max is the
+    /// longest *timed* GC stall, not necessarily the longest one).
     gc: PhaseStat,
 }
 
@@ -659,7 +659,7 @@ impl Velodrome {
         if !self.tele.on {
             return self.arena.finish(slot);
         }
-        let start = self.tele.gc.begin(1);
+        let start = self.tele.gc.begin(PHASE_SAMPLE_PERIOD);
         self.arena.finish(slot);
         self.tele.gc.end(start);
     }

@@ -96,8 +96,8 @@ pub const PHASE_ADD_EDGE: &str = "phase.add_edge";
 /// Cycle reconstruction and blame assignment, once per detected cycle.
 /// Timed on every call.
 pub const PHASE_CYCLE_CHECK: &str = "phase.cycle_check";
-/// GC cascades (`Arena::finish` calls). Timed on every call, so the max
-/// is the longest GC stall.
+/// GC cascades (`Arena::finish` calls). Counted exactly; timed on 1 call
+/// in 64, so the max is the longest sampled GC stall.
 pub const PHASE_GC: &str = "phase.gc";
 /// Trace-file decoding, one call per block of at most `FRAME_OPS`
 /// operations handed to the backend; the time is spent outside the

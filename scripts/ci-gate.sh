@@ -95,6 +95,18 @@ done
 cargo run --release -q -p velodrome-cli -- metrics-verify "$tmp/batch/metrics.jsonl" \
     --require="batch.traces_checked,batch.traces_failed,batch.traces_quarantined,batch.events_total,batch.events_per_sec,batch.warnings_total,batch.jobs,$phases,phase.decode" \
     >/dev/null
+# Workers finish in any order, but each line is written in input order:
+# the parallel report equals the one-worker report apart from timings.
+cargo run --release -q -p velodrome-cli -- check-batch "$tmp/batch" --jobs=1 \
+    --backend=velodrome --report="$tmp/report-jobs1.jsonl" >/dev/null
+strip_timings='s/"(millis|decode_ms|analyze_ms|wall_millis|events_per_sec|jobs)":[0-9]+,?//g'
+sed -E "$strip_timings" "$tmp/batch/report.jsonl" > "$tmp/report-jobs4.stripped"
+sed -E "$strip_timings" "$tmp/report-jobs1.jsonl" > "$tmp/report-jobs1.stripped"
+if ! cmp -s "$tmp/report-jobs4.stripped" "$tmp/report-jobs1.stripped"; then
+    echo "batch smoke: the --jobs=4 report differs from the --jobs=1 report beyond timings" >&2
+    diff "$tmp/report-jobs4.stripped" "$tmp/report-jobs1.stripped" | head -20 >&2
+    exit 1
+fi
 
 echo "==> a whitespace-perturbed JSON trace prints what the canonical one prints"
 # A space after every `,` and `:` takes each op off the canonical-shape
