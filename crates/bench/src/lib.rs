@@ -10,9 +10,10 @@
 //! Every back-end is run through the CLI's backend table,
 //! [`velodrome_cli::backend::BACKENDS`].
 //!
-//! Binaries `table1`, `table2`, `injection`, and `graph_stats` print the
-//! paper-style tables; `cargo bench -p velodrome-bench` runs the Criterion
-//! timing harness behind Table 1's performance columns. Module [`hotpath`]
+//! Binaries `table1`, `table2` and `injection` print the paper-style
+//! tables; `table1` times every backend and prints the node statistics
+//! with and without merge. The Criterion benches are `ablation` (the
+//! merge/GC on-off matrix) and `hotpath`. Module [`hotpath`]
 //! builds the fan-in stress trace that the `hotpath` Criterion bench and
 //! the repository benchmark (`perfbench`, which owns wall-time and heap
 //! figures) share.

@@ -58,7 +58,7 @@ pub fn exclusion_spec(workload: &Workload, trace: &Trace) -> AtomicitySpec {
 /// Runs the graph engine over `trace` under `cfg` with a fresh telemetry
 /// registry and returns the final snapshot. The node-statistics columns
 /// are read back from its `arena.*` gauges.
-pub fn snapshot_run(trace: &Trace, cfg: RunConfig) -> Snapshot {
+fn snapshot_run(trace: &Trace, cfg: RunConfig) -> Snapshot {
     let cfg = RunConfig {
         telemetry: Telemetry::registry(),
         ..cfg

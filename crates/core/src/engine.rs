@@ -40,8 +40,8 @@
 //! The analysis is *sound and complete*: it reports a violation iff the
 //! observed trace is not conflict-serializable (Theorem 1).
 
-use crate::arena::{Arena, ArenaError, CycleFound, NodeDesc};
-use crate::report::{CycleReport, ReportEdge, ReportNode};
+use crate::arena::{Arena, ArenaError, CycleFound, EdgeInfo, NodeDesc};
+use crate::report::{CycleReport, ReportEdge};
 use crate::step::{SlotIdx, Step, Ts};
 use std::cmp::Reverse;
 use std::collections::hash_map::RandomState;
@@ -74,17 +74,19 @@ pub struct VelodromeConfig {
     /// Report at most one warning per atomic-block label (default `true`),
     /// matching how the paper counts non-atomic *methods*.
     ///
+    /// A duplicate cycle is counted in
+    /// [`VelodromeStats::cycles_detected`] but keeps no [`CycleReport`].
+    ///
     /// Interaction with [`max_warnings`](Self::max_warnings): a duplicate
-    /// label never consumes warning budget, and a report suppressed because
+    /// label never consumes warning budget, and a cycle suppressed because
     /// the budget is full does **not** mark its label as seen — the budget
     /// check runs first, so once warnings are drained the label can still
     /// produce its one warning.
     pub dedup_per_label: bool,
     /// Hard cap on *stored* (undrained) warnings; `0` means unlimited.
-    /// Suppressed reports are still recorded in [`Velodrome::reports`],
-    /// and every suppression is counted in
-    /// [`VelodromeStats::warnings_suppressed`] so a capped run is
-    /// distinguishable from a clean one.
+    /// A suppressed cycle keeps no [`CycleReport`], but every suppression
+    /// is counted in [`VelodromeStats::warnings_suppressed`] so a capped
+    /// run is distinguishable from a clean one.
     pub max_warnings: usize,
     /// Resource budget (default: unlimited — zero behavior change). When a
     /// cap trips, the engine steps down the [`DegradationLevel`] ladder
@@ -193,7 +195,7 @@ pub struct VelodromeStats {
     /// Cycles detected (before per-label deduplication).
     pub cycles_detected: u64,
     /// Warnings dropped because [`VelodromeConfig::max_warnings`] was
-    /// exhausted (the full [`CycleReport`]s are still retained).
+    /// exhausted (their cycles keep no [`CycleReport`]).
     pub warnings_suppressed: u64,
     /// Degradation-ladder transitions taken (see
     /// [`VelodromeConfig::budget`]).
@@ -450,8 +452,10 @@ impl<K, V> IndexMut<usize> for Table<K, V> {
 ///
 /// Feed it operations through the [`Tool`] interface (usually via
 /// [`velodrome_monitor::run_tool`] or [`check_trace`]); it reports one
-/// [`Warning`] per detected violation and keeps the full [`CycleReport`]s
-/// for inspection.
+/// [`Warning`] per detected violation, after per-label dedup and the
+/// warning budget, and keeps the [`CycleReport`] behind each atomicity
+/// warning for inspection. Cycles that do not warn are only counted, so
+/// memory follows the warnings, not the cycles.
 #[derive(Debug)]
 pub struct Velodrome {
     cfg: VelodromeConfig,
@@ -477,12 +481,13 @@ pub struct Velodrome {
     /// quarantined nor released since.
     tracked: usize,
     warnings: Vec<Warning>,
-    /// `(warning, report)` indices of the atomicity warnings whose
-    /// `message` and `details` are still to be rendered. Rendering waits
-    /// for [`Tool::take_warnings`], so names supplied by
-    /// [`Velodrome::set_names`] after the last operation still appear.
-    unrendered: Vec<(usize, usize)>,
+    /// One report per atomicity warning emitted, in emission order.
     reports: Vec<CycleReport>,
+    /// How many of `reports` have had their warning's `message` and
+    /// `details` rendered. Rendering waits for [`Tool::take_warnings`], so
+    /// names supplied by [`Velodrome::set_names`] after the last operation
+    /// still appear.
+    rendered: usize,
     dedup: PerLabelDedup,
     stats: VelodromeStats,
     /// After an alive-node-triggered quarantine, escalation to
@@ -521,8 +526,8 @@ impl Velodrome {
             args_at: Vec::new(),
             tracked: 0,
             warnings: Vec::new(),
-            unrendered: Vec::new(),
             reports: Vec::new(),
+            rendered: 0,
             dedup: PerLabelDedup::new(),
             stats: VelodromeStats::default(),
             grace_until: 0,
@@ -599,8 +604,9 @@ impl Velodrome {
         self.cfg.names = names;
     }
 
-    /// Full cycle reports collected so far (not drained by
-    /// [`Tool::take_warnings`]).
+    /// One cycle report per atomicity warning emitted so far, in emission
+    /// order (not drained by [`Tool::take_warnings`]). Cycles dropped by
+    /// per-label dedup or held back by the warning budget have none.
     pub fn reports(&self) -> &[CycleReport] {
         &self.reports
     }
@@ -1137,71 +1143,57 @@ impl Velodrome {
             .arena
             .find_path(c.to, c.from)
             .expect("cycle detection implies a path back to the edge source");
-        let mut nodes: Vec<ReportNode> = vec![self.arena.desc(c.to).into()];
-        let mut edges: Vec<ReportEdge> = Vec::with_capacity(path.len() + 1);
-        for (slot, e) in &path {
-            edges.push(ReportEdge {
-                op: e.op,
-                op_index: e.op_index,
-                from_ts: e.from_ts,
-                to_ts: e.to_ts,
-            });
-            nodes.push(self.arena.desc(*slot).into());
-        }
-        edges.push(ReportEdge {
-            op,
-            op_index: idx,
+        let closing = EdgeInfo {
             from_ts: c.from_ts,
             to_ts: c.to_ts,
-        });
+            op,
+            op_index: idx,
+        };
+        let hops = || path.iter().map(|(_, e)| e).chain([&closing]);
 
         // Increasing-cycle check (Section 4.3): for every node other than
         // the current transaction, the incoming timestamp must not exceed
         // the outgoing timestamp.
-        let increasing = (1..nodes.len()).all(|i| edges[i - 1].to_ts <= edges[i].from_ts);
+        let increasing = hops()
+            .zip(hops().skip(1))
+            .all(|(a, b)| a.to_ts <= b.from_ts);
 
         // Blame: the cycle leaves the current transaction at the root
         // timestamp; every enclosing atomic block whose begin precedes the
         // root contains both root and target operations and is refuted.
-        let root_ts = edges[0].from_ts;
+        let root_ts = path.first().map_or(c.from_ts, |(_, e)| e.from_ts);
         let stack = &self.threads[tr].stack;
-        let refuted: Vec<Label> = if increasing {
-            stack
-                .iter()
-                .filter(|b| b.start_ts <= root_ts)
-                .map(|b| b.label)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let blamed = increasing.then_some(0);
-        let outermost = stack.first().map(|b| b.label);
-        let report = CycleReport {
-            nodes,
-            edges,
-            increasing,
-            blamed,
-            refuted,
-            op_index: idx,
-        };
+        let refutes = |b: &&Block| increasing && b.start_ts <= root_ts;
+        let attribution = stack
+            .iter()
+            .find(refutes)
+            .or(stack.first())
+            .map(|b| b.label);
 
-        let attribution = report.blamed_label().or(outermost);
         // Budget first, dedup second: the budget check consumes nothing, so
         // a label whose first report arrives while the budget is exhausted
         // is not marked as seen and can still warn once warnings drain.
         // Conversely a duplicate label returns here without ever counting
-        // against the budget.
+        // against the budget. Either way no report is built.
         if self.cfg.max_warnings > 0 && self.warnings.len() >= self.cfg.max_warnings {
             self.stats.warnings_suppressed += 1;
-            self.reports.push(report);
             return;
         }
         if self.cfg.dedup_per_label && !self.dedup.first_report(attribution) {
-            self.reports.push(report);
             return;
         }
-        self.unrendered
-            .push((self.warnings.len(), self.reports.len()));
+        let report = CycleReport {
+            nodes: [c.to]
+                .into_iter()
+                .chain(path.iter().map(|&(slot, _)| slot))
+                .map(|slot| self.arena.desc(slot).into())
+                .collect(),
+            edges: hops().map(ReportEdge::from).collect(),
+            increasing,
+            blamed: increasing.then_some(0),
+            refuted: stack.iter().filter(refutes).map(|b| b.label).collect(),
+            op_index: idx,
+        };
         self.warnings.push(Warning {
             tool: "velodrome",
             category: WarningCategory::Atomicity,
@@ -1242,12 +1234,18 @@ impl Tool for Velodrome {
     }
 
     fn take_warnings(&mut self) -> Vec<Warning> {
-        for (w, r) in self.unrendered.drain(..) {
-            let report = &self.reports[r];
-            let warning = &mut self.warnings[w];
-            warning.message = report.summary(&self.cfg.names);
-            warning.details = Some(report.to_dot(&self.cfg.names));
+        // Only `record_cycle` pushes atomicity warnings, each with its
+        // report, so the pending ones pair off in order with the reports
+        // not yet rendered.
+        let mut pending = self.reports[self.rendered..].iter();
+        for warning in &mut self.warnings {
+            if warning.category == WarningCategory::Atomicity {
+                let report = pending.next().expect("one report per atomicity warning");
+                warning.message = report.summary(&self.cfg.names);
+                warning.details = Some(report.to_dot(&self.cfg.names));
+            }
         }
+        self.rendered = self.reports.len();
         std::mem::take(&mut self.warnings)
     }
 }
@@ -1264,7 +1262,7 @@ pub fn check_trace(trace: &Trace) -> Vec<Warning> {
 }
 
 /// Like [`check_trace`], but also returns the engine for inspecting
-/// statistics and full cycle reports.
+/// statistics and the warnings' cycle reports.
 pub fn check_trace_with(trace: &Trace, cfg: VelodromeConfig) -> (Vec<Warning>, Velodrome) {
     let mut v = Velodrome::with_config(cfg);
     let warnings = velodrome_monitor::run_tool(&mut v, trace);

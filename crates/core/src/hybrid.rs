@@ -118,8 +118,9 @@ impl HybridVelodrome {
         }
     }
 
-    /// Full cycle reports from the engaged engine (empty while the screen
-    /// holds — a never-escalated run found no cycles).
+    /// The engaged engine's cycle reports, one per atomicity warning
+    /// (empty while the screen holds — a never-escalated run found no
+    /// cycles).
     pub fn reports(&self) -> &[CycleReport] {
         self.engine.as_ref().map(|e| e.reports()).unwrap_or(&[])
     }

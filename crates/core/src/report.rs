@@ -8,7 +8,7 @@
 //! happens-before edge labeled with the operation that generated it, the
 //! cycle-closing edge dashed, and the blamed transaction outlined.
 
-use crate::arena::NodeDesc;
+use crate::arena::{EdgeInfo, NodeDesc};
 use crate::step::Ts;
 use serde::Serialize;
 use velodrome_events::{Label, Op, SymbolTable, ThreadId};
@@ -45,6 +45,17 @@ pub struct ReportEdge {
     pub from_ts: Ts,
     /// Timestamp of the edge's head operation within its transaction.
     pub to_ts: Ts,
+}
+
+impl From<&EdgeInfo> for ReportEdge {
+    fn from(e: &EdgeInfo) -> Self {
+        ReportEdge {
+            op: e.op,
+            op_index: e.op_index,
+            from_ts: e.from_ts,
+            to_ts: e.to_ts,
+        }
+    }
 }
 
 /// A detected serializability violation: a cycle in the transactional

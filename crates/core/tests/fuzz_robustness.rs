@@ -182,7 +182,11 @@ fn warning_budget_overflow_is_counted() {
         "budget caps stored warnings"
     );
     assert_eq!(stats.warnings_suppressed, 1, "the overflow is counted");
-    assert_eq!(engine.reports().len(), 2, "full reports are still retained");
+    assert_eq!(
+        engine.reports().len(),
+        1,
+        "one report per warning: the suppressed cycle keeps none"
+    );
     assert!(
         stats.to_string().contains("1 warnings suppressed (budget)"),
         "{stats}"

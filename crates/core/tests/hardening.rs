@@ -100,8 +100,13 @@ fn max_warnings_caps_storage_not_detection() {
     };
     let (warnings, engine) = check_trace_with(&trace, cfg);
     assert_eq!(warnings.len(), 5, "storage capped");
-    assert_eq!(engine.stats().cycles_detected, 20, "detection not capped");
-    assert_eq!(engine.reports().len(), 20, "reports kept for inspection");
+    let stats = engine.stats();
+    assert_eq!(stats.cycles_detected, 20, "detection not capped");
+    assert_eq!(
+        stats.warnings_suppressed, 15,
+        "every held-back cycle counted"
+    );
+    assert_eq!(engine.reports().len(), 5, "one report per warning");
 }
 
 /// Deeply nested atomic blocks: blame refutes exactly the prefix of the

@@ -159,7 +159,15 @@ fn budget_suppression_does_not_starve_label_dedup() {
         "L2 was not starved by the earlier suppression"
     );
     assert_ne!(first[0].label, second[0].label);
-    assert_eq!(engine.reports().len(), 3, "every cycle is still recorded");
+    let stats = engine.stats();
+    assert_eq!(stats.cycles_detected, 3, "every cycle is still counted");
+    assert_eq!(
+        stats.warnings_suppressed, 1,
+        "the held-back cycle is counted"
+    );
+    assert_eq!(engine.reports().len(), 2, "one report per warning");
+    let report_at: Vec<usize> = engine.reports().iter().map(|r| r.op_index).collect();
+    assert_eq!(report_at, [first[0].op_index, second[0].op_index]);
 }
 
 /// A pipeline where thread T2 reads data written two transactions upstream

@@ -206,6 +206,34 @@ if ! grep -q "no warnings" "$tmp/longtxn.out"; then
     exit 1
 fi
 
+echo "==> 400,000 repeats of one violation check within 128 MiB"
+# Each round is Figure 1's non-atomic read-modify-write, so each closes a
+# cycle while at most two transactions are alive. Dedup emits one warning,
+# and the engine keeps a cycle report only for a warning, so memory must
+# not grow with the cycles (one report per cycle took ~130 MiB here).
+awk 'BEGIN {
+    printf "{\"ops\":["
+    for (i = 0; i < 400000; i++)
+        printf "%s{\"Begin\":{\"t\":0,\"l\":0}},{\"Read\":{\"t\":0,\"x\":0}},{\"Write\":{\"t\":1,\"x\":0}},{\"Write\":{\"t\":0,\"x\":0}},{\"End\":{\"t\":0}}", (i ? "," : "")
+    printf "],\"names\":{\"threads\":{\"0\":\"T0\",\"1\":\"T1\"},"
+    printf "\"vars\":{\"0\":\"x\"},\"locks\":{},\"labels\":{\"0\":\"inc\"}}}"
+}' > "$tmp/rmw.json"
+for backend in velodrome all; do
+    if ! (ulimit -v 131072 && timeout 30 target/release/velodrome trace "$tmp/rmw.json" \
+        --backend="$backend") > "$tmp/rmw.out" 2>&1; then
+        echo "repeated-violation smoke: --backend=$backend failed within 128 MiB and 30 s" >&2
+        cat "$tmp/rmw.out" >&2
+        exit 1
+    fi
+    if [[ "$(grep -c '^\[velodrome\] atomicity warning' "$tmp/rmw.out")" -ne 1 ]] \
+        || ! grep -q "inc is not atomic" "$tmp/rmw.out"; then
+        echo "repeated-violation smoke: --backend=$backend expected one warning on inc" >&2
+        cat "$tmp/rmw.out" >&2
+        exit 1
+    fi
+done
+rm "$tmp/rmw.json"
+
 echo "==> a VBT trace cut after its first frames exits with code 4 and leaves no metrics file"
 # a.vbt holds several 4096-op frames; three quarters of its bytes end
 # inside a later frame, after the first blocks were already analyzed.
