@@ -1137,6 +1137,26 @@ impl Velodrome {
 
     fn record_cycle(&mut self, c: CycleFound, t: ThreadId, tr: usize, op: Op, idx: usize) {
         self.stats.cycles_detected += 1;
+        // Attribution: the outermost open block, which the path need not be
+        // searched for. It is the first refuted block when any is refuted
+        // (below): blocks are pushed with rising start timestamps, so if
+        // the outermost does not begin by the root no inner one does.
+        let attribution = self.threads[tr].stack.first().map(|b| b.label);
+
+        // Budget first, dedup second: the budget check consumes nothing, so
+        // a label whose first report arrives while the budget is exhausted
+        // is not marked as seen and can still warn once warnings drain.
+        // Conversely a duplicate label returns here without ever counting
+        // against the budget. Either way no path is searched and no report
+        // is built.
+        if self.cfg.max_warnings > 0 && self.warnings.len() >= self.cfg.max_warnings {
+            self.stats.warnings_suppressed += 1;
+            return;
+        }
+        if self.cfg.dedup_per_label && !self.dedup.first_report(attribution) {
+            return;
+        }
+
         // Reconstruct the existing path current-txn →* edge-source; the
         // rejected edge closes the cycle.
         let path = self
@@ -1164,24 +1184,6 @@ impl Velodrome {
         let root_ts = path.first().map_or(c.from_ts, |(_, e)| e.from_ts);
         let stack = &self.threads[tr].stack;
         let refutes = |b: &&Block| increasing && b.start_ts <= root_ts;
-        let attribution = stack
-            .iter()
-            .find(refutes)
-            .or(stack.first())
-            .map(|b| b.label);
-
-        // Budget first, dedup second: the budget check consumes nothing, so
-        // a label whose first report arrives while the budget is exhausted
-        // is not marked as seen and can still warn once warnings drain.
-        // Conversely a duplicate label returns here without ever counting
-        // against the budget. Either way no report is built.
-        if self.cfg.max_warnings > 0 && self.warnings.len() >= self.cfg.max_warnings {
-            self.stats.warnings_suppressed += 1;
-            return;
-        }
-        if self.cfg.dedup_per_label && !self.dedup.first_report(attribution) {
-            return;
-        }
         let report = CycleReport {
             nodes: [c.to]
                 .into_iter()
@@ -1342,6 +1344,48 @@ mod tests {
             [(t1, Step::NONE, 0), (t5, step(5), 1), (t9, step(4), 2)]
         );
         assert_eq!(var.settled, 3);
+    }
+
+    /// The warning names the outermost open block whether or not the
+    /// cycle refutes it: a non-increasing cycle refutes no block, and an
+    /// increasing one refutes only the blocks already open at its root.
+    #[test]
+    fn attribution_is_the_outermost_open_block() {
+        let check = |b: TraceBuilder| {
+            let trace = b.finish();
+            let (warnings, engine) = check_trace_with(&trace, VelodromeConfig::default());
+            assert_eq!(warnings.len(), 1);
+            let names = trace.names();
+            let label = names.label(warnings[0].label.expect("a block is open"));
+            let report = &engine.reports()[0];
+            let refuted: Vec<String> = report.refuted.iter().map(|&l| names.label(l)).collect();
+            (label, report.increasing, refuted)
+        };
+
+        // A → B → C → A, closed in A's inner block. A's root (its write of
+        // x) precedes the inner block; B writes y before it reads x, so
+        // the cycle is not increasing.
+        let mut b = TraceBuilder::new();
+        b.begin("T1", "B").write("T1", "y");
+        b.begin("T2", "C").read("T2", "y");
+        b.begin("T0", "A.outer")
+            .write("T0", "x")
+            .begin("T0", "A.inner");
+        b.read("T1", "x").end("T1");
+        b.write("T2", "z").end("T2");
+        b.read("T0", "z").end("T0").end("T0");
+        assert_eq!(check(b), ("A.outer".to_owned(), false, vec![]));
+
+        // An increasing cycle whose root, the read of x, precedes the
+        // inner block: only the outer block is refuted.
+        let mut b = TraceBuilder::new();
+        b.begin("T1", "outer").read("T1", "x").begin("T1", "inner");
+        b.write("T2", "x");
+        b.write("T1", "x").end("T1").end("T1");
+        assert_eq!(
+            check(b),
+            ("outer".to_owned(), true, vec!["outer".to_owned()])
+        );
     }
 
     #[test]

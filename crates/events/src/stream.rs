@@ -17,7 +17,7 @@
 //! table of frames, and takes the ops a block at a time, so a trace can be
 //! written as it is decoded.
 
-use crate::ids::SymbolTable;
+use crate::ids::{decimal_string_order, SymbolTable, SymbolTableBuilder, KINDS};
 use crate::op::Op;
 use crate::trace::Trace;
 use crate::vbt::{VbtReader, FRAME_OPS, MAGIC};
@@ -192,18 +192,39 @@ impl<R: Read> ByteStream<R> {
     /// the offset where the stream ran dry.
     pub(crate) fn read_exact(&mut self, out: &mut [u8]) -> Result<(), TraceReadError> {
         let mut filled = 0;
-        while filled < out.len() {
+        self.read_chunks(out.len(), |chunk| {
+            out[filled..filled + chunk.len()].copy_from_slice(chunk);
+            filled += chunk.len();
+        })
+    }
+
+    /// Appends the next `len` bytes to `out` as they arrive, so `out` grows
+    /// with the bytes read, never with a length the input only claims.
+    /// Fails as [`Self::read_exact`] does.
+    pub(crate) fn read_append(
+        &mut self,
+        out: &mut Vec<u8>,
+        len: usize,
+    ) -> Result<(), TraceReadError> {
+        self.read_chunks(len, |chunk| out.extend_from_slice(chunk))
+    }
+
+    /// Hands the next `len` bytes to `sink`, one buffered chunk at a time.
+    fn read_chunks(
+        &mut self,
+        len: usize,
+        mut sink: impl FnMut(&[u8]),
+    ) -> Result<(), TraceReadError> {
+        let mut filled = 0;
+        while filled < len {
             if !self.refill()? {
                 return Err(TraceReadError::malformed(
                     self.offset(),
-                    format!(
-                        "unexpected end of input ({filled} of {} bytes available)",
-                        out.len()
-                    ),
+                    format!("unexpected end of input ({filled} of {len} bytes available)"),
                 ));
             }
-            let n = (self.len - self.pos).min(out.len() - filled);
-            out[filled..filled + n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
+            let n = (self.len - self.pos).min(len - filled);
+            sink(&self.buf[self.pos..self.pos + n]);
             self.pos += n;
             filled += n;
         }
@@ -594,20 +615,15 @@ impl<W: Write> JsonTraceWriter<W> {
     /// which is the order the serde encoding of a `HashMap` gives them.
     pub fn finish(mut self, names: &SymbolTable, synthesized: &[usize]) -> io::Result<W> {
         self.buf.extend_from_slice(br#"],"names":{"#);
-        let tables = [
-            ("threads", names.thread_entries()),
-            ("vars", names.var_entries()),
-            ("locks", names.lock_entries()),
-            ("labels", names.label_entries()),
-        ];
-        for (i, (key, mut entries)) in tables.into_iter().enumerate() {
+        for (i, (key, entries)) in KINDS.iter().zip(names.kinds()).enumerate() {
             if i > 0 {
                 self.buf.push(b',');
             }
             self.buf.push(b'"');
             self.buf.extend_from_slice(key.as_bytes());
             self.buf.extend_from_slice(b"\":{");
-            entries.sort_by_cached_key(|&(id, _)| id.to_string());
+            let mut entries: Vec<(u32, &str)> = entries.collect();
+            entries.sort_unstable_by_key(|&(id, _)| decimal_string_order(id));
             for (j, (id, name)) in entries.into_iter().enumerate() {
                 self.item(j == 0)?;
                 self.buf.push(b'"');
@@ -1152,7 +1168,7 @@ impl<R: Read> JsonParser<R> {
     /// Parses the `names` object: four id→name maps keyed by decimal
     /// strings, in any order; unknown keys are skipped.
     fn parse_names(&mut self) -> Result<SymbolTable, TraceReadError> {
-        let mut table = SymbolTable::new();
+        let mut table = SymbolTableBuilder::default();
         let mut seen = [false; 4];
         self.expect(b'{', "an object for `names`")?;
         self.skip_ws()?;
@@ -1162,28 +1178,14 @@ impl<R: Read> JsonParser<R> {
             loop {
                 self.skip_ws()?;
                 self.parse_string()?;
-                let slot = match self.scratch.as_slice() {
-                    b"threads" => Some(0),
-                    b"vars" => Some(1),
-                    b"locks" => Some(2),
-                    b"labels" => Some(3),
-                    _ => None,
-                };
+                let slot = KINDS.iter().position(|k| k.as_bytes() == self.scratch);
                 self.skip_ws()?;
                 self.expect(b':', "`:`")?;
                 self.skip_ws()?;
                 match slot {
-                    Some(i) => {
-                        seen[i] = true;
-                        self.parse_id_map(
-                            |id, name, table: &mut SymbolTable| match i {
-                                0 => table.name_thread(ThreadId::new(id), name),
-                                1 => table.name_var(VarId::new(id), name),
-                                2 => table.name_lock(LockId::new(id), name),
-                                _ => table.name_label(Label::new(id), name),
-                            },
-                            &mut table,
-                        )?;
+                    Some(kind) => {
+                        seen[kind] = true;
+                        self.parse_id_map(kind, &mut table)?;
                     }
                     None => self.skip_value(0)?,
                 }
@@ -1195,18 +1197,20 @@ impl<R: Read> JsonParser<R> {
                 }
             }
         }
-        for (i, field) in ["threads", "vars", "locks", "labels"].iter().enumerate() {
-            if !seen[i] {
+        for (field, seen) in KINDS.iter().zip(seen) {
+            if !seen {
                 return Err(self.fail(format!("`names` is missing `{field}`")));
             }
         }
-        Ok(table)
+        Ok(table.finish())
     }
 
+    /// Parses one id→name map into `table`'s `kind`, appending each name
+    /// from the scratch buffer.
     fn parse_id_map(
         &mut self,
-        mut insert: impl FnMut(u32, String, &mut SymbolTable),
-        table: &mut SymbolTable,
+        kind: usize,
+        table: &mut SymbolTableBuilder,
     ) -> Result<(), TraceReadError> {
         self.expect(b'{', "an object")?;
         self.skip_ws()?;
@@ -1225,8 +1229,12 @@ impl<R: Read> JsonParser<R> {
             self.expect(b':', "`:`")?;
             self.skip_ws()?;
             self.parse_string()?;
-            let name = self.scratch_str()?.to_owned();
-            insert(id, name, table);
+            table
+                .text()
+                .extend_from_slice(self.scratch_str()?.as_bytes());
+            table
+                .push(kind, id)
+                .map_err(|_| self.fail("`names` exceed 4 GiB in all"))?;
             self.skip_ws()?;
             match self.s.next_byte()? {
                 Some(b',') => continue,

@@ -47,7 +47,7 @@
 //! uninterpretable byte, matching the streaming JSON reader
 //! ([`crate::stream`]).
 
-use crate::ids::SymbolTable;
+use crate::ids::{NameError, SymbolTable, SymbolTableBuilder, KINDS};
 use crate::op::Op;
 use crate::stream::{validate_synthesized, Blocks, ByteStream, TraceReadError, TraceSummary};
 use crate::trace::Trace;
@@ -106,13 +106,7 @@ pub fn write_vbt<W: Write>(mut w: W, trace: &Trace) -> std::io::Result<()> {
     let mut buf = Vec::with_capacity(64 * 1024);
     buf.extend_from_slice(&MAGIC);
     buf.push(VERSION);
-    let names = trace.names();
-    for entries in [
-        names.thread_entries(),
-        names.var_entries(),
-        names.lock_entries(),
-        names.label_entries(),
-    ] {
+    for entries in trace.names().kinds() {
         push_varint(&mut buf, entries.len() as u64);
         for (id, name) in entries {
             push_varint(&mut buf, id as u64);
@@ -211,15 +205,11 @@ impl<R: Read> VbtReader<R> {
                 ),
             ));
         }
-        let mut names = SymbolTable::new();
-        for table in 0..4u8 {
-            Self::read_table(&mut s, |id, name| match table {
-                0 => names.name_thread(ThreadId::new(id), name),
-                1 => names.name_var(VarId::new(id), name),
-                2 => names.name_lock(LockId::new(id), name),
-                _ => names.name_label(Label::new(id), name),
-            })?;
+        let mut names = SymbolTableBuilder::default();
+        for kind in 0..KINDS.len() {
+            Self::read_table(&mut s, kind, &mut names)?;
         }
+        let names = names.finish();
         let count = read_varint(&mut s)?;
         if count > MAX_TABLE_ENTRIES {
             return Err(TraceReadError::malformed(
@@ -254,9 +244,12 @@ impl<R: Read> VbtReader<R> {
         })
     }
 
+    /// Reads one string table into `names`, copying each name's bytes
+    /// from the stream into the table's text as they arrive.
     fn read_table(
         s: &mut ByteStream<R>,
-        mut insert: impl FnMut(u32, String),
+        kind: usize,
+        names: &mut SymbolTableBuilder,
     ) -> Result<(), TraceReadError> {
         let count = read_varint(s)?;
         if count > MAX_TABLE_ENTRIES {
@@ -278,12 +271,16 @@ impl<R: Read> VbtReader<R> {
                 ));
             }
             let start = s.offset();
-            let mut bytes = vec![0u8; len as usize];
-            s.read_exact(&mut bytes)?;
-            let name = String::from_utf8(bytes).map_err(|_| {
-                TraceReadError::malformed(start, "string-table entry is not valid UTF-8")
+            s.read_append(names.text(), len as usize)?;
+            names.push(kind, id).map_err(|e| match e {
+                NameError::NotUtf8 => {
+                    TraceReadError::malformed(start, "string-table entry is not valid UTF-8")
+                }
+                NameError::TooLong => TraceReadError::malformed(
+                    start,
+                    "string-table overflow: names exceed 4 GiB in all",
+                ),
             })?;
-            insert(id, name);
         }
         Ok(())
     }

@@ -8,11 +8,12 @@
 //! what `VbtReader::next_op` alone does.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::io::Read;
 use velodrome_events::vbt::{MAGIC, VERSION};
 use velodrome_events::{
     oracle, read_json_trace, read_vbt, stream_trace, trace_to_vbt, JsonTraceWriter, Label, LockId,
-    Op, ThreadId, Trace, TraceStats, Transactions, VarId, VbtReader, FRAME_OPS,
+    Op, SymbolTable, ThreadId, Trace, TraceStats, Transactions, VarId, VbtReader, FRAME_OPS,
 };
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -341,7 +342,7 @@ fn vbt_with(trace: &Trace, frame_ops: &[usize], id_lens: &[usize]) -> Vec<u8> {
 /// A trace from decoded parts, in the form [`decoded`] compares.
 fn assembled(
     ops: Vec<Op>,
-    names: &velodrome_events::SymbolTable,
+    names: &SymbolTable,
     synthesized: &[usize],
 ) -> (Vec<Op>, String, Vec<usize>) {
     let mut trace = Trace::from_ops(ops);
@@ -652,5 +653,148 @@ proptest! {
             oracle::is_serializable(&trace),
             oracle::is_serializable(&swapped)
         );
+    }
+}
+
+/// Name pieces: ASCII, JSON escapes and multi-byte UTF-8.
+const NAME_PIECES: [&str; 7] = ["a", "7", "\"q\"", "\\", "é", "😀", "\t"];
+
+/// One name registration: kind (threads, vars, locks, labels), id, name.
+/// Ids come from a small range so that they repeat, or from [`arb_id`].
+fn arb_insert() -> impl Strategy<Value = (usize, u32, String)> {
+    let name = prop::collection::vec(0..NAME_PIECES.len(), 0..4)
+        .prop_map(|pieces| pieces.into_iter().map(|i| NAME_PIECES[i]).collect());
+    (0usize..4, prop_oneof![0u32..6, arb_id()], name)
+}
+
+/// The reference a `SymbolTable` must match: four `HashMap`s in which the
+/// last insert of an id wins. Its serde encoding is the table's.
+#[derive(Default, serde::Serialize)]
+struct NamesModel {
+    threads: HashMap<u32, String>,
+    vars: HashMap<u32, String>,
+    locks: HashMap<u32, String>,
+    labels: HashMap<u32, String>,
+}
+
+impl NamesModel {
+    fn kind(&mut self, kind: usize) -> &mut HashMap<u32, String> {
+        [
+            &mut self.threads,
+            &mut self.vars,
+            &mut self.locks,
+            &mut self.labels,
+        ]
+        .into_iter()
+        .nth(kind)
+        .unwrap()
+    }
+}
+
+/// Checks every lookup, fallback and entry list of `names` against `model`.
+fn assert_names_match(names: &SymbolTable, model: &mut NamesModel) {
+    assert_eq!(
+        serde_json::to_string(names).unwrap(),
+        serde_json::to_string(&*model).unwrap()
+    );
+    for kind in 0..4 {
+        let map = model.kind(kind);
+        let mut want: Vec<(u32, &str)> = map.iter().map(|(&id, n)| (id, n.as_str())).collect();
+        want.sort_unstable();
+        let got: Vec<(u32, &str)> = match kind {
+            0 => names.thread_entries().collect(),
+            1 => names.var_entries().collect(),
+            2 => names.lock_entries().collect(),
+            _ => names.label_entries().collect(),
+        };
+        assert_eq!(got, want, "kind {kind}");
+        let probes = want.iter().flat_map(|&(id, _)| [id, id.wrapping_add(1)]);
+        for id in probes.chain([0, 5, u32::MAX]) {
+            let (got, fallback) = match kind {
+                0 => (
+                    names.thread(ThreadId::new(id)),
+                    ThreadId::new(id).to_string(),
+                ),
+                1 => (names.var(VarId::new(id)), VarId::new(id).to_string()),
+                2 => (names.lock(LockId::new(id)), LockId::new(id).to_string()),
+                _ => (names.label(Label::new(id)), Label::new(id).to_string()),
+            };
+            assert_eq!(
+                got,
+                map.get(&id).cloned().unwrap_or(fallback),
+                "kind {kind} id {id}"
+            );
+        }
+    }
+}
+
+/// A JSON document and a VBT stream listing `inserts` in their order,
+/// duplicate ids included, with no ops.
+fn names_documents(inserts: &[(usize, u32, String)]) -> (String, Vec<u8>) {
+    let mut json = String::from(r#"{"ops":[],"names":{"#);
+    let mut vbt = MAGIC.to_vec();
+    vbt.push(VERSION);
+    for (kind, field) in ["threads", "vars", "locks", "labels"].iter().enumerate() {
+        let of_kind: Vec<&(usize, u32, String)> =
+            inserts.iter().filter(|(k, _, _)| *k == kind).collect();
+        let pairs: Vec<String> = of_kind
+            .iter()
+            .map(|(_, id, name)| format!("\"{id}\":{}", serde_json::to_string(name).unwrap()))
+            .collect();
+        let sep = if kind == 0 { "" } else { "," };
+        json += &format!("{sep}\"{field}\":{{{}}}", pairs.join(","));
+        push_varint(&mut vbt, of_kind.len() as u64, 0);
+        for (_, id, name) in of_kind {
+            push_varint(&mut vbt, u64::from(*id), 0);
+            push_varint(&mut vbt, name.len() as u64, 0);
+            vbt.extend_from_slice(name.as_bytes());
+        }
+    }
+    json += "}}";
+    vbt.extend_from_slice(&[0, 0]); // no synthesized ops, end of trace
+    (json, vbt)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Names registered in ascending, descending, string or random id
+    /// order, with repeated ids, read back as a `HashMap` model holds them
+    /// (the last insert wins): through `name_*`, through the JSON and VBT
+    /// writers and readers, and from documents that list the inserts in
+    /// that order.
+    #[test]
+    fn symbol_table_matches_a_hashmap_model(
+        inserts in prop::collection::vec(arb_insert(), 0..40),
+        order in 0u8..4,
+    ) {
+        let mut inserts = inserts;
+        match order {
+            0 => inserts.sort_by_key(|&(_, id, _)| id),
+            1 => inserts.sort_by_key(|&(_, id, _)| std::cmp::Reverse(id)),
+            2 => inserts.sort_by_key(|&(_, id, _)| id.to_string()),
+            _ => {}
+        }
+        let mut model = NamesModel::default();
+        let mut names = SymbolTable::new();
+        for (kind, id, name) in &inserts {
+            model.kind(*kind).insert(*id, name.clone());
+            match kind {
+                0 => names.name_thread(ThreadId::new(*id), name),
+                1 => names.name_var(VarId::new(*id), name),
+                2 => names.name_lock(LockId::new(*id), name),
+                _ => names.name_label(Label::new(*id), name.as_str()),
+            }
+        }
+        assert_names_match(&names, &mut model);
+
+        let mut trace = Trace::new();
+        *trace.names_mut() = names;
+        assert_names_match(Trace::from_json(&trace.to_json()).unwrap().names(), &mut model);
+        assert_names_match(read_vbt(&trace_to_vbt(&trace)[..]).unwrap().names(), &mut model);
+
+        let (json, vbt) = names_documents(&inserts);
+        assert_names_match(read_json_trace(json.as_bytes()).unwrap().names(), &mut model);
+        assert_names_match(read_vbt(&vbt[..]).unwrap().names(), &mut model);
     }
 }

@@ -231,3 +231,29 @@ fn hostile_synthesized_count_is_not_preallocated() {
         "largest single allocation was {largest} bytes for a 13-byte input"
     );
 }
+
+/// A VBT name's claimed length is not allocated before its bytes arrive:
+/// one thread name claiming 2^20 bytes, then end of input.
+#[test]
+fn hostile_name_length_is_not_preallocated() {
+    let _serial = SERIAL.lock().expect("a test panicked holding SERIAL");
+    let mut bytes = b"VBTF\x01".to_vec();
+    bytes.push(1); // one thread name
+    bytes.push(0); // id 0
+    bytes.extend_from_slice(&[0x80, 0x80, 0x40]); // length = 2^20
+    assert_eq!(bytes.len(), 10);
+
+    LARGEST.store(0, Ordering::Relaxed);
+    let e = velodrome_events::read_vbt(&bytes[..]).unwrap_err();
+    let largest = LARGEST.load(Ordering::Relaxed);
+
+    assert_eq!(
+        e.to_string(),
+        "byte 10: unexpected end of input (0 of 1048576 bytes available)"
+    );
+    // The reader's own 64 KiB input buffer is the largest allocation.
+    assert!(
+        largest <= 64 << 10,
+        "largest single allocation was {largest} bytes for a 10-byte input"
+    );
+}

@@ -206,6 +206,37 @@ if ! grep -q "no warnings" "$tmp/longtxn.out"; then
     exit 1
 fi
 
+echo "==> 500,000 labels listed in string order check within 5 s and 1 GiB"
+# One block per label on one thread, and a `labels` map whose keys come in
+# string order ("10" before "2"), as the JSON writer lists them: the
+# readers must take names in any order at O(n log n), not one sorted
+# insert per key (about 12 s here).
+{
+    awk 'BEGIN {
+        printf "{\"ops\":["
+        for (i = 0; i < 500000; i++)
+            printf "%s{\"Begin\":{\"t\":0,\"l\":%d}},{\"End\":{\"t\":0}}", (i ? "," : ""), i
+        printf "],\"names\":{\"threads\":{},\"vars\":{},\"locks\":{},\"labels\":{"
+    }'
+    seq 0 499999 | LC_ALL=C sort | awk '{ printf "%s\"%s\":\"method_%s\"", (NR > 1 ? "," : ""), $1, $1 }'
+    printf '}}}'
+} > "$tmp/labels.json"
+target/release/velodrome convert "$tmp/labels.json" "$tmp/labels.vbt" >/dev/null
+for ext in json vbt; do
+    if ! (ulimit -v 1048576 && timeout 5 target/release/velodrome trace "$tmp/labels.$ext") \
+        >"$tmp/labels.out" 2>&1; then
+        echo "label smoke: trace labels.$ext failed within 1 GiB and 5 s" >&2
+        cat "$tmp/labels.out" >&2
+        exit 1
+    fi
+    if ! grep -q "no warnings" "$tmp/labels.out"; then
+        echo "label smoke: expected labels.$ext to be serializable" >&2
+        cat "$tmp/labels.out" >&2
+        exit 1
+    fi
+done
+rm "$tmp/labels.json" "$tmp/labels.vbt"
+
 echo "==> 400,000 repeats of one violation check within 128 MiB"
 # Each round is Figure 1's non-atomic read-modify-write, so each closes a
 # cycle while at most two transactions are alive. Dedup emits one warning,
