@@ -649,6 +649,33 @@ mod tests {
         dir
     }
 
+    /// Two traces' snapshots merge as a batch reads them: a ladder rung
+    /// and a peak keep the worst trace's value, counters and other gauges
+    /// add.
+    #[test]
+    fn merge_metrics_keeps_the_worst_rung_and_peak() {
+        let snapshot = |ladder: u64, peak: u64, exhausted: u64, alive: u64| Snapshot {
+            seq: 0,
+            events: 0,
+            metrics: [
+                (names::ENGINE_LADDER, MetricValue::Gauge(ladder)),
+                (names::ARENA_MAX_ALIVE, MetricValue::Gauge(peak)),
+                (names::ARENA_EXHAUSTED, MetricValue::Counter(exhausted)),
+                (names::ARENA_CUR_ALIVE, MetricValue::Gauge(alive)),
+            ]
+            .into_iter()
+            .map(|(name, value)| (name.to_owned(), value))
+            .collect(),
+        };
+        let mut merged = BTreeMap::new();
+        merge_metrics(&mut merged, &snapshot(3, 70_001, 1, 5));
+        merge_metrics(&mut merged, &snapshot(1, 12, 1, 7));
+        assert_eq!(merged[names::ENGINE_LADDER], MetricValue::Gauge(3));
+        assert_eq!(merged[names::ARENA_MAX_ALIVE], MetricValue::Gauge(70_001));
+        assert_eq!(merged[names::ARENA_EXHAUSTED], MetricValue::Counter(2));
+        assert_eq!(merged[names::ARENA_CUR_ALIVE], MetricValue::Gauge(12));
+    }
+
     /// Records a couple of workload traces (one racy, one clean) into
     /// `dir`, in both encodings, and returns the recorded stems.
     fn record_corpus(dir: &Path) -> Vec<String> {

@@ -22,10 +22,16 @@
 //!   appear on a cycle. Collection cascades: removing the node's outgoing
 //!   edges may render its successors collectible.
 
-use crate::smallgraph::{SlotMap, SlotSet};
-use crate::step::{SlotIdx, Step, Ts, MAX_TS};
+use crate::smallgraph::{EdgeRec, OutEdges};
+use crate::step::{SlotIdx, Step, Ts, MAX_SLOT, MAX_TS};
 use std::fmt;
+use std::ops::{Index, IndexMut};
 use velodrome_events::{Label, Op, ThreadId};
+
+/// Nodes the arena holds at once: one per slot index below [`MAX_SLOT`].
+/// That index is reserved, because its step at [`MAX_TS`] would be the bit
+/// pattern of [`Step::NONE`].
+pub const CAPACITY: usize = MAX_SLOT as usize;
 
 /// A happens-before edge between two nodes, annotated with the timestamps of
 /// the operations at its tail and head and the operation that generated it
@@ -53,17 +59,6 @@ pub struct NodeDesc {
     pub first_op: usize,
 }
 
-/// A stored edge: its report metadata plus whether it was transitively
-/// implied at insertion time. Implied edges exist only when redundant-edge
-/// elision is disabled (the differential baseline); they change no
-/// reachability and are skipped during path reconstruction, so the baseline
-/// produces byte-identical reports to the eliding configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct EdgeRec {
-    info: EdgeInfo,
-    implied: bool,
-}
-
 /// A chain clock entry `(chain, position)`.
 type Entry = (u32, u32);
 
@@ -89,33 +84,185 @@ struct Chain {
     floor: u32,
 }
 
+/// [`Slot::flags`]: the slot holds an alive node.
+const ALIVE: u8 = 1;
+/// [`Slot::flags`]: the node is some thread's current transaction.
+const CURRENT: u8 = 2;
+/// [`Slot::flags`]: the node's descriptor has a label.
+const LABELED: u8 = 4;
+
+/// One node slot, 96 bytes (DESIGN.md §7, *Node layout*): two timestamps,
+/// the out-edge list and the chain clock, the descriptor's fields, and a
+/// flags byte where the booleans live.
 #[derive(Debug)]
 struct Slot {
-    alive: bool,
     /// Steps with `ts <= floor` belong to collected incarnations.
     floor: Ts,
     /// Last timestamp issued; monotonic across incarnations.
     counter: Ts,
-    /// Whether the node is some thread's current transaction.
-    c_ref: bool,
-    desc: NodeDesc,
-    /// Outgoing edges, keyed by target slot (sorted vec: the per-slot degree
-    /// is tiny, and sorted order makes path reconstruction deterministic).
-    out: SlotMap<EdgeRec>,
+    /// Outgoing edges, sorted by target slot (the per-slot degree is tiny,
+    /// and sorted order makes path reconstruction deterministic).
+    out: OutEdges,
+    /// Chain clock, sorted by chain: for every other chain, the highest
+    /// position whose node reaches this one (over non-implied edges).
+    anc: Vec<Entry>,
+    /// The descriptor: first operation, thread, and label (meaningful only
+    /// under [`LABELED`]).
+    first_op: u64,
+    thread: ThreadId,
+    label: Label,
     /// Number of incoming edges, tagged ones included: the reference count
     /// collection waits on (the records themselves live in `out`).
     in_degree: u32,
     /// The chain the node sits on, and its position there.
     chain: u32,
     pos: u32,
-    /// Chain clock, sorted by chain: for every other chain, the highest
-    /// position whose node reaches this one (over non-implied edges).
-    anc: Vec<Entry>,
+    /// [`ALIVE`], [`CURRENT`] and [`LABELED`].
+    flags: u8,
 }
 
 impl Slot {
+    /// A slot that has never held a node.
+    fn vacant() -> Self {
+        Slot {
+            floor: 0,
+            counter: 0,
+            out: OutEdges::default(),
+            anc: Vec::new(),
+            first_op: 0,
+            thread: ThreadId::new(0),
+            label: Label::new(0),
+            in_degree: 0,
+            chain: 0,
+            pos: 0,
+            flags: 0,
+        }
+    }
+
+    fn alive(&self) -> bool {
+        self.flags & ALIVE != 0
+    }
+
+    fn current(&self) -> bool {
+        self.flags & CURRENT != 0
+    }
+
     fn collectible(&self) -> bool {
-        self.alive && !self.c_ref && self.in_degree == 0
+        self.flags & (ALIVE | CURRENT) == ALIVE && self.in_degree == 0
+    }
+
+    fn desc(&self) -> NodeDesc {
+        NodeDesc {
+            thread: self.thread,
+            label: (self.flags & LABELED != 0).then_some(self.label),
+            first_op: self.first_op as usize,
+        }
+    }
+}
+
+/// The slot table grows by an eighth of its length, and by at least this
+/// many slots.
+const GROW_MIN: usize = 16;
+
+/// The slot table: one vector, grown by an eighth (at least [`GROW_MIN`]
+/// slots) whenever it is full instead of doubled, so its slack is at most
+/// an eighth of it, not a half. A lookup is one bounds-checked index.
+///
+/// `tail` stays empty unless a test skipped ahead
+/// ([`Arena::skip_slots_for_test`]): the slots from `tail_start` on then
+/// live there, and the skipped indices hold nothing.
+#[derive(Debug, Default)]
+struct Slots {
+    head: Vec<Slot>,
+    tail: Vec<Slot>,
+    /// Index of `tail`'s first slot; 0 while `tail` is unused.
+    tail_start: usize,
+}
+
+impl Slots {
+    /// Slots handed out so far; the next fresh index.
+    fn len(&self) -> usize {
+        if self.tail_start == 0 {
+            self.head.len()
+        } else {
+            self.tail_start + self.tail.len()
+        }
+    }
+
+    /// Appends `slot` at index `len`.
+    fn push(&mut self, slot: Slot) -> SlotIdx {
+        let idx = self.len();
+        let v = if self.tail_start == 0 {
+            &mut self.head
+        } else {
+            &mut self.tail
+        };
+        if v.len() == v.capacity() {
+            v.reserve_exact(GROW_MIN.max(v.len() / 8));
+        }
+        v.push(slot);
+        idx as SlotIdx
+    }
+
+    /// Slot `idx` past `head`, kept out of line: only an arena that
+    /// skipped ahead has one, and inlined into every lookup this path
+    /// slowed the engine's hot path (DESIGN.md §7, *Node layout*).
+    #[cold]
+    #[inline(never)]
+    fn tail_slot(&self, idx: usize) -> &Slot {
+        &self.tail[idx - self.tail_start]
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn tail_slot_mut(&mut self, idx: usize) -> &mut Slot {
+        &mut self.tail[idx - self.tail_start]
+    }
+
+    /// Every slot with its index, in index order.
+    fn iter(&self) -> impl Iterator<Item = (SlotIdx, &Slot)> + '_ {
+        let tail = self.tail.iter().enumerate();
+        (self.head.iter().enumerate())
+            .chain(tail.map(|(i, s)| (self.tail_start + i, s)))
+            .map(|(i, s)| (i as SlotIdx, s))
+    }
+
+    /// Does alive node `a` reach alive node `b ≠ a` over non-implied edges?
+    fn reaches(&self, a: SlotIdx, b: SlotIdx) -> bool {
+        let (a, b) = (&self[a], &self[b]);
+        if a.chain == b.chain {
+            return a.pos < b.pos;
+        }
+        // `a` is alive, so `a.pos` is at or above its chain's floor and a
+        // stale entry can never satisfy the comparison.
+        match b.anc.binary_search_by_key(&a.chain, |e| e.0) {
+            Ok(i) => b.anc[i].1 >= a.pos,
+            Err(_) => false,
+        }
+    }
+}
+
+impl Index<SlotIdx> for Slots {
+    type Output = Slot;
+
+    fn index(&self, idx: SlotIdx) -> &Slot {
+        let idx = idx as usize;
+        if idx < self.head.len() {
+            &self.head[idx]
+        } else {
+            self.tail_slot(idx)
+        }
+    }
+}
+
+impl IndexMut<SlotIdx> for Slots {
+    fn index_mut(&mut self, idx: SlotIdx) -> &mut Slot {
+        let idx = idx as usize;
+        if idx < self.head.len() {
+            &mut self.head[idx]
+        } else {
+            self.tail_slot_mut(idx)
+        }
     }
 }
 
@@ -161,11 +308,12 @@ pub struct CycleFound {
 /// panicking the host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArenaError {
-    /// All 65535 allocatable slots hold simultaneously-live transactions.
-    /// Slot index `u16::MAX` is reserved so no allocatable slot can pack a
-    /// step colliding with [`Step::NONE`].
+    /// All [`CAPACITY`] allocatable slots (2^24 − 1) hold
+    /// simultaneously-live transactions. Slot index [`MAX_SLOT`] is
+    /// reserved so no allocatable slot can pack a step colliding with
+    /// [`Step::NONE`].
     Exhausted,
-    /// A slot's timestamp counter reached the 48-bit limit; issuing another
+    /// A slot's timestamp counter reached the 40-bit limit; issuing another
     /// step in that node would not be representable.
     TsOverflow,
 }
@@ -175,11 +323,11 @@ impl fmt::Display for ArenaError {
         match self {
             ArenaError::Exhausted => write!(
                 f,
-                "node arena exhausted: 65535 simultaneously-live transactions \
+                "node arena exhausted: {CAPACITY} simultaneously-live transactions \
                  (is garbage collection disabled on a large trace?)"
             ),
             ArenaError::TsOverflow => {
-                write!(f, "node timestamp counter overflowed 48 bits")
+                write!(f, "node timestamp counter overflowed 40 bits")
             }
         }
     }
@@ -190,7 +338,7 @@ impl std::error::Error for ArenaError {}
 /// The node arena.
 #[derive(Debug)]
 pub struct Arena {
-    slots: Vec<Slot>,
+    slots: Slots,
     free: Vec<SlotIdx>,
     chains: Vec<Chain>,
     /// Ids of empty, unretired chains, reused before new ids are opened.
@@ -202,12 +350,18 @@ pub struct Arena {
     /// preserving the exact warnings and reports of the eliding mode while
     /// paying the unoptimized insertion cost — the differential baseline.
     elide: bool,
-    /// Work list of collection cascades and clock propagation.
+    /// Work list of collection cascades, clock propagation and path search.
     work: Vec<SlotIdx>,
     /// Clock propagation scratch: the entries an edge passes on, and the
     /// joined clock being built.
     gained: Vec<Entry>,
     joined: Vec<Entry>,
+    /// Path search scratch, indexed by slot: `(search, parent)`. A slot was
+    /// reached by the current search iff its entry carries that search's
+    /// number, `search`; its parent is then the node it was first pushed
+    /// from. Stamping means no search clears what an earlier one marked.
+    marks: Vec<(u32, SlotIdx)>,
+    search: u32,
 }
 
 impl Default for Arena {
@@ -224,7 +378,7 @@ impl Arena {
 
     /// Creates an arena, optionally disabling garbage collection (used by
     /// the GC ablation benchmark; without GC the arena holds every node
-    /// ever allocated, up to the 16-bit slot limit).
+    /// ever allocated, up to [`CAPACITY`] = 2^24 − 1 of them).
     pub fn with_gc(gc_enabled: bool) -> Self {
         Self::with_options(gc_enabled, true)
     }
@@ -232,7 +386,7 @@ impl Arena {
     /// Creates an arena with explicit GC and redundant-edge elision flags.
     pub fn with_options(gc_enabled: bool, elide: bool) -> Self {
         Self {
-            slots: Vec::new(),
+            slots: Slots::default(),
             free: Vec::new(),
             chains: Vec::new(),
             free_chains: Vec::new(),
@@ -242,6 +396,8 @@ impl Arena {
             work: Vec::new(),
             gained: Vec::new(),
             joined: Vec::new(),
+            marks: Vec::new(),
+            search: 0,
         }
     }
 
@@ -255,15 +411,16 @@ impl Arena {
     /// `current` marks the node as a thread's current transaction (a strong
     /// reference); merge-created nodes pass `false`.
     ///
-    /// Fails with [`ArenaError::Exhausted`] when all 65535 allocatable
-    /// slots are live (index `u16::MAX` is reserved: it would let a step
-    /// collide with [`Step::NONE`] at timestamp [`MAX_TS`]), and with
-    /// [`ArenaError::TsOverflow`] when the only recycled slot available has
-    /// spent its 48-bit timestamp space. On failure the arena is unchanged.
+    /// Fails with [`ArenaError::Exhausted`] when all [`CAPACITY`]
+    /// allocatable slots are live (index [`MAX_SLOT`] is reserved: it would
+    /// let a step collide with [`Step::NONE`] at timestamp [`MAX_TS`]), and
+    /// with [`ArenaError::TsOverflow`] when the only recycled slot available
+    /// has spent its 40-bit timestamp space. On failure the arena is
+    /// unchanged.
     pub fn alloc(&mut self, desc: NodeDesc, current: bool) -> Result<Step, ArenaError> {
         let idx = match self.free.pop() {
             Some(idx) => {
-                if self.slots[idx as usize].counter >= MAX_TS {
+                if self.slots[idx].counter >= MAX_TS {
                     // Recycled slot has no timestamps left; put it back so
                     // the failed call leaves the free list intact.
                     self.free.push(idx);
@@ -272,26 +429,13 @@ impl Arena {
                 idx
             }
             None => {
-                // `>=` reserves slot index u16::MAX (65535): with at most
-                // 65535 slots, indices stop at 65534 and no allocatable
+                // `>=` reserves slot index MAX_SLOT: with at most CAPACITY
+                // slots, indices stop one short of it and no allocatable
                 // slot can ever pack a step that collides with `⊥`.
-                if self.slots.len() >= SlotIdx::MAX as usize {
+                if self.slots.len() >= CAPACITY {
                     return Err(ArenaError::Exhausted);
                 }
-                let idx = self.slots.len() as SlotIdx;
-                self.slots.push(Slot {
-                    alive: false,
-                    floor: 0,
-                    counter: 0,
-                    c_ref: false,
-                    desc: desc.clone(),
-                    out: SlotMap::new(),
-                    in_degree: 0,
-                    chain: 0,
-                    pos: 0,
-                    anc: Vec::new(),
-                });
-                idx
+                self.slots.push(Slot::vacant())
             }
         };
         // A fresh node starts alone on a chain: a freed id (whose positions
@@ -301,11 +445,14 @@ impl Arena {
             (self.chains.len() - 1) as u32
         });
         let pos = self.push_position(chain);
-        let slot = &mut self.slots[idx as usize];
-        debug_assert!(!slot.alive, "allocating an alive slot");
-        slot.alive = true;
-        slot.c_ref = current;
-        slot.desc = desc;
+        let slot = &mut self.slots[idx];
+        debug_assert!(!slot.alive(), "allocating an alive slot");
+        slot.flags = ALIVE
+            | if current { CURRENT } else { 0 }
+            | if desc.label.is_some() { LABELED } else { 0 };
+        slot.first_op = desc.first_op as u64;
+        slot.thread = desc.thread;
+        slot.label = desc.label.unwrap_or(Label::new(0));
         slot.out.clear();
         slot.in_degree = 0;
         slot.chain = chain;
@@ -329,7 +476,7 @@ impl Arena {
     /// Removes node `v` from the front of its chain, freeing the chain id
     /// once it is empty (unless the chain is retired).
     fn leave_chain(&mut self, v: SlotIdx) {
-        let (chain, pos) = (self.slots[v as usize].chain, self.slots[v as usize].pos);
+        let (chain, pos) = (self.slots[v].chain, self.slots[v].pos);
         let c = &mut self.chains[chain as usize];
         debug_assert_eq!(c.floor, pos, "chains empty front to back");
         c.floor = pos + 1;
@@ -341,11 +488,11 @@ impl Arena {
     /// Issues the next timestamp within an alive node.
     ///
     /// Fails with [`ArenaError::TsOverflow`] once the node's counter
-    /// reaches the 48-bit limit; the counter is not advanced, so the slot's
+    /// reaches the 40-bit limit; the counter is not advanced, so the slot's
     /// existing steps stay valid.
     pub fn bump(&mut self, idx: SlotIdx) -> Result<Step, ArenaError> {
-        let slot = &mut self.slots[idx as usize];
-        debug_assert!(slot.alive, "bump of dead slot");
+        let slot = &mut self.slots[idx];
+        debug_assert!(slot.alive(), "bump of dead slot");
         if slot.counter >= MAX_TS {
             return Err(ArenaError::TsOverflow);
         }
@@ -354,10 +501,31 @@ impl Arena {
     }
 
     /// Test hook: pins a slot's timestamp counter so overflow paths can be
-    /// exercised without issuing 2^48 bumps. Not part of the public API.
+    /// exercised without issuing 2^40 bumps. Not part of the public API.
     #[doc(hidden)]
     pub fn force_counter_for_test(&mut self, idx: SlotIdx, counter: Ts) {
-        self.slots[idx as usize].counter = counter;
+        self.slots[idx].counter = counter;
+    }
+
+    /// Test hook: makes `next` the next fresh slot index, so the capacity
+    /// limit can be reached without allocating 2^24 nodes. The skipped
+    /// indices never hold a node and take no memory. Not part of the
+    /// public API.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena has skipped ahead before, or if `next` is below
+    /// the slots handed out so far or above [`CAPACITY`].
+    #[doc(hidden)]
+    pub fn skip_slots_for_test(&mut self, next: usize) {
+        assert_eq!(self.slots.tail_start, 0, "the arena skipped ahead before");
+        assert!(
+            (self.slots.len()..=CAPACITY).contains(&next),
+            "cannot skip to slot {next}"
+        );
+        if next > self.slots.len() {
+            self.slots.tail_start = next;
+        }
     }
 
     /// Resolves a (weak) step reference: returns `Step::NONE` if the step is
@@ -366,9 +534,9 @@ impl Arena {
         match step.slot() {
             None => Step::NONE,
             Some(idx) => {
-                let slot = &self.slots[idx as usize];
+                let slot = &self.slots[idx];
                 let ts = step.ts().expect("non-none step has ts");
-                if slot.alive && ts > slot.floor {
+                if slot.alive() && ts > slot.floor {
                     step
                 } else {
                     Step::NONE
@@ -379,7 +547,7 @@ impl Arena {
 
     /// Returns `true` when the node is alive.
     pub fn is_alive(&self, idx: SlotIdx) -> bool {
-        self.slots[idx as usize].alive
+        self.slots[idx].alive()
     }
 
     /// Returns `true` when the node is some thread's current transaction.
@@ -390,26 +558,12 @@ impl Arena {
     /// be a filtered self-edge and a real two-transaction cycle would go
     /// undetected.
     pub fn is_current(&self, idx: SlotIdx) -> bool {
-        self.slots[idx as usize].c_ref
+        self.slots[idx].current()
     }
 
     /// Descriptor of an alive node.
-    pub fn desc(&self, idx: SlotIdx) -> &NodeDesc {
-        &self.slots[idx as usize].desc
-    }
-
-    /// Does alive node `a` reach alive node `b ≠ a` over non-implied edges?
-    fn reaches(&self, a: SlotIdx, b: SlotIdx) -> bool {
-        let (a, b) = (&self.slots[a as usize], &self.slots[b as usize]);
-        if a.chain == b.chain {
-            return a.pos < b.pos;
-        }
-        // `a` is alive, so `a.pos` is at or above its chain's floor and a
-        // stale entry can never satisfy the comparison.
-        match b.anc.binary_search_by_key(&a.chain, |e| e.0) {
-            Ok(i) => b.anc[i].1 >= a.pos,
-            Err(_) => false,
-        }
+    pub fn desc(&self, idx: SlotIdx) -> NodeDesc {
+        self.slots[idx].desc()
     }
 
     /// Does `a` happen (non-strictly) before `b`?
@@ -424,7 +578,7 @@ impl Arena {
         if na == nb {
             return a.ts() <= b.ts();
         }
-        self.reaches(na, nb)
+        self.slots.reaches(na, nb)
     }
 
     /// Adds (or refreshes) the happens-before edge `from → to`.
@@ -463,8 +617,8 @@ impl Arena {
         //
         // A stored direct edge is refreshed in place (the paper's `H ⊎ G`
         // keeps the latest timestamps per ordered node pair).
-        if let Some(rec) = self.slots[nf as usize].out.get_mut(nt) {
-            rec.info = info;
+        if let Some(rec) = self.slots[nf].out.get_mut(nt) {
+            rec.refresh(info);
             self.stats.edges_replaced += 1;
             return Ok(true);
         }
@@ -473,7 +627,7 @@ impl Arena {
         // exactness, cycle detection, and GC timing (an implied edge's
         // witness path outlives it: each path node is kept alive by its
         // predecessor's stored edge while `nf` is alive).
-        if self.reaches(nf, nt) {
+        if self.slots.reaches(nf, nt) {
             if self.elide {
                 self.stats.edges_elided += 1;
                 return Ok(false);
@@ -484,7 +638,7 @@ impl Arena {
             return Ok(true);
         }
         // Edge nf → nt closes a cycle iff a path nt →* nf already exists.
-        if self.reaches(nt, nf) {
+        if self.slots.reaches(nt, nf) {
             return Err(CycleFound {
                 from: nf,
                 from_ts: tf,
@@ -496,7 +650,7 @@ impl Arena {
         // would be linked to it) joins the source's chain when the source
         // is that chain's tail: the new edge becomes the link, and the
         // clock is the source's.
-        let (sf, st) = (&self.slots[nf as usize], &self.slots[nt as usize]);
+        let (sf, st) = (&self.slots[nf], &self.slots[nt]);
         let extends = st.in_degree == 0
             && st.out.is_empty()
             && sf.pos + 1 == self.chains[sf.chain as usize].next
@@ -511,10 +665,8 @@ impl Arena {
     }
 
     fn insert_edge(&mut self, nf: SlotIdx, nt: SlotIdx, info: EdgeInfo, implied: bool) {
-        self.slots[nf as usize]
-            .out
-            .insert(nt, EdgeRec { info, implied });
-        self.slots[nt as usize].in_degree += 1;
+        self.slots[nf].out.insert(EdgeRec::new(nt, info, implied));
+        self.slots[nt].in_degree += 1;
         self.stats.edges_added += 1;
     }
 
@@ -522,23 +674,18 @@ impl Arena {
     /// tail of its chain, and gives it `nf`'s clock (minus stale entries).
     fn extend_chain(&mut self, nf: SlotIdx, nt: SlotIdx) {
         debug_assert_eq!(
-            self.chains[self.slots[nt as usize].chain as usize].next,
-            self.slots[nt as usize].pos + 1,
+            self.chains[self.slots[nt].chain as usize].next,
+            self.slots[nt].pos + 1,
             "only a node alone on its chain moves"
         );
         self.leave_chain(nt);
-        let chain = self.slots[nf as usize].chain;
+        let chain = self.slots[nf].chain;
         let pos = self.push_position(chain);
-        let mut anc = std::mem::take(&mut self.slots[nt as usize].anc);
+        let mut anc = std::mem::take(&mut self.slots[nt].anc);
         anc.clear();
         let chains = &self.chains;
-        anc.extend(
-            self.slots[nf as usize]
-                .anc
-                .iter()
-                .filter(|e| live(chains, e)),
-        );
-        let slot = &mut self.slots[nt as usize];
+        anc.extend(self.slots[nf].anc.iter().filter(|e| live(chains, e)));
+        let slot = &mut self.slots[nt];
         slot.chain = chain;
         slot.pos = pos;
         slot.anc = anc;
@@ -555,7 +702,7 @@ impl Arena {
             joined,
             ..
         } = self;
-        let src = &slots[nf as usize];
+        let src = &slots[nf];
         let split = src.anc.partition_point(|e| e.0 < src.chain);
         gained.clear();
         gained.extend(src.anc[..split].iter().filter(|e| live(chains, e)));
@@ -565,9 +712,9 @@ impl Arena {
         // non-implied witness path anyway.
         work.push(nt);
         while let Some(v) = work.pop() {
-            let slot = &mut slots[v as usize];
+            let slot = &mut slots[v];
             if join(&mut slot.anc, slot.chain, gained, chains, joined) {
-                work.extend(slot.out.iter().filter(|(_, r)| !r.implied).map(|(s, _)| s));
+                work.extend(slot.out.iter().filter(|r| !r.implied()).map(EdgeRec::to));
             }
         }
     }
@@ -575,7 +722,7 @@ impl Arena {
     /// Marks a node as no longer any thread's current transaction and
     /// collects it (and any cascade) if possible.
     pub fn finish(&mut self, idx: SlotIdx) {
-        self.slots[idx as usize].c_ref = false;
+        self.slots[idx].flags &= !CURRENT;
         self.maybe_collect(idx);
     }
 
@@ -587,34 +734,34 @@ impl Arena {
     /// path between alive nodes: raising the chain's floor past it turns
     /// every clock entry naming it stale, and no clock needs a sweep.
     pub fn maybe_collect(&mut self, idx: SlotIdx) {
-        if !self.gc_enabled || !self.slots[idx as usize].collectible() {
+        if !self.gc_enabled || !self.slots[idx].collectible() {
             return;
         }
         self.work.push(idx);
         while let Some(v) = self.work.pop() {
-            if !self.slots[v as usize].collectible() {
+            if !self.slots[v].collectible() {
                 continue;
             }
             self.leave_chain(v);
-            let slot = &mut self.slots[v as usize];
-            slot.alive = false;
+            let slot = &mut self.slots[v];
+            slot.flags &= !ALIVE;
             slot.floor = slot.counter;
             slot.anc.clear();
-            let mut out = std::mem::replace(&mut slot.out, SlotMap::new());
+            let mut out = std::mem::take(&mut slot.out);
             self.stats.cur_alive -= 1;
             self.stats.collected += 1;
-            for succ in out.keys() {
-                let s = &mut self.slots[succ as usize];
-                if s.alive {
+            for succ in out.iter().map(EdgeRec::to) {
+                let s = &mut self.slots[succ];
+                if s.alive() {
                     s.in_degree -= 1;
                     if s.collectible() {
                         self.work.push(succ);
                     }
                 }
             }
-            // Hand the emptied map back so the slot keeps its capacity.
+            // Hand the emptied list back so the slot keeps its capacity.
             out.clear();
-            self.slots[v as usize].out = out;
+            self.slots[v].out = out;
             self.free.push(v);
         }
     }
@@ -625,42 +772,73 @@ impl Arena {
     ///
     /// Implied (redundant) edges are skipped so reconstruction is identical
     /// whether the arena elides them or stores them tagged.
-    pub fn find_path(&self, start: SlotIdx, goal: SlotIdx) -> Option<Vec<(SlotIdx, EdgeInfo)>> {
-        // Iterative DFS that only descends into nodes that reach the goal.
-        // It is not bounded by a small graph: a long transaction can keep
-        // thousands of nodes alive.
-        // Successor order is ascending by slot (intrinsic to the sorted-vec
-        // adjacency), so reports are reproducible run to run.
-        let mut visited = SlotSet::new();
-        let mut stack: Vec<(SlotIdx, Vec<(SlotIdx, EdgeInfo)>)> = vec![(start, Vec::new())];
-        visited.insert(start);
-        while let Some((node, path)) = stack.pop() {
+    ///
+    /// The search is a DFS that stacks slots, not paths: each slot records
+    /// the node it was first pushed from, and the path is read back along
+    /// those parents. A call costs the nodes and edges it visits, linear in
+    /// a path of any length.
+    pub fn find_path(&mut self, start: SlotIdx, goal: SlotIdx) -> Option<Vec<(SlotIdx, EdgeInfo)>> {
+        let Arena {
+            slots,
+            work: stack,
+            marks,
+            search,
+            ..
+        } = self;
+        if marks.len() < slots.len() {
+            marks.resize(slots.len(), (0, 0));
+        }
+        *search = search.wrapping_add(1);
+        if *search == 0 {
+            // The stamps wrapped: clear every mark once.
+            marks.fill((0, 0));
+            *search = 1;
+        }
+        let search = *search;
+        // Only descend into nodes that reach the goal. Successors are
+        // pushed in ascending slot order (intrinsic to the sorted out-edge
+        // lists), and a slot's parent is fixed by its first push, so the
+        // path found, and every report, is reproducible run to run.
+        marks[start as usize] = (search, start);
+        stack.clear();
+        stack.push(start);
+        let mut found = false;
+        while let Some(node) = stack.pop() {
             if node == goal {
-                return Some(path);
+                found = true;
+                break;
             }
-            for (succ, rec) in self.slots[node as usize].out.iter() {
-                if rec.implied {
+            for rec in slots[node].out.iter() {
+                let succ = rec.to();
+                if rec.implied() || marks[succ as usize].0 == search {
                     continue;
                 }
-                // Prune: only descend toward nodes that can reach the goal.
-                if visited.contains(succ) {
+                if succ != goal && !slots.reaches(succ, goal) {
                     continue;
                 }
-                if succ != goal && !self.reaches(succ, goal) {
-                    continue;
-                }
-                visited.insert(succ);
-                let mut p = path.clone();
-                p.push((succ, rec.info));
-                stack.push((succ, p));
+                marks[succ as usize] = (search, node);
+                stack.push(succ);
             }
         }
-        None
+        stack.clear();
+        if !found {
+            return None;
+        }
+        let mut path = Vec::new();
+        let mut v = goal;
+        while v != start {
+            let parent = marks[v as usize].1;
+            let rec = slots[parent].out.get(v).expect("a path edge is stored");
+            path.push((v, rec.info()));
+            v = parent;
+        }
+        path.reverse();
+        Some(path)
     }
 
     /// The edge `from → to`, if present (stored tagged edges included).
     pub fn edge(&self, from: SlotIdx, to: SlotIdx) -> Option<EdgeInfo> {
-        self.slots[from as usize].out.get(to).map(|r| r.info)
+        self.slots[from].out.get(to).map(EdgeRec::info)
     }
 
     /// Number of alive nodes (for tests and diagnostics).
@@ -675,7 +853,7 @@ impl Arena {
     pub fn footprint(&self) -> (usize, usize) {
         let mut edges = 0;
         let mut entries = 0;
-        for slot in self.slots.iter().filter(|s| s.alive) {
+        for (_, slot) in self.slots.iter().filter(|(_, s)| s.alive()) {
             edges += slot.out.len();
             entries += slot.anc.iter().filter(|e| live(&self.chains, e)).count();
         }
@@ -694,23 +872,28 @@ impl Arena {
     pub fn check_invariants(&self) {
         // Edges join alive nodes, and in-degrees count them.
         let mut in_degree = vec![0u32; self.slots.len()];
-        for slot in self.slots.iter().filter(|s| s.alive) {
-            for t in slot.out.keys() {
-                assert!(self.slots[t as usize].alive, "edge to dead slot");
+        let alive: Vec<SlotIdx> = self
+            .slots
+            .iter()
+            .filter(|(_, s)| s.alive())
+            .map(|(i, _)| i)
+            .collect();
+        for &v in &alive {
+            for t in self.slots[v].out.iter().map(EdgeRec::to) {
+                assert!(self.slots[t].alive(), "edge to dead slot");
                 in_degree[t as usize] += 1;
             }
         }
-        for (i, slot) in self.slots.iter().enumerate().filter(|(_, s)| s.alive) {
-            assert_eq!(slot.in_degree, in_degree[i], "in-degree of n{i}");
+        for &v in &alive {
+            assert_eq!(
+                self.slots[v].in_degree, in_degree[v as usize],
+                "in-degree of n{v}"
+            );
         }
-        let alive: Vec<SlotIdx> = (0..self.slots.len() as u32)
-            .map(|i| i as SlotIdx)
-            .filter(|&i| self.slots[i as usize].alive)
-            .collect();
         // Chains and the link invariant.
         let mut members: Vec<Vec<(u32, SlotIdx)>> = vec![Vec::new(); self.chains.len()];
         for &v in &alive {
-            let slot = &self.slots[v as usize];
+            let slot = &self.slots[v];
             members[slot.chain as usize].push((slot.pos, v));
         }
         for (c, nodes) in members.iter_mut().enumerate() {
@@ -726,9 +909,9 @@ impl Arena {
                 assert_eq!(pos, chain.floor + k as u32, "n{v} off chain c{c}'s run");
             }
             for w in nodes.windows(2) {
-                let link = self.slots[w[0].1 as usize].out.get(w[1].1);
+                let link = self.slots[w[0].1].out.get(w[1].1);
                 assert!(
-                    matches!(link, Some(r) if !r.implied),
+                    matches!(link, Some(r) if !r.implied()),
                     "no link n{} → n{} on chain c{c}",
                     w[0].1,
                     w[1].1
@@ -745,7 +928,7 @@ impl Arena {
         // Clock shape: sorted by chain, nothing on the node's own chain, no
         // entry past its chain's last position.
         for &v in &alive {
-            let slot = &self.slots[v as usize];
+            let slot = &self.slots[v];
             assert!(
                 slot.anc.windows(2).all(|w| w[0].0 < w[1].0),
                 "clock of n{v} unsorted"
@@ -760,31 +943,33 @@ impl Arena {
         // (Implied edges cannot extend cycles: each parallels a non-implied
         // witness path, so acyclicity of the non-implied subgraph implies
         // acyclicity of the whole graph.)
+        let mut reach = vec![false; self.slots.len()];
         for &v in &alive {
-            let mut reach = SlotSet::new();
+            reach.fill(false);
             let mut work = vec![v];
             while let Some(u) = work.pop() {
-                for (s, rec) in self.slots[u as usize].out.iter() {
-                    if !rec.implied && reach.insert(s) {
+                for rec in self.slots[u].out.iter().filter(|r| !r.implied()) {
+                    let s = rec.to();
+                    if !reach[s as usize] {
+                        reach[s as usize] = true;
                         work.push(s);
                     }
                 }
             }
-            assert!(!reach.contains(v), "cycle through n{v}");
+            assert!(!reach[v as usize], "cycle through n{v}");
             for &d in alive.iter().filter(|&&d| d != v) {
                 assert_eq!(
-                    self.reaches(v, d),
-                    reach.contains(d),
+                    self.slots.reaches(v, d),
+                    reach[d as usize],
                     "clocks misorder n{v} and n{d}"
                 );
             }
-            for (s, rec) in self.slots[v as usize].out.iter() {
-                if rec.implied {
-                    assert!(
-                        reach.contains(s),
-                        "implied edge n{v} → n{s} lacks a witness path"
-                    );
-                }
+            for rec in self.slots[v].out.iter().filter(|r| r.implied()) {
+                assert!(
+                    reach[rec.to() as usize],
+                    "implied edge n{v} → n{} lacks a witness path",
+                    rec.to()
+                );
             }
         }
     }
@@ -859,6 +1044,12 @@ mod tests {
             t: ThreadId::new(0),
             x: VarId::new(0),
         }
+    }
+
+    #[test]
+    fn node_layout_fits_its_budget() {
+        assert_eq!(std::mem::size_of::<Slot>(), 96);
+        assert_eq!(std::mem::size_of::<EdgeRec>(), 40);
     }
 
     #[test]
@@ -1024,6 +1215,29 @@ mod tests {
         assert_eq!(path.len(), 2);
         assert_eq!(path[1].0, n2);
         assert!(a.find_path(n2, n0).is_none());
+    }
+
+    #[test]
+    fn find_path_marks_do_not_leak_across_searches() {
+        // n0 → n1 → n3 and n0 → n2 → n3: the search through n2 (pushed
+        // last, so popped first) reaches n3, and a repeat finds it again
+        // even after the search stamps wrap.
+        let mut a = Arena::new();
+        let s: Vec<Step> = (0..4).map(|i| a.alloc(desc(i), true).unwrap()).collect();
+        let n: Vec<SlotIdx> = s.iter().map(|s| s.unpack().0).collect();
+        for (i, (f, t)) in [(0, 1), (0, 2), (1, 3), (2, 3)].into_iter().enumerate() {
+            a.add_edge(s[f], s[t], op(), i).unwrap();
+        }
+        let hops =
+            |p: Vec<(SlotIdx, EdgeInfo)>| -> Vec<SlotIdx> { p.into_iter().map(|h| h.0).collect() };
+        let first = hops(a.find_path(n[0], n[3]).unwrap());
+        assert_eq!(first, vec![n[2], n[3]]);
+        assert_eq!(hops(a.find_path(n[1], n[3]).unwrap()), vec![n[3]]);
+        a.search = u32::MAX;
+        assert_eq!(hops(a.find_path(n[0], n[3]).unwrap()), first);
+        assert_eq!(a.search, 1, "the stamps restart after a wrap");
+        assert_eq!(hops(a.find_path(n[0], n[3]).unwrap()), first);
+        assert!(a.find_path(n[3], n[0]).is_none());
     }
 
     #[test]
@@ -1304,7 +1518,7 @@ mod tests {
         let mut a = Arena::new();
         // An emptied chain whose positions have nearly run out.
         let s = a.alloc(desc(0), true).unwrap();
-        let c = a.slots[s.unpack().0 as usize].chain;
+        let c = a.slots[s.unpack().0].chain;
         a.finish(s.unpack().0);
         a.chains[c as usize].next = u32::MAX - 2;
         a.chains[c as usize].floor = u32::MAX - 2;
@@ -1312,18 +1526,12 @@ mod tests {
         let s1 = a.alloc(desc(1), true).unwrap();
         let s2 = a.alloc(desc(2), true).unwrap();
         let n: Vec<SlotIdx> = [s0, s1, s2].iter().map(|s| s.unpack().0).collect();
-        assert_eq!(a.slots[n[0] as usize].chain, c, "the freed id is reused");
+        assert_eq!(a.slots[n[0]].chain, c, "the freed id is reused");
         a.add_edge(s0, s1, op(), 0).unwrap();
-        assert_eq!(
-            a.slots[n[1] as usize].chain, c,
-            "n1 takes the last position"
-        );
+        assert_eq!(a.slots[n[1]].chain, c, "n1 takes the last position");
         assert_eq!(a.chains[c as usize].next, u32::MAX);
         a.add_edge(s1, s2, op(), 1).unwrap();
-        assert_ne!(
-            a.slots[n[2] as usize].chain, c,
-            "a retired chain is not extended"
-        );
+        assert_ne!(a.slots[n[2]].chain, c, "a retired chain is not extended");
         assert!(a.happens_before(s0, s2));
         assert!(a.add_edge(s2, s0, op(), 2).is_err());
         a.check_invariants();
@@ -1335,7 +1543,7 @@ mod tests {
         assert!(!a.free_chains.contains(&c), "a retired chain is not reused");
         for i in 0..3 {
             let s = a.alloc(desc(i), true).unwrap();
-            assert_ne!(a.slots[s.unpack().0 as usize].chain, c);
+            assert_ne!(a.slots[s.unpack().0].chain, c);
         }
         a.check_invariants();
     }

@@ -41,7 +41,7 @@
 //! observed trace is not conflict-serializable (Theorem 1).
 
 use crate::arena::{Arena, ArenaError, CycleFound, EdgeInfo, NodeDesc};
-use crate::report::{CycleReport, ReportEdge};
+use crate::report::{CycleReport, ReportEdge, ReportNode};
 use crate::step::{SlotIdx, Step, Ts};
 use std::cmp::Reverse;
 use std::collections::hash_map::RandomState;
@@ -60,8 +60,9 @@ pub struct VelodromeConfig {
     /// (`true`, the default) or the naive Figure 2 `[INS OUTSIDE]` rule.
     pub merge: bool,
     /// Garbage collect transaction nodes (default `true`). Disabling this
-    /// reproduces the "no GC" ablation; large traces will exhaust the
-    /// 16-bit node arena.
+    /// reproduces the "no GC" ablation. Every node then stays alive, so a
+    /// trace of more than 2^24 − 1 transactions exhausts the node arena
+    /// (see [`crate::arena::CAPACITY`]).
     pub gc: bool,
     /// Skip happens-before edges whose ordering is already implied
     /// (default `true`): transitively-redundant edges are elided in the
@@ -202,7 +203,7 @@ pub struct VelodromeStats {
     pub degradations: u64,
     /// Arena slot-exhaustion events (each degrades to recorder-only).
     pub arena_exhausted: u64,
-    /// Arena 48-bit timestamp overflows (each degrades to recorder-only).
+    /// Arena 40-bit timestamp overflows (each degrades to recorder-only).
     pub ts_overflows: u64,
     /// Variables quarantined from happens-before edge creation.
     pub vars_quarantined: u64,
@@ -641,11 +642,19 @@ impl Velodrome {
     }
 
     /// Test hook: pins an arena slot's timestamp counter so overflow paths
-    /// can be exercised without issuing 2^48 bumps (see
+    /// can be exercised without issuing 2^40 bumps (see
     /// [`Arena::force_counter_for_test`]).
     #[doc(hidden)]
     pub fn force_arena_counter_for_test(&mut self, slot: SlotIdx, counter: Ts) {
         self.arena.force_counter_for_test(slot, counter);
+    }
+
+    /// Test hook: makes `next` the arena's next fresh slot index, so its
+    /// capacity can be reached without allocating 2^24 nodes (see
+    /// [`Arena::skip_slots_for_test`]).
+    #[doc(hidden)]
+    pub fn skip_arena_slots_for_test(&mut self, next: usize) {
+        self.arena.skip_slots_for_test(next);
     }
 
     /// [`Arena::add_edge`], recorded as `phase.add_edge`.
@@ -750,7 +759,7 @@ impl Velodrome {
         for &p in preds.iter().chain(std::iter::once(&l)) {
             let p = self.arena.resolve(p);
             if let Some((n, ts)) = p.is_some().then(|| p.unpack()) {
-                let n = usize::from(n);
+                let n = n as usize;
                 if n >= self.args_at.len() {
                     self.args_at.resize(n + 1, 0);
                 }
@@ -1188,7 +1197,7 @@ impl Velodrome {
             nodes: [c.to]
                 .into_iter()
                 .chain(path.iter().map(|&(slot, _)| slot))
-                .map(|slot| self.arena.desc(slot).into())
+                .map(|slot| ReportNode::from(&self.arena.desc(slot)))
                 .collect(),
             edges: hops().map(ReportEdge::from).collect(),
             increasing,

@@ -6,20 +6,35 @@
 //! transaction node and the timestamp of one operation inside it; `⊥` (no
 //! step) is a distinguished value.
 //!
+//! The split here is 24/40 instead: the top 24 bits name the node's slot
+//! and the low 40 bits the timestamp. A step stays one `u64`, so the
+//! per-variable state does not grow, while up to 2^24 − 1 nodes can be
+//! alive at once (the paper's 16 bits stop at 65,535) and each slot still
+//! has 2^40 timestamps. The split is a representation detail, not part of
+//! the algorithm.
+//!
 //! Node slots are recycled: when a node is garbage collected, the slot
 //! records the last timestamp it handed out, and any later dereference of a
 //! step whose timestamp falls at or below that floor is interpreted as `⊥`.
 
 use std::fmt;
 
-/// Index of a node slot in the arena (the top 16 bits of a step).
-pub type SlotIdx = u16;
+/// Index of a node slot in the arena (the top 24 bits of a step).
+pub type SlotIdx = u32;
 
-/// A timestamp within a node (the low 48 bits of a step).
+/// A timestamp within a node (the low 40 bits of a step).
 pub type Ts = u64;
 
+/// Bits of a step that hold the timestamp.
+const TS_BITS: u32 = 40;
+
 /// Largest representable timestamp.
-pub const MAX_TS: Ts = (1 << 48) - 1;
+pub const MAX_TS: Ts = (1 << TS_BITS) - 1;
+
+/// Largest slot index a step can carry. A step of this slot at
+/// [`MAX_TS`] is the bit pattern of [`Step::NONE`], so the arena never
+/// hands this index out.
+pub const MAX_SLOT: SlotIdx = (1 << (64 - TS_BITS)) - 1;
 
 /// A packed `(node, timestamp)` pair, or `⊥`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,11 +48,12 @@ impl Step {
     ///
     /// # Panics
     ///
-    /// Panics if `ts` exceeds 48 bits or the packed value would collide
-    /// with [`Step::NONE`].
+    /// Panics if `slot` exceeds 24 bits, `ts` exceeds 40 bits, or the
+    /// packed value would collide with [`Step::NONE`].
     pub fn new(slot: SlotIdx, ts: Ts) -> Self {
+        assert!(slot <= MAX_SLOT, "slot overflow: {slot}");
         assert!(ts <= MAX_TS, "timestamp overflow: {ts}");
-        let packed = ((slot as u64) << 48) | ts;
+        let packed = (u64::from(slot) << TS_BITS) | ts;
         assert_ne!(packed, u64::MAX, "step collides with NONE");
         Step(packed)
     }
@@ -57,7 +73,7 @@ impl Step {
         if self.is_none() {
             None
         } else {
-            Some((self.0 >> 48) as SlotIdx)
+            Some((self.0 >> TS_BITS) as SlotIdx)
         }
     }
 
@@ -77,7 +93,7 @@ impl Step {
     /// Panics on `⊥`.
     pub fn unpack(self) -> (SlotIdx, Ts) {
         assert!(self.is_some(), "unpack of bottom step");
-        ((self.0 >> 48) as SlotIdx, self.0 & MAX_TS)
+        ((self.0 >> TS_BITS) as SlotIdx, self.0 & MAX_TS)
     }
 
     /// The raw 64-bit representation.
@@ -124,8 +140,13 @@ mod tests {
 
     #[test]
     fn extreme_values_roundtrip() {
-        let s = Step::new(u16::MAX, MAX_TS - 1);
-        assert_eq!(s.unpack(), (u16::MAX, MAX_TS - 1));
+        assert_eq!(MAX_SLOT, (1 << 24) - 1);
+        assert_eq!(MAX_TS, (1 << 40) - 1);
+        let s = Step::new(MAX_SLOT, MAX_TS - 1);
+        assert_eq!(s.unpack(), (MAX_SLOT, MAX_TS - 1));
+        assert!(s.is_some());
+        let s = Step::new(MAX_SLOT - 1, MAX_TS);
+        assert_eq!(s.unpack(), (MAX_SLOT - 1, MAX_TS));
         let s = Step::new(0, 0);
         assert_eq!(s.unpack(), (0, 0));
     }
@@ -137,9 +158,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "slot overflow")]
+    fn slot_overflow_panics() {
+        let _ = Step::new(MAX_SLOT + 1, 0);
+    }
+
+    #[test]
     #[should_panic(expected = "collides with NONE")]
     fn max_slot_max_ts_collides_with_none() {
-        let _ = Step::new(u16::MAX, MAX_TS);
+        let _ = Step::new(MAX_SLOT, MAX_TS);
     }
 
     #[test]

@@ -1,14 +1,19 @@
 //! Regression tests for the arena's hard resource limits.
 //!
-//! Slot exhaustion and 48-bit timestamp overflow used to be `assert!`s that
+//! Slot exhaustion and 40-bit timestamp overflow used to be `assert!`s that
 //! brought the whole process down; they are now recoverable [`ArenaError`]s
 //! that the engine maps onto the degradation ladder (recorder-only mode
 //! plus a `Degraded` warning), counted in the engine's stats. Slot index
-//! `u16::MAX` is reserved so a maximal slot/timestamp pair can never
+//! [`MAX_SLOT`] is reserved so a maximal slot/timestamp pair can never
 //! collide with the `Step::NONE` encoding.
+//!
+//! The arena holds [`CAPACITY`] = 2^24 − 1 nodes. The tests reach that
+//! limit through a test hook that moves the next fresh slot index up to
+//! just below it, instead of allocating 16.7 million nodes.
 
 use proptest::prelude::*;
-use velodrome::step::MAX_TS;
+use velodrome::arena::CAPACITY;
+use velodrome::step::{MAX_SLOT, MAX_TS};
 use velodrome::{Arena, ArenaError, NodeDesc, Velodrome, VelodromeConfig};
 use velodrome_events::{Label, LockId, Op, ThreadId, VarId};
 use velodrome_monitor::{DegradationLevel, Tool, Warning, WarningCategory};
@@ -22,33 +27,38 @@ fn desc(i: usize) -> NodeDesc {
     }
 }
 
-/// Every slot index below `u16::MAX` allocates; the reserved index does
-/// not. With the old `<= 65536` bound the 65536th allocation handed out
-/// slot `u16::MAX`, and `Step::new(u16::MAX, MAX_TS)` is the bit pattern of
-/// `Step::NONE` — a panic waiting in `Step::new`.
+/// Every slot index below [`MAX_SLOT`] allocates; the reserved index does
+/// not. `Step::new(MAX_SLOT, MAX_TS)` is the bit pattern of `Step::NONE`,
+/// so handing out that slot would leave a panic waiting in `Step::new`.
+/// The last allocatable slot spends its whole timestamp space without
+/// colliding.
 #[test]
-fn slot_u16_max_is_reserved() {
+fn max_slot_index_is_reserved() {
     let mut a = Arena::with_gc(false);
+    a.alloc(desc(0), true).expect("slot 0");
+    a.skip_slots_for_test(CAPACITY - 100);
     let mut last = None;
-    for i in 0..usize::from(u16::MAX) {
+    for i in 0..100 {
         let s = a.alloc(desc(i), true).expect("slot below reserved index");
         assert!(s.is_some(), "allocated step must not be ⊥");
         last = s.slot();
     }
-    assert_eq!(last, Some(u16::MAX - 1), "indices stop one short of MAX");
-    let err = a.alloc(desc(usize::from(u16::MAX)), true).unwrap_err();
+    assert_eq!(last, Some(MAX_SLOT - 1), "indices stop one short of MAX");
+    let err = a.alloc(desc(100), true).unwrap_err();
     assert_eq!(err, ArenaError::Exhausted);
-    // The message states the true capacity (the old text said "more than
-    // 65536" while the bound admitted exactly 65536).
-    assert!(err.to_string().contains("65535"), "{err}");
-    assert_eq!(
-        a.stats().allocated,
-        u64::from(u16::MAX),
-        "failed alloc not counted"
-    );
+    // The message states the true capacity.
+    assert!(err.to_string().contains(&CAPACITY.to_string()), "{err}");
+    assert_eq!(a.stats().allocated, 101, "failed alloc not counted");
+    assert_eq!(a.stats().max_alive, 101);
+    // The top allocatable slot issues every timestamp up to MAX_TS.
+    a.force_counter_for_test(MAX_SLOT - 1, MAX_TS - 1);
+    let top = a.bump(MAX_SLOT - 1).expect("last timestamp");
+    assert_eq!(top.unpack(), (MAX_SLOT - 1, MAX_TS));
+    assert_eq!(a.resolve(top), top);
+    assert_eq!(a.bump(MAX_SLOT - 1).unwrap_err(), ArenaError::TsOverflow);
 }
 
-/// `bump` refuses to push a slot's timestamp past 48 bits instead of
+/// `bump` refuses to push a slot's timestamp past 40 bits instead of
 /// tripping the `Step::new` assert.
 #[test]
 fn ts_overflow_is_a_recoverable_error() {
@@ -80,13 +90,18 @@ fn rmw_violation_ops() -> Vec<Op> {
     ]
 }
 
-/// The RMW violation followed by more transactions than the arena holds.
+/// Slots left below the capacity when [`run_exhaustion`] skips ahead.
+const HEADROOM: usize = 1_000;
+
+/// The RMW violation followed by more transactions than the arena holds
+/// once [`run_exhaustion`] has skipped its slot table to [`HEADROOM`]
+/// below the capacity.
 fn exhaustion_ops() -> Vec<Op> {
     let mut ops = rmw_violation_ops();
     // Flood: one empty transaction per fresh thread. With GC off every
     // Begin allocates a slot that is never reclaimed; distinct threads keep
     // the happens-before graph edge-free, so the run stays linear.
-    for i in 2..80_000u32 {
+    for i in 2..(2 * HEADROOM) as u32 {
         let t = ThreadId::new(i);
         ops.push(Op::Begin {
             t,
@@ -95,6 +110,18 @@ fn exhaustion_ops() -> Vec<Op> {
         ops.push(Op::End { t });
     }
     ops
+}
+
+/// Feeds `ops` to `engine`, moving its arena's next fresh slot to
+/// [`HEADROOM`] below the capacity right after the RMW violation.
+fn run_exhaustion(engine: &mut Velodrome, ops: &[Op]) {
+    for (i, &op) in ops.iter().enumerate() {
+        if i == rmw_violation_ops().len() {
+            engine.skip_arena_slots_for_test(CAPACITY - HEADROOM);
+        }
+        engine.op(i, op);
+    }
+    engine.end_of_trace();
 }
 
 /// Exhausting the arena (GC disabled, no configured budget) lands the
@@ -111,14 +138,13 @@ fn slot_exhaustion_degrades_to_recorder_only() {
         ..VelodromeConfig::default()
     });
     let mut unconstrained = Velodrome::with_config(VelodromeConfig::default());
+    run_exhaustion(&mut constrained, &ops);
     for (i, &op) in ops.iter().enumerate() {
-        constrained.op(i, op);
         unconstrained.op(i, op);
     }
-    constrained.end_of_trace();
     unconstrained.end_of_trace();
-    // No `check_invariants` here: its exactness check is quadratic in live
-    // nodes, and this arena deliberately holds all 65,535 of them.
+    // No `check_invariants` here: it allocates per slot index, and this
+    // arena's indices run up to 2^24.
 
     let stats = constrained.stats();
     assert_eq!(stats.ladder, DegradationLevel::RecorderOnly);
@@ -136,7 +162,8 @@ fn slot_exhaustion_degrades_to_recorder_only() {
         .collect();
     assert_eq!(degraded.len(), 1, "exactly one degradation warning");
     assert!(
-        degraded[0].message.contains("node arena exhausted"),
+        degraded[0].message.contains("node arena exhausted")
+            && degraded[0].message.contains(&CAPACITY.to_string()),
         "{}",
         degraded[0].message
     );
@@ -173,8 +200,7 @@ fn slot_exhaustion_degrades_to_recorder_only() {
         Some(DegradationLevel::RecorderOnly.rung())
     );
 }
-
-/// Runs a three-op transaction whose slot counter starts at its 48-bit
+/// Runs a three-op transaction whose slot counter starts at its 40-bit
 /// ceiling, so its write overflows the timestamp.
 fn ts_overflow_run(telemetry: Telemetry) -> Velodrome {
     let mut engine = Velodrome::with_config(VelodromeConfig {
@@ -198,7 +224,7 @@ fn ts_overflow_run(telemetry: Telemetry) -> Velodrome {
     engine
 }
 
-/// A timestamp counter at its 48-bit ceiling degrades the engine on the
+/// A timestamp counter at its 40-bit ceiling degrades the engine on the
 /// next in-transaction operation instead of panicking.
 #[test]
 fn ts_overflow_degrades_to_recorder_only() {
@@ -235,16 +261,12 @@ fn published(engine: &Velodrome) -> Snapshot {
 /// as counters, when asked afterwards.
 #[test]
 fn exhaustion_count_is_published_from_stats() {
-    let ops = exhaustion_ops();
     let mut engine = Velodrome::with_config(VelodromeConfig {
         gc: false,
         telemetry: Telemetry::disabled(),
         ..VelodromeConfig::default()
     });
-    for (i, &op) in ops.iter().enumerate() {
-        engine.op(i, op);
-    }
-    engine.end_of_trace();
+    run_exhaustion(&mut engine, &exhaustion_ops());
     let snap = published(&engine);
     assert_eq!(
         snap.metrics[names::ARENA_EXHAUSTED],

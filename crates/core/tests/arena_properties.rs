@@ -98,7 +98,7 @@ impl Harness {
     }
 
     fn issued(&mut self, s: Step) {
-        let slot = usize::from(s.slot().expect("issued step"));
+        let slot = s.slot().expect("issued step") as usize;
         if slot >= self.latest.len() {
             self.latest.resize(slot + 1, Step::NONE);
         }
@@ -187,13 +187,13 @@ impl Harness {
             }
             Call::EdgeToNewest { from } => {
                 if let (Some(f), Some(n)) = (self.pick(from), self.newest) {
-                    let t = self.latest[usize::from(n)];
+                    let t = self.latest[n as usize];
                     self.add_edge(f, t);
                 }
             }
             Call::Reverse { edge } | Call::Repeat { edge } if !self.edges.is_empty() => {
                 let (f, t) = self.edges[edge % self.edges.len()];
-                let at = |s: Step| self.latest[usize::from(s.slot().expect("step"))];
+                let at = |s: Step| self.latest[s.slot().expect("step") as usize];
                 let (f, t) = (at(f), at(t));
                 match call {
                     Call::Reverse { .. } => self.add_edge(t, f),
@@ -217,7 +217,7 @@ impl Harness {
         let alive = self.alive();
         for &a in &alive {
             for &b in &alive {
-                let (sa, sb) = (self.latest[usize::from(a)], self.latest[usize::from(b)]);
+                let (sa, sb) = (self.latest[a as usize], self.latest[b as usize]);
                 let expect = if a == b { true } else { self.bfs(a, b) };
                 assert_eq!(
                     self.arena.happens_before(sa, sb),

@@ -27,7 +27,7 @@ pub const ARENA_EDGES_REPLACED: &str = "arena.edges_replaced";
 pub const ARENA_EDGES_ELIDED: &str = "arena.edges_elided";
 /// Slot-exhaustion events (arena full; analysis degraded, host kept alive).
 pub const ARENA_EXHAUSTED: &str = "arena.exhausted";
-/// 48-bit timestamp overflows (analysis degraded, host kept alive).
+/// 40-bit timestamp overflows (analysis degraded, host kept alive).
 pub const ARENA_TS_OVERFLOW: &str = "arena.ts_overflow";
 
 /// Operations processed by the engine.

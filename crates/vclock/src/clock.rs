@@ -1,8 +1,23 @@
 //! Vector clocks over thread identifiers.
 
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::fmt;
 use velodrome_events::ThreadId;
+
+/// Thread `t`'s clock in `threads`, created in `t`'s first epoch on first
+/// use. A free function over the map, so a caller can hold the clock while
+/// it touches its other fields.
+pub(crate) fn thread_clock(
+    threads: &mut HashMap<ThreadId, VectorClock>,
+    t: ThreadId,
+) -> &mut VectorClock {
+    threads.entry(t).or_insert_with(|| {
+        let mut c = VectorClock::new();
+        c.inc(t); // each thread starts in its own epoch
+        c
+    })
+}
 
 /// A vector clock: one logical timestamp per thread, absent entries being
 /// zero.

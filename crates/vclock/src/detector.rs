@@ -6,7 +6,7 @@
 //! order, lock release→acquire edges, and fork/join — i.e., the detector is
 //! precise for the observed trace.
 
-use crate::clock::VectorClock;
+use crate::clock::{thread_clock, VectorClock};
 use std::collections::{HashMap, HashSet};
 use velodrome_events::{LockId, Op, ThreadId, VarId};
 use velodrome_monitor::tool::{Tool, Warning, WarningCategory};
@@ -54,14 +54,6 @@ impl HbRaceDetector {
         self.races_detected
     }
 
-    fn clock_mut(&mut self, t: ThreadId) -> &mut VectorClock {
-        self.threads.entry(t).or_insert_with(|| {
-            let mut c = VectorClock::new();
-            c.inc(t); // each thread starts in its own epoch
-            c
-        })
-    }
-
     fn report(&mut self, t: ThreadId, x: VarId, index: usize, kind: &str) {
         self.races_detected += 1;
         if !self.reported.insert(x) {
@@ -87,28 +79,30 @@ impl Tool for HbRaceDetector {
     fn op(&mut self, index: usize, op: Op) {
         match op {
             Op::Acquire { t, m } => {
-                let lock = self.locks.get(&m).cloned().unwrap_or_default();
-                self.clock_mut(t).join(&lock);
+                let ct = thread_clock(&mut self.threads, t);
+                if let Some(lock) = self.locks.get(&m) {
+                    ct.join(lock);
+                }
             }
             Op::Release { t, m } => {
-                let c = self.clock_mut(t).clone();
-                self.locks.insert(m, c);
-                self.clock_mut(t).inc(t);
+                let ct = thread_clock(&mut self.threads, t);
+                self.locks.entry(m).or_default().clone_from(ct);
+                ct.inc(t);
             }
             Op::Fork { t, child } => {
-                let parent = self.clock_mut(t).clone();
-                self.clock_mut(child).join(&parent);
-                self.clock_mut(t).inc(t);
+                let parent = thread_clock(&mut self.threads, t).clone();
+                thread_clock(&mut self.threads, child).join(&parent);
+                thread_clock(&mut self.threads, t).inc(t);
             }
             Op::Join { t, child } => {
-                let done = self.clock_mut(child).clone();
-                self.clock_mut(t).join(&done);
-                self.clock_mut(child).inc(child);
+                let done = thread_clock(&mut self.threads, child).clone();
+                thread_clock(&mut self.threads, t).join(&done);
+                thread_clock(&mut self.threads, child).inc(child);
             }
             Op::Read { t, x } => {
-                let ct = self.clock_mut(t).clone();
+                let ct = &*thread_clock(&mut self.threads, t);
                 let vc = self.vars.entry(x).or_default();
-                let racy = !vc.writes.le(&ct);
+                let racy = !vc.writes.le(ct);
                 let my = ct.get(t);
                 vc.reads.set(t, my);
                 if racy {
@@ -116,10 +110,10 @@ impl Tool for HbRaceDetector {
                 }
             }
             Op::Write { t, x } => {
-                let ct = self.clock_mut(t).clone();
+                let ct = &*thread_clock(&mut self.threads, t);
                 let vc = self.vars.entry(x).or_default();
-                let racy_w = !vc.writes.le(&ct);
-                let racy_r = !vc.reads.le(&ct);
+                let racy_w = !vc.writes.le(ct);
+                let racy_r = !vc.reads.le(ct);
                 let my = ct.get(t);
                 vc.writes.set(t, my);
                 vc.reads.set(t, my);

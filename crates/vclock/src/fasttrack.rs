@@ -15,7 +15,7 @@
 //! already a no-op for the current transaction, exactly as an [`Epoch`]
 //! short-circuits a full vector-clock comparison here.
 
-use crate::clock::VectorClock;
+use crate::clock::{thread_clock, VectorClock};
 use std::collections::{HashMap, HashSet};
 use velodrome_events::{LockId, Op, ThreadId, VarId};
 use velodrome_monitor::tool::{Tool, Warning, WarningCategory};
@@ -115,14 +115,6 @@ impl FastTrack {
         &self.reported
     }
 
-    fn clock_mut(&mut self, t: ThreadId) -> &mut VectorClock {
-        self.threads.entry(t).or_insert_with(|| {
-            let mut c = VectorClock::new();
-            c.inc(t);
-            c
-        })
-    }
-
     fn report(&mut self, t: ThreadId, x: VarId, index: usize, kind: &str) {
         self.races_detected += 1;
         if !self.reported.insert(x) {
@@ -148,35 +140,37 @@ impl Tool for FastTrack {
     fn op(&mut self, index: usize, op: Op) {
         match op {
             Op::Acquire { t, m } => {
-                let lock = self.locks.get(&m).cloned().unwrap_or_default();
-                self.clock_mut(t).join(&lock);
+                let ct = thread_clock(&mut self.threads, t);
+                if let Some(lock) = self.locks.get(&m) {
+                    ct.join(lock);
+                }
             }
             Op::Release { t, m } => {
-                let c = self.clock_mut(t).clone();
-                self.locks.insert(m, c);
-                self.clock_mut(t).inc(t);
+                let ct = thread_clock(&mut self.threads, t);
+                self.locks.entry(m).or_default().clone_from(ct);
+                ct.inc(t);
             }
             Op::Fork { t, child } => {
-                let parent = self.clock_mut(t).clone();
-                self.clock_mut(child).join(&parent);
-                self.clock_mut(t).inc(t);
+                let parent = thread_clock(&mut self.threads, t).clone();
+                thread_clock(&mut self.threads, child).join(&parent);
+                thread_clock(&mut self.threads, t).inc(t);
             }
             Op::Join { t, child } => {
-                let done = self.clock_mut(child).clone();
-                self.clock_mut(t).join(&done);
-                self.clock_mut(child).inc(child);
+                let done = thread_clock(&mut self.threads, child).clone();
+                thread_clock(&mut self.threads, t).join(&done);
+                thread_clock(&mut self.threads, child).inc(child);
             }
             Op::Read { t, x } => {
-                let ct = self.clock_mut(t).clone();
+                let ct = &*thread_clock(&mut self.threads, t);
                 let mine = Epoch { t, c: ct.get(t) };
                 let st = self.vars.entry(x).or_default();
                 let mut racy = false;
-                if !st.write.le(&ct) {
+                if !st.write.le(ct) {
                     racy = true;
                 }
                 match &mut st.read {
                     ReadState::Epoch(e) => {
-                        if *e == mine || e.le(&ct) {
+                        if *e == mine || e.le(ct) {
                             // Totally ordered: stay in epoch representation.
                             st.read = ReadState::Epoch(mine);
                         } else {
@@ -195,13 +189,13 @@ impl Tool for FastTrack {
                 }
             }
             Op::Write { t, x } => {
-                let ct = self.clock_mut(t).clone();
+                let ct = &*thread_clock(&mut self.threads, t);
                 let mine = Epoch { t, c: ct.get(t) };
                 let st = self.vars.entry(x).or_default();
-                let racy_w = !st.write.le(&ct);
+                let racy_w = !st.write.le(ct);
                 let racy_r = match &st.read {
-                    ReadState::Epoch(e) => !e.le(&ct),
-                    ReadState::Vector(v) => !v.le(&ct),
+                    ReadState::Epoch(e) => !e.le(ct),
+                    ReadState::Vector(v) => !v.le(ct),
                 };
                 st.write = mine;
                 // Reads before this write are now ordered through it.

@@ -182,13 +182,15 @@ for backend in fasttrack hb-race all; do
     fi
 done
 
-echo "==> a long transaction holding 60,000 short ones alive checks within 1 GiB"
-# T0 writes x inside one block while T1 runs 60,000 short blocks reading
+echo "==> a long transaction holding 100,000 short ones alive checks within 1 GiB"
+# T0 writes x inside one block while T1 runs 100,000 short blocks reading
 # it; every reader stays alive until T0 ends. Memory must stay linear in
-# the alive nodes (the per-node ancestor sets this replaced took ~3.5 GiB).
+# the alive nodes (the per-node ancestor sets this replaced took ~3.5 GiB
+# at 60,000), and more than 65,535 nodes must fit in the arena (a 16-bit
+# slot index degraded here).
 awk 'BEGIN {
     printf "{\"ops\":[{\"Begin\":{\"t\":0,\"l\":0}},{\"Write\":{\"t\":0,\"x\":0}}"
-    for (i = 0; i < 60000; i++)
+    for (i = 0; i < 100000; i++)
         printf ",{\"Begin\":{\"t\":1,\"l\":1}},{\"Read\":{\"t\":1,\"x\":0}},{\"End\":{\"t\":1}}"
     printf ",{\"End\":{\"t\":0}}],\"names\":{\"threads\":{\"0\":\"T0\",\"1\":\"T1\"},"
     printf "\"vars\":{\"0\":\"x\"},\"locks\":{},\"labels\":{\"0\":\"long\",\"1\":\"short\"}}}"
@@ -205,6 +207,39 @@ if ! grep -q "no warnings" "$tmp/longtxn.out"; then
     cat "$tmp/longtxn.out" >&2
     exit 1
 fi
+rm "$tmp/longtxn.json"
+
+echo "==> a cycle through 60,001 nodes is reported within 5 s and 1 GiB"
+# T0 opens a block and writes x; T1 runs 60,000 short blocks, the first
+# reading x and the last writing z, so each stays alive behind the one
+# before; then T0 reads z, closing one cycle through every block. Cycle
+# reconstruction must be linear in the path (a search that copied the
+# path on every step took about 38 s here).
+awk 'BEGIN {
+    n = 60000
+    printf "{\"ops\":[{\"Begin\":{\"t\":0,\"l\":0}},{\"Write\":{\"t\":0,\"x\":0}}"
+    for (i = 0; i < n; i++) {
+        printf ",{\"Begin\":{\"t\":1,\"l\":1}}"
+        if (i == 0) printf ",{\"Read\":{\"t\":1,\"x\":0}}"
+        if (i == n - 1) printf ",{\"Write\":{\"t\":1,\"x\":1}}"
+        printf ",{\"End\":{\"t\":1}}"
+    }
+    printf ",{\"Read\":{\"t\":0,\"x\":1}},{\"End\":{\"t\":0}}],\"names\":{\"threads\":{\"0\":\"T0\",\"1\":\"T1\"},"
+    printf "\"vars\":{\"0\":\"x\",\"1\":\"z\"},\"locks\":{},\"labels\":{\"0\":\"long\",\"1\":\"short\"}}}"
+}' > "$tmp/deep.json"
+if ! (ulimit -v 1048576 && timeout 5 target/release/velodrome trace "$tmp/deep.json") \
+    >"$tmp/deep.out" 2>&1; then
+    echo "deep-chain smoke: trace failed within 1 GiB and 5 s" >&2
+    tail -c 2000 "$tmp/deep.out" >&2
+    exit 1
+fi
+if [[ "$(grep -c '^\[velodrome\] atomicity warning' "$tmp/deep.out")" -ne 1 ]] \
+    || ! grep -q "long is not atomic" "$tmp/deep.out"; then
+    echo "deep-chain smoke: expected exactly one warning, on long" >&2
+    tail -c 2000 "$tmp/deep.out" >&2
+    exit 1
+fi
+rm "$tmp/deep.json" "$tmp/deep.out"
 
 echo "==> 500,000 labels listed in string order check within 5 s and 1 GiB"
 # One block per label on one thread, and a `labels` map whose keys come in
