@@ -27,26 +27,9 @@
 //! to write that variable, inviting a conflicting interleaved write.
 
 use std::collections::{HashMap, HashSet};
-use velodrome_events::{Label, Op, ThreadId, VarId};
+use velodrome_events::{Op, SymbolTable, ThreadId, VarId};
 use velodrome_lockset::{AccessClass, LockSetState};
-use velodrome_monitor::tool::{PerLabelDedup, Tool, Warning, WarningCategory};
-
-/// The reduction phase of an in-flight transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Still in the right-mover prefix.
-    Pre,
-    /// Past the commit point: only left- and both-movers are allowed.
-    Post,
-}
-
-#[derive(Debug, Default)]
-struct TxnState {
-    stack: Vec<Label>,
-    phase: Option<Phase>,
-    /// Avoid re-reporting within one dynamic transaction instance.
-    reported: bool,
-}
+use velodrome_monitor::tool::{BlockLog, Tool, Warning};
 
 /// The Atomizer back-end tool.
 ///
@@ -72,59 +55,31 @@ struct TxnState {
 #[derive(Debug, Default)]
 pub struct Atomizer {
     lockset: LockSetState,
-    threads: HashMap<ThreadId, TxnState>,
-    dedup_per_label: bool,
-    dedup: PerLabelDedup,
-    warnings: Vec<Warning>,
-    violations_detected: u64,
+    blocks: BlockLog,
+    /// Threads whose open transaction is past its commit point (the
+    /// post-commit phase). A thread inside a block and not here is still
+    /// in the right-mover prefix (pre-commit).
+    committed: HashSet<ThreadId>,
 }
 
 impl Atomizer {
     /// Creates an Atomizer that reports each atomic-block label at most
     /// once (the paper counts non-atomic *methods*).
     pub fn new() -> Self {
-        Self {
-            dedup_per_label: true,
-            ..Self::default()
-        }
+        Self::default()
     }
 
     /// Creates an Atomizer reporting every dynamic violation.
     pub fn without_dedup() -> Self {
         Self {
-            dedup_per_label: false,
+            blocks: BlockLog::without_dedup(),
             ..Self::default()
         }
     }
 
     /// Dynamic violations observed (before deduplication).
     pub fn violations_detected(&self) -> u64 {
-        self.violations_detected
-    }
-
-    fn violation(&mut self, t: ThreadId, index: usize, reason: &str) {
-        self.violations_detected += 1;
-        let st = self.threads.entry(t).or_default();
-        if st.reported {
-            return;
-        }
-        st.reported = true;
-        let label = st.stack.first().copied();
-        if self.dedup_per_label && !self.dedup.first_report(label) {
-            return;
-        }
-        self.warnings.push(Warning {
-            tool: "atomizer",
-            category: WarningCategory::Atomicity,
-            label,
-            thread: t,
-            op_index: index,
-            message: format!(
-                "atomic block {} may not be reducible: {reason}",
-                label.map(|l| l.to_string()).unwrap_or_else(|| "<?>".into())
-            ),
-            details: None,
-        });
+        self.blocks.violations_detected()
     }
 }
 
@@ -135,53 +90,33 @@ impl Tool for Atomizer {
 
     fn op(&mut self, index: usize, op: Op) {
         match op {
-            Op::Begin { t, l } => {
-                let st = self.threads.entry(t).or_default();
-                st.stack.push(l);
-                if st.phase.is_none() {
-                    st.phase = Some(Phase::Pre);
-                    st.reported = false;
-                }
-            }
+            Op::Begin { t, l } => self.blocks.begin(t, l),
             Op::End { t } => {
-                let st = self.threads.entry(t).or_default();
-                st.stack.pop();
-                if st.stack.is_empty() {
-                    st.phase = None;
-                    st.reported = false;
+                if self.blocks.end(t) {
+                    self.committed.remove(&t);
                 }
             }
             Op::Acquire { t, m } => {
                 self.lockset.acquire(t, m);
-                let phase = self.threads.entry(t).or_default().phase;
-                if phase == Some(Phase::Post) {
-                    self.violation(t, index, "lock acquire (right-mover) after commit point");
+                if self.committed.contains(&t) {
+                    let reason = "lock acquire (right-mover) after commit point";
+                    self.blocks.violation(t, index, reason);
                 }
             }
             Op::Release { t, m } => {
                 self.lockset.release(t, m);
-                let st = self.threads.entry(t).or_default();
-                if st.phase.is_some() {
-                    st.phase = Some(Phase::Post);
+                if self.blocks.in_block(t) {
+                    self.committed.insert(t);
                 }
             }
             Op::Read { t, x } | Op::Write { t, x } => {
-                let class = self.lockset.access(t, x, op.is_write());
-                let phase = self.threads.entry(t).or_default().phase;
-                if class == AccessClass::Racy {
-                    match phase {
-                        Some(Phase::Pre) => {
-                            self.threads.entry(t).or_default().phase = Some(Phase::Post);
-                        }
-                        Some(Phase::Post) => {
-                            self.violation(
-                                t,
-                                index,
-                                "second racy access (non-mover) after commit point",
-                            );
-                        }
-                        None => {}
-                    }
+                // A racy access is the one non-mover a transaction may
+                // hold: it commits the transaction, and a second one after
+                // the commit point is a violation.
+                let racy = self.lockset.access(t, x, op.is_write()) == AccessClass::Racy;
+                if racy && self.blocks.in_block(t) && !self.committed.insert(t) {
+                    let reason = "second racy access (non-mover) after commit point";
+                    self.blocks.violation(t, index, reason);
                 }
             }
             // The Atomizer does not model fork/join ordering.
@@ -190,7 +125,12 @@ impl Tool for Atomizer {
     }
 
     fn take_warnings(&mut self) -> Vec<Warning> {
-        std::mem::take(&mut self.warnings)
+        self.blocks
+            .take_warnings("atomizer", "may not be reducible")
+    }
+
+    fn set_names(&mut self, names: SymbolTable) {
+        self.blocks.set_names(names);
     }
 }
 

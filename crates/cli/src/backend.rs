@@ -348,14 +348,13 @@ fn feed<T: Tool>(
 }
 
 /// Runs `tool` over the events, behind a [`SpecFilter`] when the config
-/// carries a spec, gives it the events' names and hands it back for its
-/// statistics.
+/// carries a spec, gives it the events' names ([`Tool::set_names`]) and
+/// hands it back for its statistics.
 fn drive<T: Tool>(
     events: Events<'_>,
     cfg: &RunConfig,
     mut tool: T,
     publish: fn(&T, &Telemetry),
-    set_names: fn(&mut T, SymbolTable),
 ) -> Result<(T, Analysis), CliError> {
     let mut notes = Vec::new();
     let streamed = match cfg.spec.clone() {
@@ -368,7 +367,7 @@ fn drive<T: Tool>(
             streamed
         }
     };
-    set_names(&mut tool, streamed.names);
+    tool.set_names(streamed.names);
     let analysis = Analysis {
         warnings: tool.take_warnings(),
         notes,
@@ -391,13 +390,7 @@ fn engine_config(cfg: &RunConfig) -> VelodromeConfig {
 /// The paper's graph engine, noting budget suppression and degradation.
 fn velodrome(events: Events<'_>, cfg: &RunConfig) -> Result<Analysis, CliError> {
     let engine = Velodrome::with_config(engine_config(cfg));
-    let (engine, mut analysis) = drive(
-        events,
-        cfg,
-        engine,
-        Velodrome::publish_telemetry_to,
-        Velodrome::set_names,
-    )?;
+    let (engine, mut analysis) = drive(events, cfg, engine, Velodrome::publish_telemetry_to)?;
     engine_notes(&engine, &mut analysis.notes);
     Ok(analysis)
 }
@@ -419,9 +412,9 @@ fn engine_notes(engine: &Velodrome, notes: &mut Vec<String>) {
     }
 }
 
-/// A comparison tool: nothing to configure, publish or name.
+/// A comparison tool: nothing to configure or publish.
 fn plain<T: Tool>(events: Events<'_>, cfg: &RunConfig, tool: T) -> Result<Analysis, CliError> {
-    Ok(drive(events, cfg, tool, |_, _| {}, |_, _| {})?.1)
+    Ok(drive(events, cfg, tool, |_, _| {})?.1)
 }
 
 /// The tools of `all`, fed in one pass.
@@ -460,6 +453,13 @@ impl Tool for All {
         warnings.sort_by_key(|w| w.op_index);
         warnings
     }
+
+    fn set_names(&mut self, names: SymbolTable) {
+        self.atomizer.set_names(names.clone());
+        self.eraser.set_names(names.clone());
+        self.hb_race.set_names(names.clone());
+        self.engine.set_names(names);
+    }
 }
 
 /// The graph engine plus the Atomizer and the two race detectors, warnings
@@ -471,13 +471,7 @@ fn all(events: Events<'_>, cfg: &RunConfig) -> Result<Analysis, CliError> {
         eraser: Eraser::new(),
         hb_race: HbRaceDetector::new(),
     };
-    let (tools, mut analysis) = drive(
-        events,
-        cfg,
-        tools,
-        |a, t| a.engine.publish_telemetry_to(t),
-        |a, names| a.engine.set_names(names),
-    )?;
+    let (tools, mut analysis) = drive(events, cfg, tools, |a, t| a.engine.publish_telemetry_to(t))?;
     engine_notes(&tools.engine, &mut analysis.notes);
     Ok(analysis)
 }

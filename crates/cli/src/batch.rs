@@ -12,9 +12,10 @@
 //! Guarantees:
 //!
 //! * **Byte-identical verdicts.** Every trace is analyzed by exactly the
-//!   code path `velodrome trace <FILE>` uses, with a worker-private
-//!   telemetry registry, so per-trace warnings and notes are byte-identical
-//!   to a serial single-trace run of the same backend.
+//!   code path `velodrome trace <FILE>` uses, under the same analysis
+//!   flags (`--no-merge`, `--no-gc`, `--max-alive`, `--max-vars`), with a
+//!   worker-private telemetry registry, so per-trace warnings and notes
+//!   are byte-identical to a serial single-trace run of the same backend.
 //! * **Deterministic report order.** Workers claim work from an atomic
 //!   queue, but hand each result to the sink in input order: a result
 //!   that finishes before an earlier trace waits in a commit window, which
@@ -255,11 +256,12 @@ pub struct BatchReport {
 }
 
 /// Checks one trace file end to end: stream it (either format) into the
-/// backend under a panic guard, snapshot the worker-private registry if
-/// metrics were requested.
+/// backend, configured by `run_cfg`, under a panic guard, and snapshot the
+/// worker-private registry if metrics were requested.
 fn check_one(
     path: &Path,
     backend: &Backend,
+    run_cfg: &RunConfig,
     collect_metrics: bool,
 ) -> (TraceOutcome, Option<Snapshot>) {
     let start = std::time::Instant::now();
@@ -282,7 +284,7 @@ fn check_one(
     };
     let run_cfg = RunConfig {
         telemetry: telemetry.clone(),
-        ..RunConfig::default()
+        ..run_cfg.clone()
     };
     let events = Events::File(&path_str);
     let analysis =
@@ -421,14 +423,16 @@ impl<T, S: FnMut(T) -> io::Result<()>> Window<T, S> {
     }
 }
 
-/// The pool core: fans `cfg.paths` over `cfg.jobs` workers. Each worker
-/// turns its outcome into a `T` with `prepare` outside the lock, merges the
-/// trace's metrics and counts into the running totals, and commits the
-/// `T`; `sink` takes the `T`s in input order. After a sink error no new
-/// trace is started, and the error is returned.
+/// The pool core: fans `cfg.paths` over `cfg.jobs` workers, each trace
+/// analyzed under `run_cfg`. Each worker turns its outcome into a `T` with
+/// `prepare` outside the lock, merges the trace's metrics and counts into
+/// the running totals, and commits the `T`; `sink` takes the `T`s in input
+/// order. After a sink error no new trace is started, and the error is
+/// returned.
 fn run_pool<T: Send>(
     cfg: &BatchConfig,
     backend: &Backend,
+    run_cfg: &RunConfig,
     prepare: impl Fn(TraceOutcome) -> T + Sync,
     sink: impl FnMut(T) -> io::Result<()> + Send,
 ) -> io::Result<(BatchSummary, Option<Snapshot>)> {
@@ -451,7 +455,8 @@ fn run_pool<T: Send>(
                 if i >= n {
                     break;
                 }
-                let (outcome, snapshot) = check_one(&cfg.paths[i], backend, cfg.collect_metrics);
+                let (outcome, snapshot) =
+                    check_one(&cfg.paths[i], backend, run_cfg, cfg.collect_metrics);
                 let (status, events) = (outcome.status, outcome.events as u64);
                 let warnings = outcome.warnings.len() as u64;
                 let item = prepare(outcome);
@@ -482,14 +487,16 @@ fn run_pool<T: Send>(
 /// Runs the batch and collects every outcome: fans `cfg.paths` over a pool
 /// of `cfg.jobs` workers and returns the per-trace outcomes (in input
 /// order) plus, when requested, one merged telemetry snapshot carrying the
-/// `batch.*` gauges. `check-batch` runs the same pool but streams each
-/// report line out instead of keeping the outcomes.
+/// `batch.*` gauges. Every trace is analyzed with the default run config.
+/// `check-batch` runs the same pool, under the command's analysis flags,
+/// but streams each report line out instead of keeping the outcomes.
 pub fn run_batch(cfg: &BatchConfig) -> Result<BatchReport, CliError> {
     let backend = validate(cfg)?;
     let mut outcomes = Vec::with_capacity(cfg.paths.len());
     let (summary, merged) = run_pool(
         cfg,
         backend,
+        &RunConfig::default(),
         |o| o,
         |o| {
             outcomes.push(o);
@@ -555,11 +562,13 @@ fn collect_paths(input: &str) -> Result<Vec<PathBuf>, CliError> {
 fn write_report(
     cfg: &BatchConfig,
     backend: &Backend,
+    run_cfg: &RunConfig,
     out: &mut (impl Write + Send),
 ) -> io::Result<(BatchSummary, Option<Snapshot>)> {
     let (summary, merged) = run_pool(
         cfg,
         backend,
+        run_cfg,
         |o| o.to_json_line(),
         |line| out.write_all(line.as_bytes()),
     )?;
@@ -609,16 +618,17 @@ fn check_batch_into<'a>(
     };
     let report = opts.report.as_deref().map(&mut create).transpose()?;
     let metrics = opts.metrics_out.as_deref().map(&mut create).transpose()?;
+    let run_cfg = crate::run_config(opts);
     let (stdout, merged) = match report {
         Some((path, file)) => {
-            let (summary, merged) = write_report(cfg, backend, &mut BufWriter::new(file))
+            let (summary, merged) = write_report(cfg, backend, &run_cfg, &mut BufWriter::new(file))
                 .map_err(|e| write_err(path, e))?;
             (summary.text_line(), merged)
         }
         None => {
             let mut out = Vec::new();
-            let (_, merged) =
-                write_report(cfg, backend, &mut out).expect("writing to memory cannot fail");
+            let (_, merged) = write_report(cfg, backend, &run_cfg, &mut out)
+                .expect("writing to memory cannot fail");
             let out = String::from_utf8(out).expect("JSON lines are UTF-8");
             (out, merged)
         }

@@ -312,6 +312,20 @@ fn analyze_with(
 ) -> Result<Analysis, CliError> {
     let backend = backend::resolve(&opts.backend, opts.metrics_out.is_some())?;
     let cfg = RunConfig {
+        telemetry: telemetry.clone(),
+        metrics_out: opts.metrics_out.clone(),
+        metrics_interval: opts.metrics_interval,
+        watchdog: *watchdog,
+        ..run_config(opts)
+    };
+    (backend.run)(events, &cfg)
+}
+
+/// The analysis flags (`--no-merge`, `--no-gc`, `--max-alive`,
+/// `--max-vars`) as a run config, the rest at its defaults. Every command
+/// that runs a backend starts from it.
+fn run_config(opts: &Options) -> RunConfig {
+    RunConfig {
         merge: !opts.no_merge,
         gc: !opts.no_gc,
         budget: velodrome_monitor::ResourceBudget {
@@ -319,13 +333,8 @@ fn analyze_with(
             max_tracked_vars: opts.max_vars,
             ..velodrome_monitor::ResourceBudget::UNLIMITED
         },
-        telemetry: telemetry.clone(),
-        metrics_out: opts.metrics_out.clone(),
-        metrics_interval: opts.metrics_interval,
-        watchdog: *watchdog,
-        spec: None,
-    };
-    (backend.run)(events, &cfg)
+        ..RunConfig::default()
+    }
 }
 
 fn info(opts: &Options) -> Result<String, CliError> {
@@ -371,11 +380,7 @@ fn compare(opts: &Options) -> Result<String, CliError> {
         load_trace(opts)?
     };
     let mut out = format!("{} events; warnings per tool:\n", trace.len());
-    let cfg = RunConfig {
-        merge: !opts.no_merge,
-        gc: !opts.no_gc,
-        ..RunConfig::default()
-    };
+    let cfg = run_config(opts);
     for backend in BACKENDS.iter().filter(|b| b.compare) {
         let start = std::time::Instant::now();
         let analysis = (backend.run)((&trace).into(), &cfg)?;

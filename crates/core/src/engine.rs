@@ -110,7 +110,7 @@ pub struct VelodromeConfig {
     /// run.
     pub budget: ResourceBudget,
     /// Symbol table used to render warnings and error graphs, when they
-    /// are drained (see [`Velodrome::set_names`]).
+    /// are drained (see [`Tool::set_names`]).
     pub names: SymbolTable,
     /// Telemetry registry the engine reports into (default: the disabled
     /// no-op handle — zero overhead, see the `velodrome-telemetry` crate).
@@ -486,7 +486,7 @@ pub struct Velodrome {
     reports: Vec<CycleReport>,
     /// How many of `reports` have had their warning's `message` and
     /// `details` rendered. Rendering waits for [`Tool::take_warnings`], so
-    /// names supplied by [`Velodrome::set_names`] after the last operation
+    /// names supplied by [`Tool::set_names`] after the last operation
     /// still appear.
     rendered: usize,
     dedup: PerLabelDedup,
@@ -596,13 +596,6 @@ impl Velodrome {
         p.add_edge.publish(t, names::PHASE_ADD_EDGE);
         p.cycle_check.publish(t, names::PHASE_CYCLE_CHECK);
         p.gc.publish(t, names::PHASE_GC);
-    }
-
-    /// Replaces the symbol table warnings are rendered with. A streamed
-    /// JSON trace may carry its names after its last operation; the
-    /// warnings pending at that point, and all later ones, use `names`.
-    pub fn set_names(&mut self, names: SymbolTable) {
-        self.cfg.names = names;
     }
 
     /// One cycle report per atomicity warning emitted so far, in emission
@@ -1258,6 +1251,13 @@ impl Tool for Velodrome {
         }
         self.rendered = self.reports.len();
         std::mem::take(&mut self.warnings)
+    }
+
+    /// Replaces the symbol table warnings are rendered with. A streamed
+    /// JSON trace may carry its names after its last operation; the
+    /// warnings pending at that point, and all later ones, use `names`.
+    fn set_names(&mut self, names: SymbolTable) {
+        self.cfg.names = names;
     }
 }
 

@@ -26,11 +26,14 @@ pub mod state;
 pub use s2pl::StrictTwoPhase;
 pub use state::{AccessClass, LockSetState, VarState};
 
-use velodrome_events::Op;
-use velodrome_monitor::tool::{Tool, Warning, WarningCategory};
+use velodrome_events::{Op, SymbolTable};
+use velodrome_monitor::tool::{RaceLog, Tool, Warning};
 
 /// The Eraser back-end tool: reports one race warning per variable whose
 /// candidate lockset empties after it has been written by multiple threads.
+///
+/// A racy variable stays racy (an empty candidate set only shrinks), so
+/// [`RaceLog`]'s first access per variable is the one that made it racy.
 ///
 /// # Examples
 ///
@@ -48,8 +51,7 @@ use velodrome_monitor::tool::{Tool, Warning, WarningCategory};
 #[derive(Debug, Default)]
 pub struct Eraser {
     state: LockSetState,
-    warnings: Vec<Warning>,
-    races_detected: u64,
+    races: RaceLog,
 }
 
 impl Eraser {
@@ -65,7 +67,7 @@ impl Eraser {
 
     /// Racy accesses observed (before per-variable deduplication).
     pub fn races_detected(&self) -> u64 {
-        self.races_detected
+        self.races.races_detected()
     }
 }
 
@@ -79,21 +81,8 @@ impl Tool for Eraser {
             Op::Acquire { t, m } => self.state.acquire(t, m),
             Op::Release { t, m } => self.state.release(t, m),
             Op::Read { t, x } | Op::Write { t, x } => {
-                let newly_racy = !self.state.is_racy(x);
-                let class = self.state.access(t, x, op.is_write());
-                if class == AccessClass::Racy {
-                    self.races_detected += 1;
-                    if newly_racy {
-                        self.warnings.push(Warning {
-                            tool: "eraser",
-                            category: WarningCategory::Race,
-                            label: None,
-                            thread: t,
-                            op_index: index,
-                            message: format!("possible race on {x}: lockset empty"),
-                            details: None,
-                        });
-                    }
+                if self.state.access(t, x, op.is_write()) == AccessClass::Racy {
+                    self.races.report(t, x, index, "possible");
                 }
             }
             // Eraser ignores transaction markers and fork/join (a source of
@@ -103,7 +92,13 @@ impl Tool for Eraser {
     }
 
     fn take_warnings(&mut self) -> Vec<Warning> {
-        std::mem::take(&mut self.warnings)
+        self.races.take_warnings("eraser", |kind, x, _| {
+            format!("{kind} race on {x}: lockset empty")
+        })
+    }
+
+    fn set_names(&mut self, names: SymbolTable) {
+        self.races.set_names(names);
     }
 }
 

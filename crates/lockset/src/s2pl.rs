@@ -10,39 +10,31 @@
 //!
 //! * **growing-phase rule**: within a transaction, no lock may be acquired
 //!   after any lock has been released (2PL);
-//! * **strictness rule**: locks acquired inside a transaction are released
-//!   only at its end;
 //! * **protection rule**: every shared access inside a transaction happens
 //!   while at least one lock is held.
+//!
+//! Strictness (release only at the end) is checked through these two: an
+//! early release is flagged once the transaction acquires again or touches
+//! shared data unprotected.
 //!
 //! Any S2PL-conformant transaction is serializable, so this checker is
 //! *sound for conformance* but flags many perfectly serializable
 //! executions (every lock-free idiom, every early release).
 
-use std::collections::{HashMap, HashSet};
-use velodrome_events::{Label, LockId, Op, ThreadId};
-use velodrome_monitor::tool::{PerLabelDedup, Tool, Warning, WarningCategory};
-
-#[derive(Debug, Default)]
-struct TxnState {
-    stack: Vec<Label>,
-    /// Has the transaction released any lock yet (entered the shrinking
-    /// phase)?
-    shrinking: bool,
-    /// Locks acquired within the transaction and not yet released.
-    acquired: HashSet<LockId>,
-    reported: bool,
-}
+use crate::LockSetState;
+use std::collections::HashSet;
+use velodrome_events::{Op, SymbolTable, ThreadId};
+use velodrome_monitor::tool::{BlockLog, Tool, Warning};
 
 /// The Strict 2PL conformance checker.
 #[derive(Debug, Default)]
 pub struct StrictTwoPhase {
-    threads: HashMap<ThreadId, TxnState>,
     /// Locks held per thread (including ones acquired outside transactions).
-    held: HashMap<ThreadId, HashSet<LockId>>,
-    dedup: PerLabelDedup,
-    warnings: Vec<Warning>,
-    violations_detected: u64,
+    locks: LockSetState,
+    blocks: BlockLog,
+    /// Threads whose open transaction has released a lock (entered the
+    /// shrinking phase).
+    shrinking: HashSet<ThreadId>,
 }
 
 impl StrictTwoPhase {
@@ -53,36 +45,7 @@ impl StrictTwoPhase {
 
     /// Dynamic violations observed (before deduplication).
     pub fn violations_detected(&self) -> u64 {
-        self.violations_detected
-    }
-
-    fn violation(&mut self, t: ThreadId, index: usize, reason: &str) {
-        self.violations_detected += 1;
-        let st = self.threads.entry(t).or_default();
-        if st.reported {
-            return;
-        }
-        st.reported = true;
-        let label = st.stack.first().copied();
-        if !self.dedup.first_report(label) {
-            return;
-        }
-        self.warnings.push(Warning {
-            tool: "s2pl",
-            category: WarningCategory::Atomicity,
-            label,
-            thread: t,
-            op_index: index,
-            message: format!(
-                "atomic block {} violates strict two-phase locking: {reason}",
-                label.map(|l| l.to_string()).unwrap_or_else(|| "<?>".into())
-            ),
-            details: None,
-        });
-    }
-
-    fn in_txn(&self, t: ThreadId) -> bool {
-        self.threads.get(&t).is_some_and(|s| !s.stack.is_empty())
+        self.blocks.violations_detected()
     }
 }
 
@@ -93,58 +56,29 @@ impl Tool for StrictTwoPhase {
 
     fn op(&mut self, index: usize, op: Op) {
         match op {
-            Op::Begin { t, l } => {
-                let st = self.threads.entry(t).or_default();
-                if st.stack.is_empty() {
-                    st.shrinking = false;
-                    st.acquired.clear();
-                    st.reported = false;
-                }
-                st.stack.push(l);
-            }
+            Op::Begin { t, l } => self.blocks.begin(t, l),
             Op::End { t } => {
-                let leftover = {
-                    let st = self.threads.entry(t).or_default();
-                    st.stack.pop();
-                    st.stack.is_empty() && !st.acquired.is_empty()
-                };
-                // Strictness: locks acquired in the transaction should have
-                // been held to the end; still holding them *at* the end is
-                // fine (structured regions release right before `end`), but
-                // a lock acquired inside and never released leaks.
-                let _ = leftover; // structured programs release via regions
-                let st = self.threads.entry(t).or_default();
-                if st.stack.is_empty() {
-                    st.acquired.clear();
+                if self.blocks.end(t) {
+                    self.shrinking.remove(&t);
                 }
             }
             Op::Acquire { t, m } => {
-                self.held.entry(t).or_default().insert(m);
-                if self.in_txn(t) {
-                    let shrinking = self.threads.entry(t).or_default().shrinking;
-                    if shrinking {
-                        self.violation(
-                            t,
-                            index,
-                            "lock acquired after a release (growing phase over)",
-                        );
-                    }
-                    self.threads.entry(t).or_default().acquired.insert(m);
+                self.locks.acquire(t, m);
+                if self.shrinking.contains(&t) {
+                    let reason = "lock acquired after a release (growing phase over)";
+                    self.blocks.violation(t, index, reason);
                 }
             }
             Op::Release { t, m } => {
-                if let Some(set) = self.held.get_mut(&t) {
-                    set.remove(&m);
-                }
-                if self.in_txn(t) {
-                    let st = self.threads.entry(t).or_default();
-                    st.shrinking = true;
-                    st.acquired.remove(&m);
+                self.locks.release(t, m);
+                if self.blocks.in_block(t) {
+                    self.shrinking.insert(t);
                 }
             }
             Op::Read { t, .. } | Op::Write { t, .. } => {
-                if self.in_txn(t) && !self.held.get(&t).is_some_and(|s| !s.is_empty()) {
-                    self.violation(t, index, "unprotected shared access inside transaction");
+                if self.blocks.in_block(t) && !self.locks.holds_any(t) {
+                    self.blocks
+                        .violation(t, index, "unprotected shared access inside transaction");
                 }
             }
             Op::Fork { .. } | Op::Join { .. } => {}
@@ -152,7 +86,12 @@ impl Tool for StrictTwoPhase {
     }
 
     fn take_warnings(&mut self) -> Vec<Warning> {
-        std::mem::take(&mut self.warnings)
+        self.blocks
+            .take_warnings("s2pl", "violates strict two-phase locking")
+    }
+
+    fn set_names(&mut self, names: SymbolTable) {
+        self.blocks.set_names(names);
     }
 }
 

@@ -80,53 +80,29 @@ impl LockSetState {
     pub fn access(&mut self, t: ThreadId, x: VarId, is_write: bool) -> AccessClass {
         let held = self.held(t);
         let state = self.vars.entry(x).or_insert(VarState::Virgin);
-        match state {
+        let candidate = match state {
             VarState::Virgin => {
                 *state = VarState::Exclusive(t);
-                AccessClass::ThreadLocal
+                return AccessClass::ThreadLocal;
             }
-            VarState::Exclusive(owner) if *owner == t => AccessClass::ThreadLocal,
-            VarState::Exclusive(_) => {
-                // Second thread: the candidate set starts as the locks held
-                // now.
-                let candidate = held;
-                let racy = candidate.is_empty() && is_write;
-                *state = if is_write {
-                    VarState::SharedModified(candidate)
-                } else {
-                    VarState::Shared(candidate)
-                };
-                if racy {
-                    AccessClass::Racy
-                } else {
-                    AccessClass::Protected
-                }
+            VarState::Exclusive(owner) if *owner == t => return AccessClass::ThreadLocal,
+            // Second thread: the candidate set starts as the locks held now.
+            VarState::Exclusive(_) => held,
+            VarState::Shared(c) | VarState::SharedModified(c) => {
+                c.intersection(&held).copied().collect()
             }
-            VarState::Shared(candidate) => {
-                let mut c: HashSet<LockId> = candidate.intersection(&held).copied().collect();
-                if is_write {
-                    let racy = c.is_empty();
-                    *state = VarState::SharedModified(std::mem::take(&mut c));
-                    if racy {
-                        AccessClass::Racy
-                    } else {
-                        AccessClass::Protected
-                    }
-                } else {
-                    *state = VarState::Shared(c);
-                    AccessClass::Protected
-                }
-            }
-            VarState::SharedModified(candidate) => {
-                let c: HashSet<LockId> = candidate.intersection(&held).copied().collect();
-                let racy = c.is_empty();
-                *state = VarState::SharedModified(c);
-                if racy {
-                    AccessClass::Racy
-                } else {
-                    AccessClass::Protected
-                }
-            }
+        };
+        let modified = is_write || matches!(state, VarState::SharedModified(_));
+        let racy = modified && candidate.is_empty();
+        *state = if modified {
+            VarState::SharedModified(candidate)
+        } else {
+            VarState::Shared(candidate)
+        };
+        if racy {
+            AccessClass::Racy
+        } else {
+            AccessClass::Protected
         }
     }
 }

@@ -6,8 +6,9 @@
 //! to pluggable analyses. This crate reproduces that architecture for Rust:
 //!
 //! * [`tool`] — the [`Tool`] back-end trait, [`Warning`] diagnostics,
-//!   [`ToolChain`] for running several analyses over one stream, and the
-//!   paper's `Empty` baseline back-end;
+//!   [`ToolChain`] for running several analyses over one stream, the
+//!   paper's `Empty` baseline back-end, and the baselines' shared warning
+//!   logs ([`tool::RaceLog`], [`tool::BlockLog`]);
 //! * [`spec`] — [`AtomicitySpec`], selecting which atomic blocks to check;
 //! * [`filter`] — RoadRunner's front-end filters (re-entrant lock
 //!   filtering, thread-local filtering) as tool combinators;

@@ -8,8 +8,9 @@
 //! Atomizer or a race detector.
 
 use serde::Serialize;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use velodrome_events::{Label, Op, ThreadId, Trace};
+use velodrome_events::{Label, Op, SymbolTable, ThreadId, Trace, VarId};
 
 /// The kind of defect a warning reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
@@ -87,6 +88,11 @@ pub trait Tool {
     fn take_warnings(&mut self) -> Vec<Warning> {
         Vec::new()
     }
+
+    /// Hands over the trace's names, which a JSON trace may carry after its
+    /// last operation, so warning text is rendered when it is taken. With
+    /// none given, ids print (`T0`, `x3`). The default ignores them.
+    fn set_names(&mut self, _names: SymbolTable) {}
 }
 
 impl<T: Tool + ?Sized> Tool for Box<T> {
@@ -101,6 +107,9 @@ impl<T: Tool + ?Sized> Tool for Box<T> {
     }
     fn take_warnings(&mut self) -> Vec<Warning> {
         (**self).take_warnings()
+    }
+    fn set_names(&mut self, names: SymbolTable) {
+        (**self).set_names(names)
     }
 }
 
@@ -249,7 +258,7 @@ impl Tool for EmptyTool {
 /// paper counts "non-atomic methods" rather than raw dynamic occurrences.
 #[derive(Debug, Default)]
 pub struct PerLabelDedup {
-    reported: std::collections::HashSet<Option<Label>>,
+    reported: HashSet<Option<Label>>,
 }
 
 impl PerLabelDedup {
@@ -262,15 +271,155 @@ impl PerLabelDedup {
     pub fn first_report(&mut self, label: Option<Label>) -> bool {
         self.reported.insert(label)
     }
+}
 
-    /// Number of distinct labels reported.
-    pub fn len(&self) -> usize {
-        self.reported.len()
+/// The warning bookkeeping of a race detector: every racy access is
+/// counted, and the first on each variable becomes a warning whose text is
+/// rendered from the trace's names when it is taken.
+#[derive(Debug, Default)]
+pub struct RaceLog {
+    racy: HashSet<VarId>,
+    /// Thread, variable, op index and kind of each pending warning.
+    pending: Vec<(ThreadId, VarId, usize, &'static str)>,
+    races_detected: u64,
+    names: SymbolTable,
+}
+
+impl RaceLog {
+    /// Counts a racy access of `thread` to `var`; `kind` is the tool's
+    /// word for the race (`"write-read"`).
+    pub fn report(&mut self, thread: ThreadId, var: VarId, op_index: usize, kind: &'static str) {
+        self.races_detected += 1;
+        if self.racy.insert(var) {
+            self.pending.push((thread, var, op_index, kind));
+        }
     }
 
-    /// Returns `true` when nothing has been reported.
-    pub fn is_empty(&self) -> bool {
-        self.reported.is_empty()
+    /// Racy accesses observed (before per-variable deduplication).
+    pub fn races_detected(&self) -> u64 {
+        self.races_detected
+    }
+
+    /// The variables reported racy so far.
+    pub fn racy_vars(&self) -> &HashSet<VarId> {
+        &self.racy
+    }
+
+    /// The names the pending warnings are rendered with ([`Tool::set_names`]).
+    pub fn set_names(&mut self, names: SymbolTable) {
+        self.names = names;
+    }
+
+    /// Removes the pending warnings as `tool`'s, each message
+    /// `message(kind, var, thread)` with the variable and thread named.
+    pub fn take_warnings(
+        &mut self,
+        tool: &'static str,
+        message: fn(&str, &str, &str) -> String,
+    ) -> Vec<Warning> {
+        let names = &self.names;
+        let warning = |(thread, var, op_index, kind)| Warning {
+            tool,
+            category: WarningCategory::Race,
+            label: None,
+            thread,
+            op_index,
+            message: message(kind, &names.var(var), &names.thread(thread)),
+            details: None,
+        };
+        self.pending.drain(..).map(warning).collect()
+    }
+}
+
+/// The warning bookkeeping of a tool that blames atomic blocks: each
+/// thread's open blocks, one warning per transaction (blamed on its
+/// outermost block) and, unless [`without_dedup`](Self::without_dedup),
+/// per label, and a count of every violation.
+#[derive(Debug, Default)]
+pub struct BlockLog {
+    /// Per thread: the open blocks' labels, outermost first, and whether
+    /// the transaction they form was reported.
+    threads: HashMap<ThreadId, (Vec<Label>, bool)>,
+    /// Warn on every transaction, not only on each label's first.
+    without_dedup: bool,
+    dedup: PerLabelDedup,
+    /// Thread, blamed label, op index and reason of each pending warning.
+    pending: Vec<(ThreadId, Option<Label>, usize, &'static str)>,
+    violations_detected: u64,
+    names: SymbolTable,
+}
+
+impl BlockLog {
+    /// A log reporting the first violation of every transaction.
+    pub fn without_dedup() -> Self {
+        Self {
+            without_dedup: true,
+            ..Self::default()
+        }
+    }
+
+    /// `t` opens block `l`.
+    pub fn begin(&mut self, t: ThreadId, l: Label) {
+        let (stack, reported) = self.threads.entry(t).or_default();
+        if stack.is_empty() {
+            *reported = false;
+        }
+        stack.push(l);
+    }
+
+    /// `t` closes its innermost block. Returns whether its transaction ended.
+    pub fn end(&mut self, t: ThreadId) -> bool {
+        let (stack, _) = self.threads.entry(t).or_default();
+        stack.pop();
+        stack.is_empty()
+    }
+
+    /// Whether `t` is inside an atomic block.
+    pub fn in_block(&self, t: ThreadId) -> bool {
+        self.threads
+            .get(&t)
+            .is_some_and(|(stack, _)| !stack.is_empty())
+    }
+
+    /// Counts a violation by `t` inside its open transaction.
+    pub fn violation(&mut self, t: ThreadId, op_index: usize, reason: &'static str) {
+        self.violations_detected += 1;
+        let (stack, reported) = self.threads.entry(t).or_default();
+        if !std::mem::replace(reported, true) {
+            let label = stack.first().copied();
+            if self.without_dedup || self.dedup.first_report(label) {
+                self.pending.push((t, label, op_index, reason));
+            }
+        }
+    }
+
+    /// Dynamic violations observed (before deduplication).
+    pub fn violations_detected(&self) -> u64 {
+        self.violations_detected
+    }
+
+    /// The names the pending warnings are rendered with ([`Tool::set_names`]).
+    pub fn set_names(&mut self, names: SymbolTable) {
+        self.names = names;
+    }
+
+    /// Removes the pending warnings as `tool`'s, each message
+    /// `atomic block L {verdict}: {reason}`.
+    pub fn take_warnings(&mut self, tool: &'static str, verdict: &str) -> Vec<Warning> {
+        let names = &self.names;
+        let warning = |(thread, label, op_index, reason): (_, Option<Label>, _, _)| {
+            let block = label.map_or_else(|| "<?>".to_owned(), |l| names.label(l));
+            Warning {
+                tool,
+                category: WarningCategory::Atomicity,
+                label,
+                thread,
+                op_index,
+                message: format!("atomic block {block} {verdict}: {reason}"),
+                details: None,
+            }
+        };
+        self.pending.drain(..).map(warning).collect()
     }
 }
 
@@ -356,7 +505,66 @@ mod tests {
         assert!(!dedup.first_report(l));
         assert!(dedup.first_report(Some(Label::new(1))));
         assert!(dedup.first_report(None));
-        assert_eq!(dedup.len(), 3);
+        assert!(!dedup.first_report(None));
+    }
+
+    fn race_message(kind: &str, x: &str, t: &str) -> String {
+        format!("{kind} race on {x} by {t}")
+    }
+
+    #[test]
+    fn race_log_reports_each_variable_once_and_names_it_when_taken() {
+        let mut log = RaceLog::default();
+        let (t, x, y) = (ThreadId::new(1), VarId::new(0), VarId::new(1));
+        log.report(t, x, 4, "write-write");
+        log.report(t, x, 7, "read-write");
+        let w = log.take_warnings("tool", race_message);
+        assert_eq!(w.len(), 1);
+        assert_eq!((w[0].op_index, w[0].thread), (4, t));
+        assert_eq!(
+            w[0].message, "write-write race on x0 by T1",
+            "ids without names"
+        );
+        log.report(t, y, 9, "write-read");
+        let mut names = SymbolTable::new();
+        names.name_var(y, "count");
+        names.name_thread(t, "worker");
+        log.set_names(names);
+        let w = log.take_warnings("tool", race_message);
+        assert_eq!(w.len(), 1);
+        assert_eq!(w[0].message, "write-read race on count by worker");
+        assert_eq!(log.races_detected(), 3);
+        assert_eq!(log.racy_vars().len(), 2);
+    }
+
+    #[test]
+    fn block_log_reports_a_transaction_once_on_its_outermost_block() {
+        let (t, outer, inner) = (ThreadId::new(0), Label::new(0), Label::new(1));
+        let run = |log: &mut BlockLog| {
+            for _ in 0..2 {
+                log.begin(t, outer);
+                log.begin(t, inner);
+                log.violation(t, 2, "first");
+                log.violation(t, 3, "second");
+                assert!(!log.end(t) && log.in_block(t));
+                assert!(log.end(t) && !log.in_block(t));
+            }
+            assert_eq!(log.violations_detected(), 4);
+        };
+        let mut deduped = BlockLog::default();
+        run(&mut deduped);
+        let w = deduped.take_warnings("tool", "is odd");
+        assert_eq!(w.len(), 1, "one warning per label");
+        assert_eq!(w[0].label, Some(outer));
+        assert_eq!(w[0].message, "atomic block L0 is odd: first");
+        let mut every = BlockLog::without_dedup();
+        run(&mut every);
+        let mut names = SymbolTable::new();
+        names.name_label(outer, "Set.add");
+        every.set_names(names);
+        let w = every.take_warnings("tool", "is odd");
+        assert_eq!(w.len(), 2, "one warning per transaction");
+        assert_eq!(w[1].message, "atomic block Set.add is odd: first");
     }
 
     #[test]

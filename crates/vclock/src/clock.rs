@@ -3,20 +3,64 @@
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
-use velodrome_events::ThreadId;
+use velodrome_events::{LockId, Op, ThreadId};
 
 /// Thread `t`'s clock in `threads`, created in `t`'s first epoch on first
 /// use. A free function over the map, so a caller can hold the clock while
-/// it touches its other fields.
-pub(crate) fn thread_clock(
-    threads: &mut HashMap<ThreadId, VectorClock>,
-    t: ThreadId,
-) -> &mut VectorClock {
+/// it touches the lock clocks.
+fn thread_clock(threads: &mut HashMap<ThreadId, VectorClock>, t: ThreadId) -> &mut VectorClock {
     threads.entry(t).or_insert_with(|| {
         let mut c = VectorClock::new();
         c.inc(t); // each thread starts in its own epoch
         c
     })
+}
+
+/// The thread and lock clocks of a happens-before analysis, with the
+/// synchronization rules both race detectors share. The detectors keep
+/// only their per-variable state and their read and write rules beside it.
+#[derive(Debug, Default)]
+pub(crate) struct SyncClocks {
+    threads: HashMap<ThreadId, VectorClock>,
+    locks: HashMap<LockId, VectorClock>,
+}
+
+impl SyncClocks {
+    /// Thread `t`'s clock, created in `t`'s first epoch on first use.
+    pub(crate) fn thread(&mut self, t: ThreadId) -> &VectorClock {
+        thread_clock(&mut self.threads, t)
+    }
+
+    /// Applies `op` if it synchronizes: an acquire or a join takes in the
+    /// lock's or child's clock, and a release or a fork passes the acting
+    /// thread's on and starts its next epoch (a join also starts the
+    /// child's). Other ops leave the clocks as they are.
+    pub(crate) fn sync(&mut self, op: Op) {
+        match op {
+            Op::Acquire { t, m } => {
+                let ct = thread_clock(&mut self.threads, t);
+                if let Some(lock) = self.locks.get(&m) {
+                    ct.join(lock);
+                }
+            }
+            Op::Release { t, m } => {
+                let ct = thread_clock(&mut self.threads, t);
+                self.locks.entry(m).or_default().clone_from(ct);
+                ct.inc(t);
+            }
+            Op::Fork { t, child } => {
+                let parent = thread_clock(&mut self.threads, t).clone();
+                thread_clock(&mut self.threads, child).join(&parent);
+                thread_clock(&mut self.threads, t).inc(t);
+            }
+            Op::Join { t, child } => {
+                let done = thread_clock(&mut self.threads, child).clone();
+                thread_clock(&mut self.threads, t).join(&done);
+                thread_clock(&mut self.threads, child).inc(child);
+            }
+            Op::Read { .. } | Op::Write { .. } | Op::Begin { .. } | Op::End { .. } => {}
+        }
+    }
 }
 
 /// A vector clock: one logical timestamp per thread, absent entries being

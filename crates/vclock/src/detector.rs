@@ -6,10 +6,10 @@
 //! order, lock release→acquire edges, and fork/join — i.e., the detector is
 //! precise for the observed trace.
 
-use crate::clock::{thread_clock, VectorClock};
+use crate::clock::{SyncClocks, VectorClock};
 use std::collections::{HashMap, HashSet};
-use velodrome_events::{LockId, Op, ThreadId, VarId};
-use velodrome_monitor::tool::{Tool, Warning, WarningCategory};
+use velodrome_events::{Op, SymbolTable, VarId};
+use velodrome_monitor::tool::{RaceLog, Tool, Warning};
 
 #[derive(Debug, Default)]
 struct VarClocks {
@@ -34,12 +34,9 @@ struct VarClocks {
 /// ```
 #[derive(Debug, Default)]
 pub struct HbRaceDetector {
-    threads: HashMap<ThreadId, VectorClock>,
-    locks: HashMap<LockId, VectorClock>,
+    clocks: SyncClocks,
     vars: HashMap<VarId, VarClocks>,
-    reported: HashSet<VarId>,
-    warnings: Vec<Warning>,
-    races_detected: u64,
+    races: RaceLog,
 }
 
 impl HbRaceDetector {
@@ -51,23 +48,12 @@ impl HbRaceDetector {
     /// Total conflicting concurrent access pairs observed (before
     /// per-variable deduplication).
     pub fn races_detected(&self) -> u64 {
-        self.races_detected
+        self.races.races_detected()
     }
 
-    fn report(&mut self, t: ThreadId, x: VarId, index: usize, kind: &str) {
-        self.races_detected += 1;
-        if !self.reported.insert(x) {
-            return;
-        }
-        self.warnings.push(Warning {
-            tool: "hb-race",
-            category: WarningCategory::Race,
-            label: None,
-            thread: t,
-            op_index: index,
-            message: format!("{kind} race on {x} by {t}"),
-            details: None,
-        });
+    /// The set of variables flagged racy so far.
+    pub fn racy_vars(&self) -> &HashSet<VarId> {
+        self.races.racy_vars()
     }
 }
 
@@ -78,39 +64,17 @@ impl Tool for HbRaceDetector {
 
     fn op(&mut self, index: usize, op: Op) {
         match op {
-            Op::Acquire { t, m } => {
-                let ct = thread_clock(&mut self.threads, t);
-                if let Some(lock) = self.locks.get(&m) {
-                    ct.join(lock);
-                }
-            }
-            Op::Release { t, m } => {
-                let ct = thread_clock(&mut self.threads, t);
-                self.locks.entry(m).or_default().clone_from(ct);
-                ct.inc(t);
-            }
-            Op::Fork { t, child } => {
-                let parent = thread_clock(&mut self.threads, t).clone();
-                thread_clock(&mut self.threads, child).join(&parent);
-                thread_clock(&mut self.threads, t).inc(t);
-            }
-            Op::Join { t, child } => {
-                let done = thread_clock(&mut self.threads, child).clone();
-                thread_clock(&mut self.threads, t).join(&done);
-                thread_clock(&mut self.threads, child).inc(child);
-            }
             Op::Read { t, x } => {
-                let ct = &*thread_clock(&mut self.threads, t);
+                let ct = self.clocks.thread(t);
                 let vc = self.vars.entry(x).or_default();
                 let racy = !vc.writes.le(ct);
-                let my = ct.get(t);
-                vc.reads.set(t, my);
+                vc.reads.set(t, ct.get(t));
                 if racy {
-                    self.report(t, x, index, "write-read");
+                    self.races.report(t, x, index, "write-read");
                 }
             }
             Op::Write { t, x } => {
-                let ct = &*thread_clock(&mut self.threads, t);
+                let ct = self.clocks.thread(t);
                 let vc = self.vars.entry(x).or_default();
                 let racy_w = !vc.writes.le(ct);
                 let racy_r = !vc.reads.le(ct);
@@ -118,17 +82,22 @@ impl Tool for HbRaceDetector {
                 vc.writes.set(t, my);
                 vc.reads.set(t, my);
                 if racy_w {
-                    self.report(t, x, index, "write-write");
+                    self.races.report(t, x, index, "write-write");
                 } else if racy_r {
-                    self.report(t, x, index, "read-write");
+                    self.races.report(t, x, index, "read-write");
                 }
             }
-            Op::Begin { .. } | Op::End { .. } => {}
+            _ => self.clocks.sync(op),
         }
     }
 
     fn take_warnings(&mut self) -> Vec<Warning> {
-        std::mem::take(&mut self.warnings)
+        self.races
+            .take_warnings("hb-race", |kind, x, t| format!("{kind} race on {x} by {t}"))
+    }
+
+    fn set_names(&mut self, names: SymbolTable) {
+        self.races.set_names(names);
     }
 }
 

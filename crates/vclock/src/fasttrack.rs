@@ -15,10 +15,10 @@
 //! already a no-op for the current transaction, exactly as an [`Epoch`]
 //! short-circuits a full vector-clock comparison here.
 
-use crate::clock::{thread_clock, VectorClock};
+use crate::clock::{SyncClocks, VectorClock};
 use std::collections::{HashMap, HashSet};
-use velodrome_events::{LockId, Op, ThreadId, VarId};
-use velodrome_monitor::tool::{Tool, Warning, WarningCategory};
+use velodrome_events::{Op, SymbolTable, ThreadId, VarId};
+use velodrome_monitor::tool::{RaceLog, Tool, Warning};
 
 /// A scalar clock value paired with the thread that produced it (`c@t`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,12 +84,9 @@ impl Default for VarState {
 /// ```
 #[derive(Debug, Default)]
 pub struct FastTrack {
-    threads: HashMap<ThreadId, VectorClock>,
-    locks: HashMap<LockId, VectorClock>,
+    clocks: SyncClocks,
     vars: HashMap<VarId, VarState>,
-    reported: HashSet<VarId>,
-    warnings: Vec<Warning>,
-    races_detected: u64,
+    races: RaceLog,
     /// Vector inflations performed (read-shared variables).
     inflations: u64,
 }
@@ -102,7 +99,7 @@ impl FastTrack {
 
     /// Racy accesses observed (before per-variable deduplication).
     pub fn races_detected(&self) -> u64 {
-        self.races_detected
+        self.races.races_detected()
     }
 
     /// Number of read states inflated from epoch to vector.
@@ -112,23 +109,7 @@ impl FastTrack {
 
     /// The set of variables flagged racy so far.
     pub fn racy_vars(&self) -> &HashSet<VarId> {
-        &self.reported
-    }
-
-    fn report(&mut self, t: ThreadId, x: VarId, index: usize, kind: &str) {
-        self.races_detected += 1;
-        if !self.reported.insert(x) {
-            return;
-        }
-        self.warnings.push(Warning {
-            tool: "fasttrack",
-            category: WarningCategory::Race,
-            label: None,
-            thread: t,
-            op_index: index,
-            message: format!("{kind} race on {x} by {t}"),
-            details: None,
-        });
+        self.races.racy_vars()
     }
 }
 
@@ -139,35 +120,11 @@ impl Tool for FastTrack {
 
     fn op(&mut self, index: usize, op: Op) {
         match op {
-            Op::Acquire { t, m } => {
-                let ct = thread_clock(&mut self.threads, t);
-                if let Some(lock) = self.locks.get(&m) {
-                    ct.join(lock);
-                }
-            }
-            Op::Release { t, m } => {
-                let ct = thread_clock(&mut self.threads, t);
-                self.locks.entry(m).or_default().clone_from(ct);
-                ct.inc(t);
-            }
-            Op::Fork { t, child } => {
-                let parent = thread_clock(&mut self.threads, t).clone();
-                thread_clock(&mut self.threads, child).join(&parent);
-                thread_clock(&mut self.threads, t).inc(t);
-            }
-            Op::Join { t, child } => {
-                let done = thread_clock(&mut self.threads, child).clone();
-                thread_clock(&mut self.threads, t).join(&done);
-                thread_clock(&mut self.threads, child).inc(child);
-            }
             Op::Read { t, x } => {
-                let ct = &*thread_clock(&mut self.threads, t);
+                let ct = self.clocks.thread(t);
                 let mine = Epoch { t, c: ct.get(t) };
                 let st = self.vars.entry(x).or_default();
-                let mut racy = false;
-                if !st.write.le(ct) {
-                    racy = true;
-                }
+                let racy = !st.write.le(ct);
                 match &mut st.read {
                     ReadState::Epoch(e) => {
                         if *e == mine || e.le(ct) {
@@ -185,11 +142,11 @@ impl Tool for FastTrack {
                     ReadState::Vector(v) => v.set(t, mine.c),
                 }
                 if racy {
-                    self.report(t, x, index, "write-read");
+                    self.races.report(t, x, index, "write-read");
                 }
             }
             Op::Write { t, x } => {
-                let ct = &*thread_clock(&mut self.threads, t);
+                let ct = self.clocks.thread(t);
                 let mine = Epoch { t, c: ct.get(t) };
                 let st = self.vars.entry(x).or_default();
                 let racy_w = !st.write.le(ct);
@@ -201,17 +158,23 @@ impl Tool for FastTrack {
                 // Reads before this write are now ordered through it.
                 st.read = ReadState::Epoch(Epoch::BOTTOM);
                 if racy_w {
-                    self.report(t, x, index, "write-write");
+                    self.races.report(t, x, index, "write-write");
                 } else if racy_r {
-                    self.report(t, x, index, "read-write");
+                    self.races.report(t, x, index, "read-write");
                 }
             }
-            Op::Begin { .. } | Op::End { .. } => {}
+            _ => self.clocks.sync(op),
         }
     }
 
     fn take_warnings(&mut self) -> Vec<Warning> {
-        std::mem::take(&mut self.warnings)
+        self.races.take_warnings("fasttrack", |kind, x, t| {
+            format!("{kind} race on {x} by {t}")
+        })
+    }
+
+    fn set_names(&mut self, names: SymbolTable) {
+        self.races.set_names(names);
     }
 }
 

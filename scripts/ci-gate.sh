@@ -207,7 +207,25 @@ if ! grep -q "no warnings" "$tmp/longtxn.out"; then
     cat "$tmp/longtxn.out" >&2
     exit 1
 fi
-rm "$tmp/longtxn.json"
+# check-batch analyzes under the same flags as trace: with a 10,000-node
+# budget both step the engine down its degradation ladder to one rung.
+mkdir "$tmp/longtxn"
+mv "$tmp/longtxn.json" "$tmp/longtxn/"
+target/release/velodrome trace "$tmp/longtxn/longtxn.json" --max-alive=10000 \
+    --metrics-out="$tmp/longtxn-trace.jsonl" >/dev/null
+target/release/velodrome check-batch "$tmp/longtxn" --jobs=2 --max-alive=10000 \
+    --report="$tmp/longtxn-report.jsonl" --metrics-out="$tmp/longtxn-batch.jsonl" >/dev/null
+ladder() {
+    tail -n 1 "$1" | sed -nE 's/.*"engine\.ladder":\{"type":"gauge","value":([0-9]+)\}.*/\1/p'
+}
+want="$(ladder "$tmp/longtxn-trace.jsonl")"
+got="$(ladder "$tmp/longtxn-batch.jsonl")"
+if [[ -z "$want" || "$want" -eq 0 || "$got" != "$want" ]]; then
+    echo "long-transaction smoke: --max-alive=10000 gives engine.ladder '$want' under" \
+        "trace but '$got' under check-batch (want equal and above 0)" >&2
+    exit 1
+fi
+rm -r "$tmp/longtxn"
 
 echo "==> a cycle through 60,001 nodes is reported within 5 s and 1 GiB"
 # T0 opens a block and writes x; T1 runs 60,000 short blocks, the first

@@ -118,6 +118,76 @@ fn check_batch_agrees_with_serial_runs_over_the_corpus() {
     );
 }
 
+/// The `engine.ladder` gauge of the last snapshot in a metrics file.
+fn final_ladder(metrics: &std::path::Path) -> u64 {
+    let text = std::fs::read_to_string(metrics).expect("metrics file reads");
+    let last: serde_json::Value =
+        serde_json::from_str(text.lines().last().expect("a snapshot")).expect("snapshot parses");
+    last["metrics"]["engine.ladder"]["value"]
+        .as_u64()
+        .expect("engine.ladder gauge")
+}
+
+/// `check-batch` analyzes each trace under the command's analysis flags,
+/// as `trace` does: a long transaction holding 30,000 short readers alive
+/// exhausts a 10,000-node budget and steps down the same ladder, with the
+/// same notes, in both commands.
+#[test]
+fn check_batch_honours_the_analysis_flags() {
+    let dir = std::env::temp_dir().join(format!("velodrome-batch-flags-{}", std::process::id()));
+    let traces = dir.join("traces");
+    std::fs::create_dir_all(&traces).unwrap();
+    let mut b = velodrome_events::TraceBuilder::new();
+    b.begin("T0", "long").write("T0", "x");
+    for _ in 0..30_000 {
+        b.begin("T1", "short").read("T1", "x").end("T1");
+    }
+    b.end("T0");
+    let json = b.finish().to_json();
+    for name in ["a.json", "b.json"] {
+        std::fs::write(traces.join(name), &json).unwrap();
+    }
+    let path = traces.join("a.json").display().to_string();
+    let (trace_metrics, batch_metrics) = (dir.join("trace.jsonl"), dir.join("batch.jsonl"));
+
+    let serial = run(&["trace", &path, "--max-alive=10000"]);
+    run(&[
+        "trace",
+        &path,
+        "--max-alive=10000",
+        &format!("--metrics-out={}", trace_metrics.display()),
+    ]);
+    let batch = run(&[
+        "check-batch",
+        traces.to_str().unwrap(),
+        "--jobs=2",
+        "--max-alive=10000",
+        &format!("--metrics-out={}", batch_metrics.display()),
+    ]);
+
+    let ladder = final_ladder(&trace_metrics);
+    assert_eq!(ladder, 3, "the budget takes the engine to recorder-only");
+    assert_eq!(final_ladder(&batch_metrics), ladder);
+    let serial_notes: Vec<&str> = serial
+        .lines()
+        .filter(|l| !l.starts_with('[') && !l.starts_with('('))
+        .collect();
+    assert!(!serial_notes.is_empty(), "{serial}");
+    let lines: Vec<&str> = batch.lines().collect();
+    assert_eq!(lines.len(), 3, "{batch}");
+    for line in &lines[..2] {
+        let entry: serde_json::Value = serde_json::from_str(line).unwrap();
+        let notes: Vec<&str> = entry["notes"]
+            .as_array()
+            .expect("notes field")
+            .iter()
+            .map(|n| n.as_str().unwrap())
+            .collect();
+        assert_eq!(notes, serial_notes, "{line}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -3,23 +3,34 @@
 //! variant must flag exactly the same variables on every trace.
 
 use std::collections::BTreeSet;
-use velodrome_events::Trace;
+use velodrome_events::{Trace, VarId};
 use velodrome_monitor::run_tool;
 use velodrome_sim::{random_program, run_program, GenConfig, RandomScheduler};
 use velodrome_vclock::{FastTrack, HbRaceDetector};
 
-fn racy_vars_full(trace: &Trace) -> BTreeSet<String> {
+// Both detectors keep their racy variables in a `RaceLog`; the sets are
+// compared as ids, so no change to a warning's wording can blind the test.
+
+fn racy_vars_full(trace: &Trace) -> BTreeSet<VarId> {
     let mut d = HbRaceDetector::new();
-    run_tool(&mut d, trace)
-        .iter()
-        .map(|w| w.message.split_whitespace().nth(3).unwrap().to_owned())
-        .collect()
+    let warnings = run_tool(&mut d, trace);
+    assert_eq!(
+        warnings.len(),
+        d.racy_vars().len(),
+        "one warning per racy var"
+    );
+    d.racy_vars().iter().copied().collect()
 }
 
-fn racy_vars_fast(trace: &Trace) -> BTreeSet<String> {
+fn racy_vars_fast(trace: &Trace) -> BTreeSet<VarId> {
     let mut d = FastTrack::new();
-    let _ = run_tool(&mut d, trace);
-    d.racy_vars().iter().map(|x| x.to_string()).collect()
+    let warnings = run_tool(&mut d, trace);
+    assert_eq!(
+        warnings.len(),
+        d.racy_vars().len(),
+        "one warning per racy var"
+    );
+    d.racy_vars().iter().copied().collect()
 }
 
 #[test]
