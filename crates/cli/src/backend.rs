@@ -45,9 +45,9 @@ pub struct Analysis {
 pub enum Events<'a> {
     /// A trace already in memory.
     Trace(&'a Trace),
-    /// A trace file in either format, decoded in blocks of at most
-    /// [`velodrome_events::FRAME_OPS`] operations. Each block is analyzed
-    /// before the next is read, so no [`Trace`] is built.
+    /// A trace file in either format, decoded through the reader's 16 KiB
+    /// read buffer in blocks of at most 256 operations. Each block is
+    /// analyzed before the next is read, so no [`Trace`] is built.
     File(&'a str),
 }
 

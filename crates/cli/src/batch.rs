@@ -32,13 +32,12 @@
 
 use crate::backend::{self, Backend, Events, RunConfig};
 use crate::{err, io_err, remove_partial, write_err, CliError, Options, USAGE};
-use serde::value::{Map, Number, Value};
-use serde::Serialize as _;
 use std::collections::BTreeMap;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use velodrome_events::{json_string_len, push_json_string};
 use velodrome_monitor::Warning;
 use velodrome_sim::WatchdogStats;
 use velodrome_telemetry::{names, JsonlExporter, MetricValue, Snapshot, Telemetry};
@@ -105,44 +104,138 @@ pub struct TraceOutcome {
     pub message: Option<String>,
 }
 
-fn num(v: u64) -> Value {
-    Value::Num(Number::from_u64(v))
-}
-
 impl TraceOutcome {
     /// Renders this trace's line of the JSONL report, newline included.
     pub(crate) fn to_json_line(&self) -> String {
-        let mut m = Map::new();
-        m.insert("path".into(), Value::Str(self.path.clone()));
-        m.insert("status".into(), Value::Str(self.status.as_str().into()));
+        line_of(|out| self.write_json(out))
+    }
+
+    /// The line's JSON object: `path` and `status`, then the counts,
+    /// timings, verdict, warnings and notes of an `ok` trace, or the
+    /// `error` message of any other.
+    fn write_json(&self, out: &mut dyn JsonOut) {
+        out.raw(r#"{"path":"#);
+        out.string(&self.path);
+        out.raw(r#","status":"#);
+        out.string(self.status.as_str());
         match self.status {
             TraceStatus::Ok => {
-                m.insert("events".into(), num(self.events as u64));
-                m.insert("millis".into(), num(self.millis));
-                m.insert("decode_ms".into(), num(self.decode_ms));
-                m.insert("analyze_ms".into(), num(self.analyze_ms));
-                m.insert("serializable".into(), Value::Bool(self.warnings.is_empty()));
-                m.insert("warnings".into(), self.warnings.serialize_value());
-                m.insert(
-                    "notes".into(),
-                    Value::Array(self.notes.iter().map(|n| Value::Str(n.clone())).collect()),
-                );
+                for (key, value) in [
+                    (r#","events":"#, self.events as u64),
+                    (r#","millis":"#, self.millis),
+                    (r#","decode_ms":"#, self.decode_ms),
+                    (r#","analyze_ms":"#, self.analyze_ms),
+                ] {
+                    out.raw(key);
+                    out.num(value);
+                }
+                out.raw(r#","serializable":"#);
+                out.raw(if self.warnings.is_empty() {
+                    "true"
+                } else {
+                    "false"
+                });
+                out.raw(r#","warnings":["#);
+                for (i, warning) in self.warnings.iter().enumerate() {
+                    if i > 0 {
+                        out.raw(",");
+                    }
+                    write_warning(out, warning);
+                }
+                out.raw(r#"],"notes":["#);
+                for (i, note) in self.notes.iter().enumerate() {
+                    if i > 0 {
+                        out.raw(",");
+                    }
+                    out.string(note);
+                }
+                out.raw("]");
             }
             TraceStatus::Error | TraceStatus::Quarantined => {
-                m.insert(
-                    "error".into(),
-                    Value::Str(self.message.clone().unwrap_or_default()),
-                );
+                out.raw(r#","error":"#);
+                out.string(self.message.as_deref().unwrap_or_default());
             }
         }
-        json_line(Value::Object(m))
+        out.raw("}");
     }
 }
 
-fn json_line(v: Value) -> String {
-    let mut line = serde_json::to_string(&v).expect("report serializes");
-    line.push('\n');
-    line
+/// One warning as its serde encoding gives it: the fields in declaration
+/// order, a missing label or details as `null`.
+fn write_warning(out: &mut dyn JsonOut, w: &Warning) {
+    out.raw(r#"{"tool":"#);
+    out.string(w.tool);
+    out.raw(r#","category":"#);
+    out.string(w.category.as_str());
+    out.raw(r#","label":"#);
+    match w.label {
+        Some(label) => out.num(label.raw().into()),
+        None => out.raw("null"),
+    }
+    out.raw(r#","thread":"#);
+    out.num(w.thread.raw().into());
+    out.raw(r#","op_index":"#);
+    out.num(w.op_index as u64);
+    out.raw(r#","message":"#);
+    out.string(&w.message);
+    out.raw(r#","details":"#);
+    match &w.details {
+        Some(details) => out.string(details),
+        None => out.raw("null"),
+    }
+    out.raw("}");
+}
+
+/// Where a report line's JSON goes. The line is written twice by the
+/// same code: into a byte count, to size it, then into the line itself.
+trait JsonOut {
+    /// JSON text that needs no escaping: punctuation, keys, literals.
+    fn raw(&mut self, text: &str);
+    /// A string value, quoted and escaped as the vendored `serde_json`
+    /// escapes it.
+    fn string(&mut self, s: &str);
+    /// An unsigned integer.
+    fn num(&mut self, v: u64);
+}
+
+impl JsonOut for usize {
+    fn raw(&mut self, text: &str) {
+        *self += text.len();
+    }
+
+    fn string(&mut self, s: &str) {
+        *self += json_string_len(s);
+    }
+
+    fn num(&mut self, v: u64) {
+        *self += v.checked_ilog10().map_or(1, |digits| digits as usize + 1);
+    }
+}
+
+impl JsonOut for Vec<u8> {
+    fn raw(&mut self, text: &str) {
+        self.extend_from_slice(text.as_bytes());
+    }
+
+    fn string(&mut self, s: &str) {
+        push_json_string(self, s);
+    }
+
+    fn num(&mut self, v: u64) {
+        write!(self, "{v}").expect("writing to a Vec cannot fail");
+    }
+}
+
+/// The line `write` writes, newline included, in a `String` allocated
+/// once at its length.
+fn line_of(write: impl Fn(&mut dyn JsonOut)) -> String {
+    let mut len = 1;
+    write(&mut len);
+    let mut line = Vec::with_capacity(len);
+    write(&mut line);
+    line.push(b'\n');
+    debug_assert_eq!(line.len(), len);
+    String::from_utf8(line).expect("JSON text is UTF-8")
 }
 
 /// Aggregate counts over a batch, kept as a running tally while it runs.
@@ -190,20 +283,25 @@ impl BatchSummary {
 
     /// Renders the report's last line, `{"summary":…}`, newline included.
     pub(crate) fn to_json_line(&self) -> String {
-        let mut s = Map::new();
-        s.insert("traces".into(), num(self.traces as u64));
-        s.insert("ok".into(), num(self.ok as u64));
-        s.insert("failed".into(), num(self.failed as u64));
-        s.insert("quarantined".into(), num(self.quarantined as u64));
-        s.insert("events".into(), num(self.events));
-        s.insert("warnings".into(), num(self.warnings));
-        s.insert("wall_millis".into(), num(self.wall_millis));
-        s.insert("events_per_sec".into(), num(self.events_per_sec()));
-        s.insert("jobs".into(), num(self.jobs as u64));
-        s.insert("backend".into(), Value::Str(self.backend.clone()));
-        let mut root = Map::new();
-        root.insert("summary".into(), Value::Object(s));
-        json_line(Value::Object(root))
+        line_of(|out| {
+            for (key, value) in [
+                (r#"{"summary":{"traces":"#, self.traces as u64),
+                (r#","ok":"#, self.ok as u64),
+                (r#","failed":"#, self.failed as u64),
+                (r#","quarantined":"#, self.quarantined as u64),
+                (r#","events":"#, self.events),
+                (r#","warnings":"#, self.warnings),
+                (r#","wall_millis":"#, self.wall_millis),
+                (r#","events_per_sec":"#, self.events_per_sec()),
+                (r#","jobs":"#, self.jobs as u64),
+            ] {
+                out.raw(key);
+                out.num(value);
+            }
+            out.raw(r#","backend":"#);
+            out.string(&self.backend);
+            out.raw("}}");
+        })
     }
 
     /// One human-readable summary line.
@@ -646,6 +744,10 @@ fn check_batch_into<'a>(
 mod tests {
     use super::*;
     use crate::execute;
+    use serde::Serialize as _;
+    use serde_json::{Map, Number, Value};
+    use velodrome_events::{Label, ThreadId};
+    use velodrome_monitor::WarningCategory;
 
     fn run(args: &[&str]) -> Result<String, CliError> {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
@@ -657,6 +759,141 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    fn num(v: u64) -> Value {
+        Value::Num(Number::from_u64(v))
+    }
+
+    /// A trace's report line as the `serde` value tree gave it before
+    /// the lines were written directly: the oracle for their bytes.
+    fn oracle_line(o: &TraceOutcome) -> String {
+        let mut m = Map::new();
+        m.insert("path".into(), Value::Str(o.path.clone()));
+        m.insert("status".into(), Value::Str(o.status.as_str().into()));
+        match o.status {
+            TraceStatus::Ok => {
+                m.insert("events".into(), num(o.events as u64));
+                m.insert("millis".into(), num(o.millis));
+                m.insert("decode_ms".into(), num(o.decode_ms));
+                m.insert("analyze_ms".into(), num(o.analyze_ms));
+                m.insert("serializable".into(), Value::Bool(o.warnings.is_empty()));
+                m.insert("warnings".into(), o.warnings.serialize_value());
+                m.insert(
+                    "notes".into(),
+                    Value::Array(o.notes.iter().map(|n| Value::Str(n.clone())).collect()),
+                );
+            }
+            TraceStatus::Error | TraceStatus::Quarantined => {
+                m.insert(
+                    "error".into(),
+                    Value::Str(o.message.clone().unwrap_or_default()),
+                );
+            }
+        }
+        serde_json::to_string(&Value::Object(m)).unwrap() + "\n"
+    }
+
+    /// The summary line as the `serde` value tree gave it.
+    fn oracle_summary_line(s: &BatchSummary) -> String {
+        let mut m = Map::new();
+        m.insert("traces".into(), num(s.traces as u64));
+        m.insert("ok".into(), num(s.ok as u64));
+        m.insert("failed".into(), num(s.failed as u64));
+        m.insert("quarantined".into(), num(s.quarantined as u64));
+        m.insert("events".into(), num(s.events));
+        m.insert("warnings".into(), num(s.warnings));
+        m.insert("wall_millis".into(), num(s.wall_millis));
+        m.insert("events_per_sec".into(), num(s.events_per_sec()));
+        m.insert("jobs".into(), num(s.jobs as u64));
+        m.insert("backend".into(), Value::Str(s.backend.clone()));
+        let mut root = Map::new();
+        root.insert("summary".into(), Value::Object(m));
+        serde_json::to_string(&Value::Object(root)).unwrap() + "\n"
+    }
+
+    /// The directly written lines are the bytes the `serde` value tree
+    /// gave, for every status, missing and present labels and details,
+    /// empty and non-empty notes, numbers of 1 to 20 digits, and text that
+    /// needs each kind of escape or none.
+    #[test]
+    fn report_lines_match_the_serde_encoding() {
+        let odd = "q\"b\\s\nl\u{1}c\u{1b}e ü 😀";
+        let warning = |category, label: Option<u32>, details: Option<String>| Warning {
+            tool: "velodrome",
+            category,
+            label: label.map(Label::new),
+            thread: ThreadId::new(7),
+            op_index: 12_345,
+            message: format!("{odd} is not atomic"),
+            details,
+        };
+        let outcome = |status, warnings: Vec<Warning>, notes: Vec<String>, message| TraceOutcome {
+            path: format!("dir/{odd}.json"),
+            status,
+            events: 1_000_000,
+            millis: 0,
+            decode_ms: 9,
+            analyze_ms: 10,
+            warnings,
+            notes,
+            message,
+        };
+        let mut wide = warning(WarningCategory::Other, Some(u32::MAX), None);
+        wide.op_index = usize::MAX;
+        wide.thread = ThreadId::new(0);
+        let outcomes = [
+            outcome(TraceStatus::Ok, Vec::new(), Vec::new(), None),
+            outcome(
+                TraceStatus::Ok,
+                vec![
+                    warning(
+                        WarningCategory::Atomicity,
+                        Some(3),
+                        Some(format!("digraph {{\n  t0 [label=\"{odd}\"];\n}}\n")),
+                    ),
+                    warning(WarningCategory::Race, None, None),
+                    warning(WarningCategory::Degraded, None, Some(String::new())),
+                    wide,
+                ],
+                vec![odd.to_owned(), String::new()],
+                None,
+            ),
+            outcome(TraceStatus::Ok, Vec::new(), vec![odd.to_owned()], None),
+            outcome(
+                TraceStatus::Error,
+                Vec::new(),
+                Vec::new(),
+                Some(format!("byte 14: {odd}")),
+            ),
+            outcome(
+                TraceStatus::Quarantined,
+                Vec::new(),
+                Vec::new(),
+                Some(format!("analysis panicked: {odd}")),
+            ),
+            outcome(TraceStatus::Error, Vec::new(), Vec::new(), None),
+        ];
+        for o in &outcomes {
+            assert_eq!(o.to_json_line(), oracle_line(o));
+        }
+        let summaries = [
+            BatchSummary::default(),
+            BatchSummary {
+                traces: 330,
+                ok: 328,
+                failed: 1,
+                quarantined: 1,
+                events: 1_830_000,
+                warnings: 2_568,
+                wall_millis: 101,
+                jobs: 2,
+                backend: odd.to_owned(),
+            },
+        ];
+        for s in &summaries {
+            assert_eq!(s.to_json_line(), oracle_summary_line(s));
+        }
     }
 
     /// Two traces' snapshots merge as a batch reads them: a ladder rung

@@ -349,6 +349,22 @@ impl IdHash {
             mul: s.hash_one(1u64) | 1,
         }
     }
+
+    /// A key drawn from `seed` by SplitMix64, the same on every run.
+    #[cfg(test)]
+    fn seeded(seed: u64) -> Self {
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        Self {
+            key: next(),
+            mul: next() | 1,
+        }
+    }
 }
 
 impl BuildHasher for IdHash {
@@ -1320,9 +1336,11 @@ mod tests {
         // The ids of `tests/crafted_ids.rs`: 2^16 variables `i << 16` fill
         // a table of 2^17 buckets, 2^12 threads `r << 20` one of 2^13.
         // Each of 64 runs of buckets should hold near its share of the
-        // ids, under every key.
-        for _ in 0..4 {
-            let hash = IdHash::random();
+        // ids. The keys come from fixed seeds: roughly 1 random key in 250
+        // puts more than twice its share into one run, which is no cliff
+        // but failed about 1 run in 60 of this test when it drew 4 keys.
+        for seed in 0..4 {
+            let hash = IdHash::seeded(seed);
             let vars = (0..1u32 << 16).map(|i| hash.hash_one(VarId::new(i << 16)));
             assert!(fullest_run(vars, 17) <= 2 * (1 << 16) / 64);
             let threads = (0..1u32 << 12).map(|r| hash.hash_one(ThreadId::new(r << 20)));

@@ -129,6 +129,11 @@ impl SymbolTable {
         Self::default()
     }
 
+    /// Whether no name of any kind has been registered.
+    pub fn is_empty(&self) -> bool {
+        self.index.iter().all(Vec::is_empty)
+    }
+
     /// Registers `name` for `id` in `kind`, keeping the index sorted.
     /// Appending in rising id order (as interning does) costs O(1) per
     /// name; any other order shifts the entries after the insertion point.

@@ -49,8 +49,8 @@ pub use ids::{Label, LockId, SymbolTable, ThreadId, VarId};
 pub use op::Op;
 pub use stats::TraceStats;
 pub use stream::{
-    read_json_trace, read_trace, stream_trace, write_json, JsonTraceWriter, TraceReadError,
-    TraceSummary,
+    json_string_len, push_json_string, read_json_trace, read_trace, stream_trace, write_json,
+    JsonTraceWriter, TraceReadError, TraceSummary,
 };
 pub use trace::{Trace, TraceBuilder};
 pub use txn::{Transactions, TxnId, TxnInfo};

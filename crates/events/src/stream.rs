@@ -5,8 +5,9 @@
 //! the one entry point: it sniffs the format from the magic bytes (the VBT
 //! magic selects the binary reader of [`crate::vbt`], anything else the
 //! JSON reader) and hands the decoded operations to a sink in blocks of at
-//! most [`FRAME_OPS`], so a checker can consume a trace of any length
-//! through a fixed footprint. [`read_trace`], [`read_json_trace`] and
+//! most 256, so a checker can consume a trace of any length through a
+//! fixed footprint: the 16 KiB read buffer, one 3 KiB block and, for VBT,
+//! one frame body. [`read_trace`], [`read_json_trace`] and
 //! [`crate::read_vbt`] collect the same blocks into a [`Trace`].
 //!
 //! Every error carries the absolute byte offset of the first byte that
@@ -20,7 +21,7 @@
 use crate::ids::{decimal_string_order, SymbolTable, SymbolTableBuilder, KINDS};
 use crate::op::Op;
 use crate::trace::Trace;
-use crate::vbt::{VbtReader, FRAME_OPS, MAGIC};
+use crate::vbt::{VbtReader, MAGIC};
 use crate::{Label, LockId, ThreadId, VarId};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -76,10 +77,17 @@ impl From<std::io::Error> for TraceReadError {
     }
 }
 
-const BUF_SIZE: usize = 64 * 1024;
+/// Bytes [`ByteStream`] reads from its source at a time: most of a
+/// reader's fixed footprint.
+const READ_BUF: usize = 16 * 1024;
+
+/// The most operations [`Blocks`] hands its sink at once: 3 KiB of
+/// [`Op`]s. Each block is a switch from the decoder to the checker and
+/// back, so larger blocks cost memory and smaller ones time.
+const BLOCK_OPS: usize = 256;
 
 /// A buffered byte source that tracks the absolute offset of every byte it
-/// hands out. The single allocation shared by the JSON and VBT readers.
+/// hands out. The single read buffer shared by the JSON and VBT readers.
 pub(crate) struct ByteStream<R> {
     src: R,
     buf: Vec<u8>,
@@ -94,7 +102,7 @@ impl<R: Read> ByteStream<R> {
     pub(crate) fn new(src: R) -> Self {
         Self {
             src,
-            buf: vec![0; BUF_SIZE],
+            buf: vec![0; READ_BUF],
             pos: 0,
             len: 0,
             base: 0,
@@ -109,29 +117,33 @@ impl<R: Read> ByteStream<R> {
 
     /// Ensures at least one byte is buffered; returns `false` at EOF.
     fn refill(&mut self) -> Result<bool, TraceReadError> {
-        if self.pos < self.len {
-            return Ok(true);
+        if self.pos == self.len && !self.eof {
+            self.top_up()?;
         }
-        if self.eof {
-            return Ok(false);
-        }
-        self.base += self.len as u64;
+        Ok(self.pos < self.len)
+    }
+
+    /// Moves the unread bytes to the front of the buffer and reads once
+    /// after them, or marks EOF. Consumes nothing, so every offset stays
+    /// the same.
+    fn top_up(&mut self) -> Result<(), TraceReadError> {
+        debug_assert!(
+            self.len - self.pos < self.buf.len(),
+            "a full buffer reads 0 bytes"
+        );
+        self.buf.copy_within(self.pos..self.len, 0);
+        self.base += self.pos as u64;
+        self.len -= self.pos;
         self.pos = 0;
-        self.len = 0;
-        loop {
-            match self.src.read(&mut self.buf) {
-                Ok(0) => {
-                    self.eof = true;
-                    return Ok(false);
-                }
-                Ok(n) => {
-                    self.len = n;
-                    return Ok(true);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(TraceReadError::Io(e)),
+        let n = loop {
+            match self.src.read(&mut self.buf[self.len..]) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                read => break read.map_err(TraceReadError::Io)?,
             }
-        }
+        };
+        self.len += n;
+        self.eof = n == 0;
+        Ok(())
     }
 
     /// The buffered bytes not yet consumed, possibly empty. Never reads
@@ -153,15 +165,10 @@ impl<R: Read> ByteStream<R> {
     /// reading anything else.
     fn starts_with(&mut self, prefix: &[u8]) -> Result<bool, TraceReadError> {
         debug_assert_eq!(self.offset(), 0);
-        while self.len < prefix.len() && !self.eof {
-            match self.src.read(&mut self.buf[self.len..]) {
-                Ok(0) => self.eof = true,
-                Ok(n) => self.len += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(TraceReadError::Io(e)),
-            }
+        while self.window().len() < prefix.len() && !self.eof {
+            self.top_up()?;
         }
-        Ok(self.buf[..self.len].starts_with(prefix))
+        Ok(self.window().starts_with(prefix))
     }
 
     /// The next byte without consuming it, or `None` at EOF.
@@ -267,10 +274,10 @@ impl Format {
 }
 
 /// Decodes a trace in either format, sniffed from its magic bytes, and
-/// calls `on_block(first_index, ops)` with each block of at most
-/// [`FRAME_OPS`] operations as soon as it is decoded. Memory use is the
-/// 64 KiB read buffer, one block and the symbol table, independent of
-/// trace length.
+/// calls `on_block(first_index, ops)` with each block of at most 256
+/// operations as soon as it is decoded. Memory use is the 16 KiB read
+/// buffer, one block, for VBT one frame body, and the symbol table,
+/// independent of trace length.
 ///
 /// On an error the blocks already handed over are a prefix of a trace
 /// that does not exist; the caller must discard whatever it built from
@@ -293,7 +300,7 @@ pub fn read_trace<R: Read>(src: R) -> Result<Trace, TraceReadError> {
 }
 
 /// Reads a complete JSON trace into memory. Never holds the input text
-/// (or a JSON value tree): peak allocation is one fixed 64 KiB read
+/// (or a JSON value tree): peak allocation is one fixed 16 KiB read
 /// buffer plus the decoded trace itself.
 pub fn read_json_trace<R: Read>(src: R) -> Result<Trace, TraceReadError> {
     collect(ByteStream::new(src), Format::Json)
@@ -322,7 +329,7 @@ fn collect<R: Read>(s: ByteStream<R>, format: Format) -> Result<Trace, TraceRead
     Ok(Trace::from_parts(ops, summary.names, summary.synthesized))
 }
 
-/// Gathers decoded operations into blocks of at most [`FRAME_OPS`] and
+/// Gathers decoded operations into blocks of at most [`BLOCK_OPS`] and
 /// hands each full block to the sink.
 pub(crate) struct Blocks<F> {
     sink: F,
@@ -335,7 +342,7 @@ impl<F: FnMut(usize, &[Op])> Blocks<F> {
     fn new(sink: F) -> Self {
         Self {
             sink,
-            block: Vec::with_capacity(FRAME_OPS),
+            block: Vec::with_capacity(BLOCK_OPS),
             flushed: 0,
         }
     }
@@ -343,7 +350,7 @@ impl<F: FnMut(usize, &[Op])> Blocks<F> {
     #[inline]
     pub(crate) fn push(&mut self, op: Op) {
         self.block.push(op);
-        if self.block.len() == FRAME_OPS {
+        if self.block.len() == BLOCK_OPS {
             self.flush();
         }
     }
@@ -573,14 +580,19 @@ pub struct JsonTraceWriter<W> {
     any_ops: bool,
 }
 
+/// Bytes [`JsonTraceWriter`] encodes before it writes them out. It is not
+/// on a checker's path (`record`, `convert` and perfbench's inputs write
+/// through it), so it is sized for few `write` calls, not for footprint.
+const WRITE_BUF: usize = 64 * 1024;
+
 /// The writer hands its buffer to `out` once it holds more than this. The
 /// longest op, `,` included, is 45 bytes, so an op never grows the buffer.
-const WRITE_AT: usize = BUF_SIZE - FAST_MARGIN;
+const WRITE_AT: usize = WRITE_BUF - FAST_MARGIN;
 
 impl<W: Write> JsonTraceWriter<W> {
     /// A writer that will emit a trace document to `out`.
     pub fn new(out: W) -> Self {
-        let mut buf = Vec::with_capacity(BUF_SIZE);
+        let mut buf = Vec::with_capacity(WRITE_BUF);
         buf.extend_from_slice(br#"{"ops":["#);
         Self {
             out,
@@ -696,33 +708,53 @@ fn push_decimal(buf: &mut Vec<u8>, mut v: u64) {
 
 /// Appends `s` as a JSON string: `"` and `\` and the control characters
 /// escaped (`\n`, `\r`, `\t`, else `\u00xx`), everything else, non-ASCII
-/// text included, as is.
-fn push_json_string(buf: &mut Vec<u8>, s: &str) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
+/// text included, as is. These are the bytes the vendored `serde_json`
+/// writes for a string; [`json_string_len`] counts them.
+pub fn push_json_string(buf: &mut Vec<u8>, s: &str) {
     let bytes = s.as_bytes();
     let mut unicode = *br"\u0000";
     buf.push(b'"');
     let mut plain = 0;
     for (i, &b) in bytes.iter().enumerate() {
-        let escape: &[u8] = match b {
-            b'"' => br#"\""#,
-            b'\\' => br"\\",
-            b'\n' => br"\n",
-            b'\r' => br"\r",
-            b'\t' => br"\t",
-            0..=0x1f => {
-                unicode[4] = HEX[usize::from(b >> 4)];
-                unicode[5] = HEX[usize::from(b & 0xf)];
-                &unicode
-            }
-            _ => continue,
-        };
-        buf.extend_from_slice(&bytes[plain..i]);
-        buf.extend_from_slice(escape);
-        plain = i + 1;
+        if let Some(escape) = escape(b, &mut unicode) {
+            buf.extend_from_slice(&bytes[plain..i]);
+            buf.extend_from_slice(escape);
+            plain = i + 1;
+        }
     }
     buf.extend_from_slice(&bytes[plain..]);
     buf.push(b'"');
+}
+
+/// The number of bytes [`push_json_string`] appends for `s`, quotes
+/// included.
+pub fn json_string_len(s: &str) -> usize {
+    let mut unicode = *br"\u0000";
+    2 + s
+        .bytes()
+        .map(|b| escape(b, &mut unicode).map_or(1, <[u8]>::len))
+        .sum::<usize>()
+}
+
+/// The escape sequence for byte `b` of a JSON string, or `None` when it
+/// stands for itself. A `\u00xx` escape is written into `unicode`, which
+/// starts as `\u0000`.
+#[inline]
+fn escape(b: u8, unicode: &mut [u8; 6]) -> Option<&[u8]> {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    Some(match b {
+        b'"' => br#"\""#,
+        b'\\' => br"\\",
+        b'\n' => br"\n",
+        b'\r' => br"\r",
+        b'\t' => br"\t",
+        0..=0x1f => {
+            unicode[4] = HEX[usize::from(b >> 4)];
+            unicode[5] = HEX[usize::from(b & 0xf)];
+            unicode
+        }
+        _ => return None,
+    })
 }
 
 const MAX_DEPTH: u32 = 128;
@@ -1376,13 +1408,13 @@ mod tests {
         }
     }
 
-    /// `stream_trace` hands over a multi-block trace in order, in blocks of
-    /// at most `FRAME_OPS`, in both formats, and `read_trace` collects the
-    /// same trace.
+    /// `stream_trace` hands over a trace of two VBT frames in order, in
+    /// blocks of at most `BLOCK_OPS`, in both formats, and `read_trace`
+    /// collects the same trace.
     #[test]
     fn stream_trace_hands_over_ordered_blocks() {
         let mut trace = sample_trace();
-        for i in 0..2 * FRAME_OPS + 5 {
+        for i in 0..crate::FRAME_OPS + 5 {
             trace.push(Op::Read {
                 t: ThreadId::new((i % 3) as u32),
                 x: VarId::new((i % 7) as u32),
@@ -1392,7 +1424,7 @@ mod tests {
             let mut count = 0usize;
             let summary = stream_trace(&bytes[..], |first, ops| {
                 assert_eq!(first, count, "blocks arrive in order");
-                assert!(!ops.is_empty() && ops.len() <= FRAME_OPS);
+                assert!(!ops.is_empty() && ops.len() <= BLOCK_OPS);
                 assert_eq!(&trace.ops()[first..first + ops.len()], ops);
                 count += ops.len();
             })

@@ -65,8 +65,7 @@ pub const MAX_TABLE_ENTRIES: u64 = 1 << 24;
 /// Largest accepted frame body, in bytes.
 pub const MAX_FRAME_LEN: u64 = 1 << 22;
 
-/// Operations encoded per frame by the writer (readers accept any split),
-/// and the most operations [`crate::stream_trace`] hands its sink at once.
+/// Operations encoded per frame by the writer (readers accept any split).
 pub const FRAME_OPS: usize = 4096;
 
 fn push_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -157,6 +156,8 @@ pub fn read_vbt<R: Read>(src: R) -> Result<Trace, TraceReadError> {
 /// from length-prefixed frames. Each frame body (≤ [`MAX_FRAME_LEN`]) is
 /// copied out of the read buffer into one frame buffer, reused for every
 /// frame, so arbitrarily long traces stream through a fixed footprint.
+/// The buffer grows with the body's bytes as they arrive, never with a
+/// length the input only claims.
 /// [`read_vbt`] and [`crate::stream_trace`] decode each loaded frame in a
 /// tight loop over that buffer and hand any op the loop does not accept
 /// to `next_op`, which stays the reference decoder: both give the same
@@ -404,8 +405,8 @@ impl<R: Read> VbtReader<R> {
                 ));
             }
             self.frame_base = self.s.offset();
-            self.frame.resize(len as usize, 0);
-            self.s.read_exact(&mut self.frame)?;
+            self.frame.clear();
+            self.s.read_append(&mut self.frame, len as usize)?;
             self.frame_pos = 0;
             self.frame_ops_left = self.frame_varint()?;
             if self.frame_ops_left == 0 {

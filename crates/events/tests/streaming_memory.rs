@@ -4,8 +4,8 @@
 //!
 //! The old CLI path slurped the whole file into a `String` and then built a
 //! JSON value tree — roughly 3× the input size in peak heap. The streaming
-//! reader must instead hold only its fixed 64 KiB buffer (plus the symbol
-//! table). We assert this with an allocation counter rather than OS RSS,
+//! reader must instead hold only its fixed 16 KiB read buffer and one
+//! block of decoded ops (plus the symbol table). We assert this with an allocation counter rather than OS RSS,
 //! which is noisy and platform-dependent.
 //!
 //! The counters are process-wide, so every test takes [`SERIAL`] first: a
@@ -200,7 +200,7 @@ fn scan_holds_bounded_memory_on_a_multi_hundred_mb_trace() {
         "input was only {} bytes — not a multi-hundred-MB trace",
         src.bytes
     );
-    // 64 KiB stream buffer + one 4096-op block (48 KiB) + generator chunk
+    // 16 KiB read buffer + one 256-op block (3 KiB) + generator chunk
     // (~100 KiB) + symbol table.
     // Anything over 4 MiB means the parser is accumulating input.
     assert!(
@@ -251,9 +251,38 @@ fn hostile_name_length_is_not_preallocated() {
         e.to_string(),
         "byte 10: unexpected end of input (0 of 1048576 bytes available)"
     );
-    // The reader's own 64 KiB input buffer is the largest allocation.
+    // The reader's own 16 KiB read buffer is the largest allocation.
     assert!(
-        largest <= 64 << 10,
+        largest <= 16 << 10,
         "largest single allocation was {largest} bytes for a 10-byte input"
+    );
+}
+
+/// A VBT frame's claimed length is not allocated before its bytes arrive:
+/// an empty header, then one frame claiming 4,000,000 bytes (under the
+/// 4 MiB frame limit), then end of input.
+#[test]
+fn hostile_frame_length_is_not_preallocated() {
+    let _serial = SERIAL.lock().expect("a test panicked holding SERIAL");
+    let mut bytes = b"VBTF\x01".to_vec();
+    bytes.extend_from_slice(&[0, 0, 0, 0]); // four empty string tables
+    bytes.push(0); // no synthesized indices
+    bytes.extend_from_slice(&[0x80, 0x92, 0xf4, 0x01]); // body_len = 4,000,000
+    assert_eq!(bytes.len(), 14);
+
+    LARGEST.store(0, Ordering::Relaxed);
+    let mut count = 0usize;
+    let e = velodrome_events::stream_trace(&bytes[..], |_, ops| count += ops.len()).unwrap_err();
+    let largest = LARGEST.load(Ordering::Relaxed);
+
+    assert_eq!(
+        e.to_string(),
+        "byte 14: unexpected end of input (0 of 4000000 bytes available)"
+    );
+    assert_eq!(count, 0);
+    // The reader's own 16 KiB read buffer is the largest allocation.
+    assert!(
+        largest <= 16 << 10,
+        "largest single allocation was {largest} bytes for a 14-byte input"
     );
 }

@@ -462,6 +462,11 @@ impl Runtime {
     /// * **Idempotent.** The first call returns the trace and warnings;
     ///   subsequent calls are no-ops returning an empty trace and no
     ///   warnings (they never panic, so racing shutdown paths are safe).
+    /// * **Names.** The tool is handed the names the runtime recorded
+    ///   ([`Tool::set_names`]) before its warnings are taken, so they name
+    ///   threads, variables, locks and blocks as the returned trace does.
+    ///   A runtime fed only by [`Runtime::replay`] records no names and
+    ///   leaves the tool the ones it was built with.
     /// * **Open transactions and held locks.** Threads that died (or were
     ///   abandoned) inside an atomic block or while holding a [`TLock`]
     ///   leave the event stream dangling. `finish` synthesizes the implied
@@ -488,8 +493,12 @@ impl Runtime {
         st.finished = true;
         if let Some(mut tool) = st.tool.take() {
             let index = st.telemetry.events_seen as usize;
+            let names = (!st.trace.names().is_empty()).then(|| st.trace.names().clone());
             let flushed = catch_unwind(AssertUnwindSafe(|| {
                 tool.end_of_trace();
+                if let Some(names) = names {
+                    tool.set_names(names);
+                }
                 tool.take_warnings()
             }));
             match flushed {

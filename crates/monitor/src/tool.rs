@@ -30,14 +30,21 @@ pub enum WarningCategory {
     Other,
 }
 
+impl WarningCategory {
+    /// The category's name, as reports print and serialize it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            WarningCategory::Race => "race",
+            WarningCategory::Atomicity => "atomicity",
+            WarningCategory::Degraded => "degraded",
+            WarningCategory::Other => "other",
+        }
+    }
+}
+
 impl fmt::Display for WarningCategory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WarningCategory::Race => write!(f, "race"),
-            WarningCategory::Atomicity => write!(f, "atomicity"),
-            WarningCategory::Degraded => write!(f, "degraded"),
-            WarningCategory::Other => write!(f, "other"),
-        }
+        f.write_str(self.as_str())
     }
 }
 

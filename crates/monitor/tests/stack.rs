@@ -1,6 +1,8 @@
 //! Integration tests of the monitor front end: filter composition orders,
 //! tool chains behind filters, and the online shims feeding a filter stack.
 
+use std::sync::mpsc;
+use velodrome::{Velodrome, VelodromeConfig};
 use velodrome_events::{semantics, Op, TraceBuilder};
 use velodrome_monitor::shim::Runtime;
 use velodrome_monitor::tool::{Tool, Warning};
@@ -132,4 +134,50 @@ fn reentrant_filter_keeps_trace_well_formed_for_validators() {
     run_tool(&mut filter, &trace);
     let filtered = velodrome_events::Trace::from_ops(filter.into_inner().ops.iter().copied());
     assert_eq!(semantics::validate(&filtered), Ok(()));
+}
+
+/// An online run hands the names it recorded to its tool before taking
+/// the warnings, so a warning names the block and the threads as the
+/// recorded trace does, not as `L0` and `T0`. Two channels force the
+/// interleaving: the worker writes `balance` between `main`'s read and
+/// write inside `audit_and_adjust`.
+#[test]
+fn online_warnings_carry_the_recorded_names() {
+    let rt = Runtime::online(Velodrome::with_config(VelodromeConfig::default()));
+    let balance = rt.shared("balance", 0i64);
+    rt.name_current_thread("main");
+    let (to_worker, worker_turn) = mpsc::channel();
+    let (to_main, main_turn) = mpsc::channel();
+    let tok = rt.fork();
+    let worker = {
+        let rt = rt.clone();
+        let balance = balance.clone();
+        std::thread::spawn(move || {
+            rt.adopt(tok);
+            rt.name_current_thread("worker");
+            worker_turn.recv().unwrap();
+            balance.set(10);
+            to_main.send(()).unwrap();
+        })
+    };
+    rt.atomic("audit_and_adjust", || {
+        let v = balance.get();
+        to_worker.send(()).unwrap();
+        main_turn.recv().unwrap();
+        balance.set(v - 1);
+    });
+    worker.join().unwrap();
+    rt.join(tok);
+    let (trace, warnings) = rt.finish();
+    assert_eq!(warnings.len(), 1, "{warnings:?}");
+    let w = &warnings[0];
+    assert_eq!(trace.names().label(w.label.unwrap()), "audit_and_adjust");
+    assert!(
+        w.message
+            .starts_with("audit_and_adjust is not atomic: cycle [main:audit_and_adjust -> worker:"),
+        "{}",
+        w.message
+    );
+    let details = w.details.as_deref().unwrap_or_default();
+    assert!(details.contains("balance"), "{details}");
 }

@@ -99,10 +99,10 @@ pub const PHASE_CYCLE_CHECK: &str = "phase.cycle_check";
 /// GC cascades (`Arena::finish` calls). Counted exactly; timed on 1 call
 /// in 64, so the max is the longest sampled GC stall.
 pub const PHASE_GC: &str = "phase.gc";
-/// Trace-file decoding, one call per block of at most `FRAME_OPS`
-/// operations handed to the backend; the time is spent outside the
-/// backend, reading and decoding, and sums to the batch report's
-/// `decode_ms`. Published as zeros for an in-memory trace.
+/// Trace-file decoding, one call per block of at most 256 operations
+/// handed to the backend; the time is spent outside the backend, reading
+/// and decoding, and sums to the batch report's `decode_ms`. Published as
+/// zeros for an in-memory trace.
 pub const PHASE_DECODE: &str = "phase.decode";
 /// Scheduler picks in the simulator. Timed on every call.
 pub const PHASE_SCHEDULER_STEP: &str = "phase.scheduler_step";

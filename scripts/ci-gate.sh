@@ -107,6 +107,28 @@ if ! cmp -s "$tmp/report-jobs4.stripped" "$tmp/report-jobs1.stripped"; then
     diff "$tmp/report-jobs4.stripped" "$tmp/report-jobs1.stripped" | head -20 >&2
     exit 1
 fi
+# The same on the conformance corpus: directory mode skips its
+# `*.expect.json` oracle files, and its violating traces carry DOT graphs
+# in `details`, so the lines hold quotes, newlines and nested text.
+corpus_traces="$(find tests/corpus -maxdepth 1 \( -name '*.json' -o -name '*.vbt' \) \
+    ! -name '*.expect.json' | wc -l)"
+for jobs in 1 4; do
+    cargo run --release -q -p velodrome-cli -- check-batch tests/corpus --jobs="$jobs" \
+        --backend=velodrome --report="$tmp/corpus-jobs$jobs.jsonl" >/dev/null
+    sed -E "$strip_timings" "$tmp/corpus-jobs$jobs.jsonl" > "$tmp/corpus-jobs$jobs.stripped"
+done
+if [[ "$(wc -l < "$tmp/corpus-jobs1.jsonl")" -ne $((corpus_traces + 1)) ]] \
+    || grep -q '"status":"error"' "$tmp/corpus-jobs1.jsonl" \
+    || ! grep -q '"details":"digraph' "$tmp/corpus-jobs1.jsonl"; then
+    echo "batch smoke: expected $corpus_traces ok corpus lines + summary, with DOT details" >&2
+    head -c 2000 "$tmp/corpus-jobs1.jsonl" >&2
+    exit 1
+fi
+if ! cmp -s "$tmp/corpus-jobs4.stripped" "$tmp/corpus-jobs1.stripped"; then
+    echo "batch smoke: on tests/corpus the --jobs=4 report differs from --jobs=1 beyond timings" >&2
+    diff "$tmp/corpus-jobs4.stripped" "$tmp/corpus-jobs1.stripped" | head -20 >&2
+    exit 1
+fi
 
 echo "==> a whitespace-perturbed JSON trace prints what the canonical one prints"
 # A space after every `,` and `:` takes each op off the canonical-shape

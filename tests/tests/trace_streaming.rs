@@ -1,6 +1,6 @@
 //! `velodrome trace FILE` and `check-batch` check a trace file as it is
-//! read: the decoder hands the backend blocks of at most
-//! [`velodrome_events::FRAME_OPS`] operations and never builds a `Trace`.
+//! read: the decoder hands the backend blocks of at most 256 operations
+//! and never builds a `Trace`.
 //! Two consequences are pinned here:
 //!
 //! * a file found malformed after some blocks were already analyzed fails
