@@ -13,46 +13,9 @@
 //! This file intentionally contains a single test: a parallel test in the
 //! same process would pollute the allocator counters.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use velodrome_events::{Trace, TraceBuilder};
-
-/// Counts live heap bytes and tracks the high-water mark.
-struct CountingAlloc;
-
-static CURRENT: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            let cur = CURRENT.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(cur, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        CURRENT.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            if new_size >= layout.size() {
-                let cur = CURRENT.fetch_add(new_size - layout.size(), Ordering::Relaxed) + new_size
-                    - layout.size();
-                PEAK.fetch_max(cur, Ordering::Relaxed);
-            } else {
-                CURRENT.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-            }
-        }
-        p
-    }
-}
+use velodrome_testalloc::{peak_during, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -77,10 +40,7 @@ fn peak_of_trace_cmd(path: &Path, backend: &str) -> usize {
         path.display().to_string(),
         format!("--backend={backend}"),
     ];
-    let before = CURRENT.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-    let out = velodrome_cli::execute(&args).expect("trace checks");
-    let peak = PEAK.load(Ordering::Relaxed).saturating_sub(before);
+    let (out, peak) = peak_during(|| velodrome_cli::execute(&args).expect("trace checks"));
     let atomicity = out.lines().filter(|l| l.starts_with("[velodrome]"));
     assert_eq!(atomicity.count(), 1, "{out}");
     assert!(out.contains("inc is not atomic"), "{out}");

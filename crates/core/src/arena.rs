@@ -92,8 +92,9 @@ const CURRENT: u8 = 2;
 const LABELED: u8 = 4;
 
 /// One node slot, 96 bytes (DESIGN.md §7, *Node layout*): two timestamps,
-/// the out-edge list and the chain clock, the descriptor's fields, and a
-/// flags byte where the booleans live.
+/// the out-edge list (32 bytes, holding a first edge in place), the chain
+/// clock (a 16-byte boxed slice, empty and unallocated for most nodes), the
+/// descriptor's fields, and a flags byte where the booleans live.
 #[derive(Debug)]
 struct Slot {
     /// Steps with `ts <= floor` belong to collected incarnations.
@@ -105,7 +106,7 @@ struct Slot {
     out: OutEdges,
     /// Chain clock, sorted by chain: for every other chain, the highest
     /// position whose node reaches this one (over non-implied edges).
-    anc: Vec<Entry>,
+    anc: Box<[Entry]>,
     /// The descriptor: first operation, thread, and label (meaningful only
     /// under [`LABELED`]).
     first_op: u64,
@@ -128,7 +129,7 @@ impl Slot {
             floor: 0,
             counter: 0,
             out: OutEdges::default(),
-            anc: Vec::new(),
+            anc: Box::default(),
             first_op: 0,
             thread: ThreadId::new(0),
             label: Label::new(0),
@@ -457,7 +458,7 @@ impl Arena {
         slot.in_degree = 0;
         slot.chain = chain;
         slot.pos = pos;
-        slot.anc.clear();
+        slot.anc = Box::default();
         slot.counter += 1;
         self.stats.allocated += 1;
         self.stats.cur_alive += 1;
@@ -681,14 +682,18 @@ impl Arena {
         self.leave_chain(nt);
         let chain = self.slots[nf].chain;
         let pos = self.push_position(chain);
-        let mut anc = std::mem::take(&mut self.slots[nt].anc);
-        anc.clear();
-        let chains = &self.chains;
-        anc.extend(self.slots[nf].anc.iter().filter(|e| live(chains, e)));
-        let slot = &mut self.slots[nt];
+        let Arena {
+            slots,
+            chains,
+            joined,
+            ..
+        } = self;
+        joined.clear();
+        joined.extend(slots[nf].anc.iter().filter(|e| live(chains, e)));
+        let slot = &mut slots[nt];
         slot.chain = chain;
         slot.pos = pos;
-        slot.anc = anc;
+        store(&mut slot.anc, joined);
     }
 
     /// Joins `anc(nf) ∪ {nf}` into the clocks of `nt` and its descendants
@@ -746,7 +751,7 @@ impl Arena {
             let slot = &mut self.slots[v];
             slot.flags &= !ALIVE;
             slot.floor = slot.counter;
-            slot.anc.clear();
+            slot.anc = Box::default();
             let mut out = std::mem::take(&mut slot.out);
             self.stats.cur_alive -= 1;
             self.stats.collected += 1;
@@ -933,7 +938,7 @@ impl Arena {
                 slot.anc.windows(2).all(|w| w[0].0 < w[1].0),
                 "clock of n{v} unsorted"
             );
-            for &(c, p) in &slot.anc {
+            for &(c, p) in slot.anc.iter() {
                 assert_ne!(c, slot.chain, "clock of n{v} names its own chain");
                 assert!(p < self.chains[c as usize].next, "clock of n{v} ahead");
             }
@@ -979,7 +984,7 @@ impl Arena {
 /// node on chain `own`, skipping `own` and dropping stale entries; returns
 /// whether the clock now orders more nodes. `joined` is scratch space.
 fn join(
-    anc: &mut Vec<Entry>,
+    anc: &mut Box<[Entry]>,
     own: u32,
     gained: &[Entry],
     chains: &[Chain],
@@ -1022,8 +1027,18 @@ fn join(
             joined.push(e);
         }
     }
-    std::mem::swap(anc, joined);
+    store(anc, joined);
     true
+}
+
+/// Makes `entries` the clock `anc`: in place when the length is unchanged,
+/// else in a fresh slice of exactly that length.
+fn store(anc: &mut Box<[Entry]>, entries: &[Entry]) {
+    if anc.len() == entries.len() {
+        anc.copy_from_slice(entries);
+    } else {
+        *anc = entries.into();
+    }
 }
 
 #[cfg(test)]
@@ -1049,7 +1064,9 @@ mod tests {
     #[test]
     fn node_layout_fits_its_budget() {
         assert_eq!(std::mem::size_of::<Slot>(), 96);
-        assert_eq!(std::mem::size_of::<EdgeRec>(), 40);
+        assert_eq!(std::mem::size_of::<OutEdges>(), 32);
+        assert_eq!(std::mem::size_of::<EdgeRec>(), 32);
+        assert_eq!(std::mem::size_of::<Box<[Entry]>>(), 16);
     }
 
     #[test]

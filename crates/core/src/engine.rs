@@ -141,6 +141,10 @@ impl Default for VelodromeConfig {
 /// phases are counted on every call but timed on one in this many.
 const PHASE_SAMPLE_PERIOD: u64 = 64;
 
+/// The fewest joins between two retries of the joined threads whose rows
+/// were busy at their join ([`Velodrome::release_joined`]).
+const JOINED_RETRY_MIN: usize = 64;
+
 /// The engine's phase records: plain integers owned by the engine and
 /// published at snapshot time.
 #[derive(Debug)]
@@ -274,6 +278,23 @@ struct ThreadState {
     skip: Option<Step>,
 }
 
+impl ThreadState {
+    /// Does the row hold nothing a fresh row lacks? True once no block is
+    /// open and `L` names no alive node: a stale step orders nothing, just
+    /// as `⊥` does, and the other fields are reset on the next `begin`.
+    fn idle(&self, arena: &Arena) -> bool {
+        self.stack.is_empty() && arena.resolve(self.l).is_none()
+    }
+
+    /// Back to a fresh thread's state, keeping the stack's capacity.
+    fn reset(&mut self) {
+        self.l = Step::NONE;
+        self.node = 0;
+        self.stack.clear();
+        self.skip = None;
+    }
+}
+
 /// One variable's part of the instrumentation store.
 #[derive(Debug, Default)]
 struct VarState {
@@ -404,12 +425,16 @@ impl Hasher for IdHasher {
 
 /// A first-seen table: maps each distinct raw id to a dense row, rows in
 /// the order their ids were first seen. Ids in a trace are arbitrary
-/// `u32`s, so memory follows the number of distinct ids, not the largest.
+/// `u32`s, so memory follows the number of distinct ids, not the largest;
+/// a table whose ids are [`release`](Self::release)d follows the ids held
+/// at once.
 #[derive(Debug)]
 struct Table<K, V> {
     /// Raw id → row.
     index: HashMap<K, u32, IdHash>,
     rows: Vec<V>,
+    /// Released rows, handed to the next new ids before `rows` grows.
+    free: Vec<u32>,
     /// The id [`row`](Self::row) resolved last, and its row: consecutive
     /// ops of one thread, or on one variable, skip the hash.
     last: Option<(K, u32)>,
@@ -420,24 +445,42 @@ impl<K: Copy + Eq + Hash, V: Default> Table<K, V> {
         Self {
             index: HashMap::with_hasher(hash),
             rows: Vec::new(),
+            free: Vec::new(),
             last: None,
         }
     }
 
-    /// The row of `k`, created on first sight.
+    /// The row of `k`, created on first sight: a released row if there is
+    /// one, else a new one.
     fn row(&mut self, k: K) -> usize {
         if let Some((last, row)) = self.last {
             if last == k {
                 return row as usize;
             }
         }
-        let next = u32::try_from(self.rows.len()).expect("at most 2^32 distinct u32 ids");
-        let row = *self.index.entry(k).or_insert(next);
-        if row == next {
-            self.rows.push(V::default());
-        }
+        let Table {
+            index, rows, free, ..
+        } = self;
+        let row = *index.entry(k).or_insert_with(|| {
+            free.pop().unwrap_or_else(|| {
+                let next = u32::try_from(rows.len()).expect("at most 2^32 distinct u32 ids");
+                rows.push(V::default());
+                next
+            })
+        });
         self.last = Some((k, row));
         row as usize
+    }
+
+    /// Forgets `k` and frees its row for the next new id; returns the row,
+    /// whose state the caller resets. Does nothing for an id with no row.
+    fn release(&mut self, k: K) -> Option<usize> {
+        let row = self.index.remove(&k)?;
+        if self.last.is_some_and(|(last, _)| last == k) {
+            self.last = None;
+        }
+        self.free.push(row);
+        Some(row as usize)
     }
 
     /// The state of `k`, if it has a row. Never creates one.
@@ -477,8 +520,14 @@ impl<K, V> IndexMut<usize> for Table<K, V> {
 pub struct Velodrome {
     cfg: VelodromeConfig,
     arena: Arena,
-    /// `C` and `L`, one row per thread.
+    /// `C` and `L`, one row per thread that may still act or be joined
+    /// (see [`release_joined`](Self::release_joined)).
     threads: Table<ThreadId, ThreadState>,
+    /// Joined threads whose rows were not yet idle at the join, retried
+    /// every so many joins.
+    joined: Vec<ThreadId>,
+    /// Joins left until `joined` is retried.
+    retry_in: usize,
     /// `U`: last release step, one row per lock.
     u: Table<LockId, Step>,
     /// `R`, `W` and the budget bookkeeping, one row per variable.
@@ -536,6 +585,8 @@ impl Velodrome {
             cfg,
             arena,
             threads: Table::new(hash),
+            joined: Vec::new(),
+            retry_in: JOINED_RETRY_MIN,
             u: Table::new(hash),
             vars: Table::new(hash),
             preds: Vec::new(),
@@ -1016,6 +1067,42 @@ impl Velodrome {
     fn on_join(&mut self, t: ThreadId, tr: usize, child: ThreadId, op: Op, idx: usize) {
         let lc = self.threads.get(child).map_or(Step::NONE, |c| c.l);
         let _ = self.advance(t, tr, &[lc], op, idx);
+        if !self.release_joined(child) {
+            self.joined.push(child);
+        }
+        // A retry costs the list's length and comes at least twice that
+        // many joins after the last one: O(1) per join.
+        self.retry_in -= 1;
+        if self.retry_in == 0 {
+            let mut joined = std::mem::take(&mut self.joined);
+            joined.retain(|&c| !self.release_joined(c));
+            self.retry_in = JOINED_RETRY_MIN.max(2 * joined.len());
+            self.joined = joined;
+        }
+    }
+
+    /// Frees the row of `child`, a joined thread, if the row is idle
+    /// ([`ThreadState::idle`]), so a program that starts a thread per task
+    /// keeps rows for the threads it has running, not for every thread it
+    /// ever joined. Returns whether `child` now has no row.
+    ///
+    /// An idle row acts as a fresh one, so freeing it changes no result: a
+    /// later join of `child` finds `L = ⊥`, which orders what the stale
+    /// step would have, nothing. Figure 1 forbids a joined thread to act
+    /// again; in a trace where it does, it gets a fresh row. Read sets are
+    /// unaffected by the row's reuse: [`VarState::r`] is keyed by raw
+    /// thread id, not by row.
+    fn release_joined(&mut self, child: ThreadId) -> bool {
+        let Some(&row) = self.threads.index.get(&child) else {
+            return true;
+        };
+        if !self.threads[row as usize].idle(&self.arena) {
+            return false;
+        }
+        if let Some(row) = self.threads.release(child) {
+            self.threads[row].reset();
+        }
+        true
     }
 
     /// Steps the ladder down to `to` (monotonic; a repeat at the same rung
@@ -1318,6 +1405,123 @@ mod tests {
         let mut ids: Vec<(ThreadId, usize)> = table.ids().collect();
         ids.sort();
         assert_eq!(ids, [(small, 1), (big, 0)]);
+    }
+
+    #[test]
+    fn released_rows_go_to_the_next_new_id() {
+        let mut table: Table<ThreadId, u64> = Table::new(IdHash::random());
+        let (a, b, c) = (ThreadId::new(10), ThreadId::new(20), ThreadId::new(30));
+        assert_eq!((table.row(a), table.row(b)), (0, 1));
+        assert_eq!(
+            table.release(ThreadId::new(99)),
+            None,
+            "no row, nothing freed"
+        );
+        // `b` is the memo; releasing it must clear the memo too.
+        assert_eq!(table.release(b), Some(1));
+        assert!(table.get(b).is_none() && table.last.is_none());
+        assert_eq!(table.row(c), 1, "c takes b's row");
+        assert_eq!(table.row(b), 2, "b, seen again, is a new id");
+        assert_eq!(table.rows.len(), 3);
+    }
+
+    /// `n` children, each forked by T0, running one block that reads and
+    /// writes `x`, and joined before the next fork.
+    fn churn(b: &mut TraceBuilder, n: usize) {
+        for i in 0..n {
+            let c = format!("C{i}");
+            b.fork("T0", &c);
+            b.begin(&c, "work").read(&c, "x").write(&c, "x").end(&c);
+            b.join("T0", &c);
+        }
+    }
+
+    #[test]
+    fn joined_threads_free_their_rows() {
+        let mut b = TraceBuilder::new();
+        churn(&mut b, 1_000);
+        let (warnings, engine) = check_trace_with(&b.finish(), VelodromeConfig::default());
+        assert!(warnings.is_empty(), "{warnings:?}");
+        // T0 and the one running child.
+        assert_eq!(engine.threads.rows.len(), 2);
+        assert_eq!(engine.threads.index.len(), 1, "only T0 keeps a row");
+    }
+
+    /// A child whose last node is still alive at its join keeps its row:
+    /// a second joiner must still be ordered after the child. Here T2's
+    /// open block is ordered before the child's write and joins the child,
+    /// closing a cycle. Once the node dies, a later retry frees the row.
+    #[test]
+    fn a_busy_child_keeps_its_row_until_its_node_dies() {
+        let mut b = TraceBuilder::new();
+        b.begin("T2", "t2").read("T2", "x");
+        b.fork("T0", "C");
+        b.begin("C", "work").write("C", "x").end("C");
+        b.join("T0", "C");
+        b.join("T2", "C").end("T2");
+        churn(&mut b, 3 * JOINED_RETRY_MIN);
+        let c = b.thread("C");
+        let trace = b.finish();
+        let cfg = VelodromeConfig {
+            names: trace.names().clone(),
+            ..VelodromeConfig::default()
+        };
+        let (warnings, engine) = check_trace_with(&trace, cfg);
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(
+            warnings[0].message.contains("t2 is not atomic"),
+            "{}",
+            warnings[0]
+        );
+        assert!(engine.threads.get(c).is_none(), "a retry freed C's row");
+        assert!(engine.joined.is_empty());
+        assert!(
+            engine.threads.rows.len() <= 4,
+            "{} rows",
+            engine.threads.rows.len()
+        );
+    }
+
+    /// Figure 1 forbids a joined thread to act again, and `trace` does not
+    /// validate: such a thread gets a fresh row, with `L = ⊥`, and is
+    /// checked like any new thread.
+    #[test]
+    fn a_joined_thread_that_acts_again_gets_a_fresh_row() {
+        let mut b = TraceBuilder::new();
+        b.fork("T0", "C");
+        b.begin("C", "first").write("C", "x").end("C");
+        b.join("T0", "C");
+        b.begin("T0", "inc").read("T0", "x");
+        b.write("C", "x");
+        b.write("T0", "x").end("T0");
+        let c = b.thread("C");
+        let trace = b.finish();
+        assert!(velodrome_events::semantics::validate(&trace).is_err());
+        let mut engine = Velodrome::with_config(VelodromeConfig {
+            names: trace.names().clone(),
+            ..VelodromeConfig::default()
+        });
+        let ops: Vec<(usize, Op)> = trace.iter().collect();
+        let join = ops
+            .iter()
+            .position(|&(_, op)| matches!(op, Op::Join { .. }))
+            .unwrap();
+        for &(i, op) in &ops[..=join] {
+            engine.op(i, op);
+        }
+        assert!(engine.threads.get(c).is_none(), "the join freed C's row");
+        for &(i, op) in &ops[join + 1..] {
+            engine.op(i, op);
+        }
+        assert!(engine.threads.get(c).is_some(), "C acted again");
+        engine.end_of_trace();
+        let warnings = engine.take_warnings();
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(
+            warnings[0].message.contains("inc is not atomic"),
+            "{}",
+            warnings[0]
+        );
     }
 
     /// The most ids that hash into any one of 64 equal runs of a table

@@ -11,32 +11,10 @@
 //! This file intentionally contains a single test: a parallel test in the
 //! same process would pollute the allocator counter.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use velodrome::Velodrome;
 use velodrome_events::{Label, LockId, Op, ThreadId, VarId};
 use velodrome_monitor::Tool;
-
-/// Counts allocator calls that hand out memory: `alloc` and `realloc`.
-struct CountingAlloc;
-
-static CALLS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use velodrome_testalloc::{calls_during, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -101,11 +79,11 @@ fn steady_state_allocs(shape: fn(usize, &mut Vec<Op>)) -> usize {
     for (i, &op) in warmup.iter().enumerate() {
         engine.op(i, op);
     }
-    let before = CALLS.load(Ordering::Relaxed);
-    for (i, &op) in counted.iter().enumerate() {
-        engine.op(WARMUP + i, op);
-    }
-    let calls = CALLS.load(Ordering::Relaxed) - before;
+    let ((), calls) = calls_during(|| {
+        for (i, &op) in counted.iter().enumerate() {
+            engine.op(WARMUP + i, op);
+        }
+    });
     engine.end_of_trace();
     assert!(engine.take_warnings().is_empty(), "both shapes serialize");
     calls

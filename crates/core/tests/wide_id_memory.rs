@@ -10,47 +10,10 @@
 //! This file intentionally contains a single test: a parallel test in the
 //! same process would pollute the allocator counters.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use velodrome::{Velodrome, VelodromeConfig};
 use velodrome_events::{Label, LockId, Op, SymbolTable, ThreadId, VarId};
 use velodrome_monitor::{Tool, Warning};
-
-/// Counts live heap bytes and tracks the high-water mark.
-struct CountingAlloc;
-
-static CURRENT: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            let cur = CURRENT.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(cur, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        CURRENT.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            if new_size >= layout.size() {
-                let cur = CURRENT.fetch_add(new_size - layout.size(), Ordering::Relaxed) + new_size
-                    - layout.size();
-                PEAK.fetch_max(cur, Ordering::Relaxed);
-            } else {
-                CURRENT.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-            }
-        }
-        p
-    }
-}
+use velodrome_testalloc::{peak_during, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -121,14 +84,14 @@ fn check(ids: &Ids) -> (usize, Vec<Warning>) {
         names: names(ids),
         ..VelodromeConfig::default()
     };
-    let before = CURRENT.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-    let mut engine = Velodrome::with_config(cfg);
-    for (i, &op) in ops.iter().enumerate() {
-        engine.op(i, op);
-    }
-    engine.end_of_trace();
-    let peak = PEAK.load(Ordering::Relaxed).saturating_sub(before);
+    let (mut engine, peak) = peak_during(|| {
+        let mut engine = Velodrome::with_config(cfg);
+        for (i, &op) in ops.iter().enumerate() {
+            engine.op(i, op);
+        }
+        engine.end_of_trace();
+        engine
+    });
     (peak, engine.take_warnings())
 }
 

@@ -11,53 +11,12 @@
 //! The counters are process-wide, so every test takes [`SERIAL`] first: a
 //! test running in parallel would pollute them.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Read;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Counts live heap bytes and tracks the high-water mark and the largest
-/// single allocation.
-struct CountingAlloc;
-
-static CURRENT: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
+use velodrome_testalloc::{largest_during, peak_during, CountingAlloc};
 
 /// Held by each test for its whole run.
 static SERIAL: Mutex<()> = Mutex::new(());
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            let cur = CURRENT.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(cur, Ordering::Relaxed);
-            LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        CURRENT.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            LARGEST.fetch_max(new_size, Ordering::Relaxed);
-            if new_size >= layout.size() {
-                let cur = CURRENT.fetch_add(new_size - layout.size(), Ordering::Relaxed) + new_size
-                    - layout.size();
-                PEAK.fetch_max(cur, Ordering::Relaxed);
-            } else {
-                CURRENT.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-            }
-        }
-        p
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -184,14 +143,11 @@ fn scan_holds_bounded_memory_on_a_multi_hundred_mb_trace() {
         bytes: 0,
     };
 
-    let before = CURRENT.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-
     let mut count = 0usize;
-    let summary = velodrome_events::stream_trace(&mut src, |_, ops| count += ops.len())
-        .expect("synthetic trace parses");
-
-    let peak_delta = PEAK.load(Ordering::Relaxed).saturating_sub(before);
+    let (summary, peak_delta) = peak_during(|| {
+        velodrome_events::stream_trace(&mut src, |_, ops| count += ops.len())
+            .expect("synthetic trace parses")
+    });
 
     assert_eq!(count, OPS);
     assert_eq!(summary.ops, OPS);
@@ -221,9 +177,7 @@ fn hostile_synthesized_count_is_not_preallocated() {
     bytes.extend_from_slice(&[0x80, 0x80, 0x80, 0x08]); // count = 2^24
     assert_eq!(bytes.len(), 13);
 
-    LARGEST.store(0, Ordering::Relaxed);
-    let e = velodrome_events::read_vbt(&bytes[..]).unwrap_err();
-    let largest = LARGEST.load(Ordering::Relaxed);
+    let (e, largest) = largest_during(|| velodrome_events::read_vbt(&bytes[..]).unwrap_err());
 
     assert_eq!(e.to_string(), "byte 13: unexpected end of input in varint");
     assert!(
@@ -243,9 +197,7 @@ fn hostile_name_length_is_not_preallocated() {
     bytes.extend_from_slice(&[0x80, 0x80, 0x40]); // length = 2^20
     assert_eq!(bytes.len(), 10);
 
-    LARGEST.store(0, Ordering::Relaxed);
-    let e = velodrome_events::read_vbt(&bytes[..]).unwrap_err();
-    let largest = LARGEST.load(Ordering::Relaxed);
+    let (e, largest) = largest_during(|| velodrome_events::read_vbt(&bytes[..]).unwrap_err());
 
     assert_eq!(
         e.to_string(),
@@ -270,10 +222,10 @@ fn hostile_frame_length_is_not_preallocated() {
     bytes.extend_from_slice(&[0x80, 0x92, 0xf4, 0x01]); // body_len = 4,000,000
     assert_eq!(bytes.len(), 14);
 
-    LARGEST.store(0, Ordering::Relaxed);
     let mut count = 0usize;
-    let e = velodrome_events::stream_trace(&bytes[..], |_, ops| count += ops.len()).unwrap_err();
-    let largest = LARGEST.load(Ordering::Relaxed);
+    let (e, largest) = largest_during(|| {
+        velodrome_events::stream_trace(&bytes[..], |_, ops| count += ops.len()).unwrap_err()
+    });
 
     assert_eq!(
         e.to_string(),

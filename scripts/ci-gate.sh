@@ -249,6 +249,30 @@ if [[ -z "$want" || "$want" -eq 0 || "$got" != "$want" ]]; then
 fi
 rm -r "$tmp/longtxn"
 
+echo "==> 400,000 forked and joined threads check within 10 s and 64 MiB"
+# T0 forks child i; the child runs one block that reads and writes x; T0
+# joins it before the next fork. At most two threads are alive at once, so
+# memory must follow them, not every thread ever joined (a row kept per
+# joined thread ran out of memory here at about 50,000 children).
+awk 'BEGIN {
+    n = 400000
+    printf "{\"ops\":["
+    for (i = 1; i <= n; i++)
+        printf "%s{\"Fork\":{\"t\":0,\"child\":%d}},{\"Begin\":{\"t\":%d,\"l\":0}},{\"Read\":{\"t\":%d,\"x\":0}},{\"Write\":{\"t\":%d,\"x\":0}},{\"End\":{\"t\":%d}},{\"Join\":{\"t\":0,\"child\":%d}}", (i > 1 ? "," : ""), i, i, i, i, i, i
+    printf "],\"names\":{\"threads\":{\"0\":\"main\"},\"vars\":{\"0\":\"x\"},\"locks\":{},\"labels\":{\"0\":\"work\"}}}"
+}' > "$tmp/churn.json"
+set +e
+(ulimit -v 65536 && timeout 10 target/release/velodrome trace "$tmp/churn.json") \
+    >"$tmp/churn.out" 2>&1
+code=$?
+set -e
+if [[ "$code" -ne 0 ]] || ! grep -q "no warnings" "$tmp/churn.out"; then
+    echo "thread-churn smoke: trace exited $code within 64 MiB and 10 s, want 0 and no warnings" >&2
+    tail -c 2000 "$tmp/churn.out" >&2
+    exit 1
+fi
+rm "$tmp/churn.json" "$tmp/churn.out"
+
 echo "==> a cycle through 60,001 nodes is reported within 5 s and 1 GiB"
 # T0 opens a block and writes x; T1 runs 60,000 short blocks, the first
 # reading x and the last writing z, so each stays alive behind the one
