@@ -24,6 +24,7 @@
 
 use crate::smallgraph::{EdgeRec, OutEdges};
 use crate::step::{SlotIdx, Step, Ts, MAX_SLOT, MAX_TS};
+use serde::Serialize;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 use velodrome_events::{Label, Op, ThreadId};
@@ -36,20 +37,20 @@ pub const CAPACITY: usize = MAX_SLOT as usize;
 /// A happens-before edge between two nodes, annotated with the timestamps of
 /// the operations at its tail and head and the operation that generated it
 /// (for blame assignment and error graphs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct EdgeInfo {
-    /// Timestamp of the tail operation inside the source node.
-    pub from_ts: Ts,
-    /// Timestamp of the head operation inside the target node.
-    pub to_ts: Ts,
     /// The operation whose processing created the edge.
     pub op: Op,
     /// Trace index of that operation.
     pub op_index: usize,
+    /// Timestamp of the tail operation inside the source node.
+    pub from_ts: Ts,
+    /// Timestamp of the head operation inside the target node.
+    pub to_ts: Ts,
 }
 
 /// Metadata describing one node (transaction) for error reports.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct NodeDesc {
     /// The thread executing the transaction.
     pub thread: ThreadId,

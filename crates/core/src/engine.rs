@@ -41,7 +41,7 @@
 //! observed trace is not conflict-serializable (Theorem 1).
 
 use crate::arena::{Arena, ArenaError, CycleFound, EdgeInfo, NodeDesc};
-use crate::report::{CycleReport, ReportEdge, ReportNode};
+use crate::report::CycleReport;
 use crate::step::{SlotIdx, Step, Ts};
 use std::cmp::Reverse;
 use std::collections::hash_map::RandomState;
@@ -1293,9 +1293,9 @@ impl Velodrome {
             nodes: [c.to]
                 .into_iter()
                 .chain(path.iter().map(|&(slot, _)| slot))
-                .map(|slot| ReportNode::from(&self.arena.desc(slot)))
+                .map(|slot| self.arena.desc(slot))
                 .collect(),
-            edges: hops().map(ReportEdge::from).collect(),
+            edges: hops().copied().collect(),
             increasing,
             blamed: increasing.then_some(0),
             refuted: stack.iter().filter(refutes).map(|b| b.label).collect(),

@@ -58,5 +58,5 @@ pub mod step;
 pub use arena::{Arena, ArenaError, ArenaStats, CycleFound, EdgeInfo, NodeDesc};
 pub use engine::{check_trace, check_trace_with, Velodrome, VelodromeConfig, VelodromeStats};
 pub use hybrid::{HybridConfig, HybridStats, HybridVelodrome};
-pub use report::{CycleReport, ReportEdge, ReportNode};
+pub use report::CycleReport;
 pub use step::Step;

@@ -9,54 +9,8 @@
 //! cycle-closing edge dashed, and the blamed transaction outlined.
 
 use crate::arena::{EdgeInfo, NodeDesc};
-use crate::step::Ts;
 use serde::Serialize;
-use velodrome_events::{Label, Op, SymbolTable, ThreadId};
-
-/// One transaction on a reported cycle.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct ReportNode {
-    /// Thread executing the transaction.
-    pub thread: ThreadId,
-    /// Label of the outermost atomic block, if the transaction is one.
-    pub label: Option<Label>,
-    /// Trace index of the transaction's first operation.
-    pub first_op: usize,
-}
-
-impl From<&NodeDesc> for ReportNode {
-    fn from(d: &NodeDesc) -> Self {
-        ReportNode {
-            thread: d.thread,
-            label: d.label,
-            first_op: d.first_op,
-        }
-    }
-}
-
-/// One happens-before edge on a reported cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct ReportEdge {
-    /// The operation that generated the edge.
-    pub op: Op,
-    /// Trace index of that operation.
-    pub op_index: usize,
-    /// Timestamp of the edge's tail operation within its transaction.
-    pub from_ts: Ts,
-    /// Timestamp of the edge's head operation within its transaction.
-    pub to_ts: Ts,
-}
-
-impl From<&EdgeInfo> for ReportEdge {
-    fn from(e: &EdgeInfo) -> Self {
-        ReportEdge {
-            op: e.op,
-            op_index: e.op_index,
-            from_ts: e.from_ts,
-            to_ts: e.to_ts,
-        }
-    }
-}
+use velodrome_events::{Label, Op, SymbolTable};
 
 /// A detected serializability violation: a cycle in the transactional
 /// happens-before graph, with blame assignment.
@@ -67,9 +21,9 @@ impl From<&EdgeInfo> for ReportEdge {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CycleReport {
     /// Transactions on the cycle, starting with the current transaction.
-    pub nodes: Vec<ReportNode>,
+    pub nodes: Vec<NodeDesc>,
     /// Edges of the cycle; the last one is the rejected closing edge.
-    pub edges: Vec<ReportEdge>,
+    pub edges: Vec<EdgeInfo>,
     /// Whether the cycle is increasing through every node other than the
     /// current transaction — the condition under which the current
     /// transaction is provably not self-serializable.
@@ -93,22 +47,8 @@ impl CycleReport {
 
     /// One-line human-readable summary.
     pub fn summary(&self, names: &SymbolTable) -> String {
-        let method = self
-            .blamed_label()
-            .or(self.nodes[0].label)
-            .map(|l| names.label(l))
-            .unwrap_or_else(|| "<unary>".to_owned());
-        let cycle: Vec<String> = self
-            .nodes
-            .iter()
-            .map(|n| {
-                let label = n
-                    .label
-                    .map(|l| names.label(l))
-                    .unwrap_or_else(|| "<unary>".to_owned());
-                format!("{}:{}", names.thread(n.thread), label)
-            })
-            .collect();
+        let method = label_text(self.blamed_label().or(self.nodes[0].label), names);
+        let cycle: Vec<String> = self.nodes.iter().map(|n| node_text(n, names)).collect();
         let blame = if self.blamed.is_some() {
             "blamed"
         } else {
@@ -126,13 +66,6 @@ impl CycleReport {
     /// blocks listed.
     pub fn to_text(&self, names: &SymbolTable) -> String {
         let mut out = String::new();
-        let show = |n: &ReportNode| {
-            let label = n
-                .label
-                .map(|l| names.label(l))
-                .unwrap_or_else(|| "<unary>".to_owned());
-            format!("{}:{}", names.thread(n.thread), label)
-        };
         let count = self.nodes.len();
         for (i, e) in self.edges.iter().enumerate() {
             let closing = if i + 1 == self.edges.len() {
@@ -142,9 +75,9 @@ impl CycleReport {
             };
             out.push_str(&format!(
                 "  {} --{}--> {}{closing}\n",
-                show(&self.nodes[i]),
+                node_text(&self.nodes[i], names),
                 render_op(e.op, names),
-                show(&self.nodes[(i + 1) % count]),
+                node_text(&self.nodes[(i + 1) % count], names),
             ));
         }
         match self.blamed {
@@ -152,7 +85,7 @@ impl CycleReport {
                 let refuted: Vec<String> = self.refuted.iter().map(|&l| names.label(l)).collect();
                 out.push_str(&format!(
                     "  blame: {} (refuted blocks: {})\n",
-                    show(&self.nodes[i]),
+                    node_text(&self.nodes[i], names),
                     refuted.join(", ")
                 ));
             }
@@ -168,15 +101,11 @@ impl CycleReport {
         let mut out = String::from("digraph atomicity_violation {\n");
         out.push_str("  rankdir=TB;\n  node [shape=box, fontname=\"Helvetica\"];\n");
         for (i, n) in self.nodes.iter().enumerate() {
-            let label = n
-                .label
-                .map(|l| names.label(l))
-                .unwrap_or_else(|| "<unary>".to_owned());
             let peripheries = if self.blamed == Some(i) { 2 } else { 1 };
             out.push_str(&format!(
                 "  t{i} [label=\"{}: {}\", peripheries={peripheries}];\n",
                 names.thread(n.thread),
-                label
+                label_text(n.label, names)
             ));
         }
         let n = self.nodes.len();
@@ -198,6 +127,16 @@ impl CycleReport {
     }
 }
 
+/// A block label's name, or `<unary>` for a transaction outside any block.
+fn label_text(label: Option<Label>, names: &SymbolTable) -> String {
+    label.map_or_else(|| "<unary>".to_owned(), |l| names.label(l))
+}
+
+/// A node as `thread:label`.
+fn node_text(n: &NodeDesc, names: &SymbolTable) -> String {
+    format!("{}:{}", names.thread(n.thread), label_text(n.label, names))
+}
+
 fn render_op(op: Op, names: &SymbolTable) -> String {
     match op {
         Op::Read { x, .. } => format!("rd({})", names.var(x)),
@@ -214,24 +153,24 @@ fn render_op(op: Op, names: &SymbolTable) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use velodrome_events::VarId;
+    use velodrome_events::{ThreadId, VarId};
 
     fn sample() -> CycleReport {
         CycleReport {
             nodes: vec![
-                ReportNode {
+                NodeDesc {
                     thread: ThreadId::new(0),
                     label: Some(Label::new(0)),
                     first_op: 0,
                 },
-                ReportNode {
+                NodeDesc {
                     thread: ThreadId::new(1),
                     label: None,
                     first_op: 2,
                 },
             ],
             edges: vec![
-                ReportEdge {
+                EdgeInfo {
                     op: Op::Write {
                         t: ThreadId::new(1),
                         x: VarId::new(0),
@@ -240,7 +179,7 @@ mod tests {
                     from_ts: 1,
                     to_ts: 1,
                 },
-                ReportEdge {
+                EdgeInfo {
                     op: Op::Write {
                         t: ThreadId::new(0),
                         x: VarId::new(0),

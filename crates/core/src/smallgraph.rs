@@ -18,7 +18,7 @@
 use crate::arena::EdgeInfo;
 use crate::step::{SlotIdx, MAX_TS};
 use std::num::NonZeroU64;
-use velodrome_events::{Label, LockId, Op, ThreadId, VarId};
+use velodrome_events::{Op, OpKind, ThreadId};
 
 /// Bits of a packed word that hold a timestamp; a slot index or the op's
 /// tag sits above them.
@@ -62,58 +62,6 @@ pub(crate) struct EdgeRec {
     head: NonZeroU64,
 }
 
-/// An op as its tag and its two operands.
-fn pack_op(op: Op) -> (u64, u64) {
-    let (tag, t, v) = match op {
-        Op::Read { t, x } => (0, t, x.raw()),
-        Op::Write { t, x } => (1, t, x.raw()),
-        Op::Acquire { t, m } => (2, t, m.raw()),
-        Op::Release { t, m } => (3, t, m.raw()),
-        Op::Begin { t, l } => (4, t, l.raw()),
-        Op::End { t } => (5, t, 0),
-        Op::Fork { t, child } => (6, t, child.raw()),
-        Op::Join { t, child } => (7, t, child.raw()),
-    };
-    (tag, u64::from(t.raw()) | (u64::from(v) << 32))
-}
-
-/// The op [`pack_op`] packed.
-fn unpack_op(tag: u64, operands: u64) -> Op {
-    let t = ThreadId::new(operands as u32);
-    let v = (operands >> 32) as u32;
-    match tag {
-        0 => Op::Read {
-            t,
-            x: VarId::new(v),
-        },
-        1 => Op::Write {
-            t,
-            x: VarId::new(v),
-        },
-        2 => Op::Acquire {
-            t,
-            m: LockId::new(v),
-        },
-        3 => Op::Release {
-            t,
-            m: LockId::new(v),
-        },
-        4 => Op::Begin {
-            t,
-            l: Label::new(v),
-        },
-        5 => Op::End { t },
-        6 => Op::Fork {
-            t,
-            child: ThreadId::new(v),
-        },
-        _ => Op::Join {
-            t,
-            child: ThreadId::new(v),
-        },
-    }
-}
-
 impl EdgeRec {
     pub(crate) fn new(to: SlotIdx, info: EdgeInfo, implied: bool) -> Self {
         debug_assert!(to <= crate::step::MAX_SLOT, "slot index past 24 bits");
@@ -141,7 +89,11 @@ impl EdgeRec {
         EdgeInfo {
             from_ts: self.tail & MAX_TS,
             to_ts: head & MAX_TS,
-            op: unpack_op((head >> TAG_SHIFT) & TAG_MASK, self.operands),
+            op: Op::from_parts(
+                OpKind::ALL[((head >> TAG_SHIFT) & TAG_MASK) as usize],
+                ThreadId::new(self.operands as u32),
+                (self.operands >> 32) as u32,
+            ),
             op_index: self.op_index as usize,
         }
     }
@@ -149,11 +101,12 @@ impl EdgeRec {
     /// Replaces the report metadata, keeping target and tag.
     pub(crate) fn refresh(&mut self, info: EdgeInfo) {
         debug_assert!(info.from_ts <= MAX_TS && info.to_ts <= MAX_TS);
-        let (tag, operands) = pack_op(info.op);
+        let (kind, t, v) = info.op.parts();
         self.tail = (self.tail & !MAX_TS) | info.from_ts;
-        self.operands = operands;
+        self.operands = u64::from(t.raw()) | (u64::from(v) << 32);
         self.op_index = info.op_index as u64;
-        self.head = PRESENT | (self.head.get() & IMPLIED) | (tag << TAG_SHIFT) | info.to_ts;
+        let tag = (kind as u64) << TAG_SHIFT;
+        self.head = PRESENT | (self.head.get() & IMPLIED) | tag | info.to_ts;
     }
 }
 
@@ -259,6 +212,7 @@ impl OutEdges {
 mod tests {
     use super::*;
     use crate::step::{Ts, MAX_SLOT};
+    use velodrome_events::VarId;
 
     fn info(i: usize) -> EdgeInfo {
         EdgeInfo {
@@ -290,41 +244,14 @@ mod tests {
         assert_eq!(std::mem::size_of::<OutEdges>(), 32);
     }
 
+    /// Every kind and extreme op fields, target slots, timestamps and
+    /// indices come back out of a record; the op's own mapping to its
+    /// parts is pinned in `velodrome_events::op`.
     #[test]
     fn every_op_and_extreme_field_roundtrips() {
         let (t, v) = (ThreadId::new(u32::MAX), u32::MAX - 1);
-        let ops = [
-            Op::Read {
-                t,
-                x: VarId::new(v),
-            },
-            Op::Write {
-                t,
-                x: VarId::new(v),
-            },
-            Op::Acquire {
-                t,
-                m: LockId::new(v),
-            },
-            Op::Release {
-                t,
-                m: LockId::new(v),
-            },
-            Op::Begin {
-                t,
-                l: Label::new(v),
-            },
-            Op::End { t },
-            Op::Fork {
-                t,
-                child: ThreadId::new(v),
-            },
-            Op::Join {
-                t,
-                child: ThreadId::new(0),
-            },
-        ];
-        for (i, op) in ops.into_iter().enumerate() {
+        for (i, kind) in OpKind::ALL.into_iter().enumerate() {
+            let op = Op::from_parts(kind, t, v);
             for (to, from_ts, to_ts, op_index) in [
                 (0, 0, 0, 0),
                 (MAX_SLOT - 1, MAX_TS, MAX_TS, usize::MAX),

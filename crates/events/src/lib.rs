@@ -4,8 +4,9 @@
 //!
 //! * [`ids`] — identifier newtypes for threads, variables, locks, and
 //!   atomic-block labels, plus a [`SymbolTable`] for report rendering;
-//! * [`op`] — the [`Op`] operation type (Figure 1 of the paper) and the
-//!   conflict/commutativity predicate (Section 2);
+//! * [`op`] — the [`Op`] operation type (Figure 1 of the paper), its
+//!   [`OpKind`], thread and operand as both trace formats store them, and
+//!   the conflict/commutativity predicate (Section 2);
 //! * [`trace`] — [`Trace`] sequences and the name-interning
 //!   [`TraceBuilder`];
 //! * [`semantics`] — well-formedness of traces under the multithreaded
@@ -46,7 +47,7 @@ pub mod txn;
 pub mod vbt;
 
 pub use ids::{Label, LockId, SymbolTable, ThreadId, VarId};
-pub use op::Op;
+pub use op::{Op, OpKind};
 pub use stats::TraceStats;
 pub use stream::{
     json_string_len, push_json_string, read_json_trace, read_trace, stream_trace, write_json,

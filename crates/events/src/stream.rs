@@ -19,10 +19,10 @@
 //! written as it is decoded.
 
 use crate::ids::{decimal_string_order, SymbolTable, SymbolTableBuilder, KINDS};
-use crate::op::Op;
+use crate::op::{Op, OpKind};
 use crate::trace::Trace;
 use crate::vbt::{VbtReader, MAGIC};
-use crate::{Label, LockId, ThreadId, VarId};
+use crate::ThreadId;
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -397,111 +397,20 @@ enum TopKey {
     Unknown,
 }
 
-/// Operation tags, i.e. the variant names of [`Op`].
-#[derive(Clone, Copy)]
-enum Tag {
-    Read,
-    Write,
-    Acquire,
-    Release,
-    Begin,
-    End,
-    Fork,
-    Join,
-}
-
-impl Tag {
-    fn name(self) -> &'static str {
-        match self {
-            Tag::Read => "Read",
-            Tag::Write => "Write",
-            Tag::Acquire => "Acquire",
-            Tag::Release => "Release",
-            Tag::Begin => "Begin",
-            Tag::End => "End",
-            Tag::Fork => "Fork",
-            Tag::Join => "Join",
-        }
-    }
-
-    /// The second operand's field name, if the variant has one.
-    fn operand(self) -> Option<&'static str> {
-        match self {
-            Tag::Read | Tag::Write => Some("x"),
-            Tag::Acquire | Tag::Release => Some("m"),
-            Tag::Begin => Some("l"),
-            Tag::End => None,
-            Tag::Fork | Tag::Join => Some("child"),
-        }
-    }
-
-    /// The canonical text of the variant up to the thread id, and between
-    /// the thread id and the operand (`None` for `End`, which has none):
-    /// `{"Read":{"t":` and `,"x":` frame `{"Read":{"t":N,"x":M}}`.
-    fn canonical(self) -> (&'static [u8], Option<&'static [u8]>) {
-        match self {
-            Tag::Read => (br#"{"Read":{"t":"#, Some(br#","x":"#)),
-            Tag::Write => (br#"{"Write":{"t":"#, Some(br#","x":"#)),
-            Tag::Acquire => (br#"{"Acquire":{"t":"#, Some(br#","m":"#)),
-            Tag::Release => (br#"{"Release":{"t":"#, Some(br#","m":"#)),
-            Tag::Begin => (br#"{"Begin":{"t":"#, Some(br#","l":"#)),
-            Tag::End => (br#"{"End":{"t":"#, None),
-            Tag::Fork => (br#"{"Fork":{"t":"#, Some(br#","child":"#)),
-            Tag::Join => (br#"{"Join":{"t":"#, Some(br#","child":"#)),
-        }
-    }
-
-    /// The variant of `op`, its thread and its operand (0 for `End`): the
-    /// inverse of [`Self::op`].
-    fn of(op: Op) -> (Self, ThreadId, u32) {
-        match op {
-            Op::Read { t, x } => (Tag::Read, t, x.raw()),
-            Op::Write { t, x } => (Tag::Write, t, x.raw()),
-            Op::Acquire { t, m } => (Tag::Acquire, t, m.raw()),
-            Op::Release { t, m } => (Tag::Release, t, m.raw()),
-            Op::Begin { t, l } => (Tag::Begin, t, l.raw()),
-            Op::End { t } => (Tag::End, t, 0),
-            Op::Fork { t, child } => (Tag::Fork, t, child.raw()),
-            Op::Join { t, child } => (Tag::Join, t, child.raw()),
-        }
-    }
-
-    /// The operation of this variant on thread `t`; `operand` is ignored
-    /// by `End`.
-    fn op(self, t: ThreadId, operand: u32) -> Op {
-        match self {
-            Tag::Read => Op::Read {
-                t,
-                x: VarId::new(operand),
-            },
-            Tag::Write => Op::Write {
-                t,
-                x: VarId::new(operand),
-            },
-            Tag::Acquire => Op::Acquire {
-                t,
-                m: LockId::new(operand),
-            },
-            Tag::Release => Op::Release {
-                t,
-                m: LockId::new(operand),
-            },
-            Tag::Begin => Op::Begin {
-                t,
-                l: Label::new(operand),
-            },
-            Tag::End => Op::End { t },
-            Tag::Fork => Op::Fork {
-                t,
-                child: ThreadId::new(operand),
-            },
-            Tag::Join => Op::Join {
-                t,
-                child: ThreadId::new(operand),
-            },
-        }
-    }
-}
+/// Each kind's canonical JSON text up to the thread id, and between the
+/// thread id and the operand (`None` for `End`, which has none), indexed
+/// by [`OpKind`]: `{"Read":{"t":` and `,"x":` frame `{"Read":{"t":N,"x":M}}`.
+/// The reader's fast path matches these frames and the writer writes them.
+pub(crate) const CANONICAL: [(&[u8], Option<&[u8]>); 8] = [
+    (br#"{"Read":{"t":"#, Some(br#","x":"#)),
+    (br#"{"Write":{"t":"#, Some(br#","x":"#)),
+    (br#"{"Acquire":{"t":"#, Some(br#","m":"#)),
+    (br#"{"Release":{"t":"#, Some(br#","m":"#)),
+    (br#"{"Begin":{"t":"#, Some(br#","l":"#)),
+    (br#"{"End":{"t":"#, None),
+    (br#"{"Fork":{"t":"#, Some(br#","child":"#)),
+    (br#"{"Join":{"t":"#, Some(br#","child":"#)),
+];
 
 /// Bytes the read buffer must hold past the next op before the slice fast
 /// path looks at it. The longest canonical op, `Fork` or `Join` with two
@@ -520,18 +429,18 @@ const FAST_MARGIN: usize = 64;
 /// parser.
 #[inline]
 fn canonical_op(b: &[u8; FAST_MARGIN]) -> Option<(Op, usize)> {
-    let tag = match b[2] {
-        b'R' if b[4] == b'a' => Tag::Read,
-        b'R' => Tag::Release,
-        b'W' => Tag::Write,
-        b'A' => Tag::Acquire,
-        b'B' => Tag::Begin,
-        b'E' => Tag::End,
-        b'F' => Tag::Fork,
-        b'J' => Tag::Join,
+    let kind = match b[2] {
+        b'R' if b[4] == b'a' => OpKind::Read,
+        b'R' => OpKind::Release,
+        b'W' => OpKind::Write,
+        b'A' => OpKind::Acquire,
+        b'B' => OpKind::Begin,
+        b'E' => OpKind::End,
+        b'F' => OpKind::Fork,
+        b'J' => OpKind::Join,
         _ => return None,
     };
-    let (head, mid) = tag.canonical();
+    let (head, mid) = CANONICAL[kind as usize];
     if !b.starts_with(head) {
         return None;
     }
@@ -546,7 +455,7 @@ fn canonical_op(b: &[u8; FAST_MARGIN]) -> Option<(Op, usize)> {
     if b[at..at + 2] != *b"}}" {
         return None;
     }
-    Some((tag.op(ThreadId::new(t), operand), at + 2))
+    Some((Op::from_parts(kind, ThreadId::new(t), operand), at + 2))
 }
 
 /// The 1–10 digit `u32` at `b[at..]` and the index just past its digits.
@@ -606,8 +515,8 @@ impl<W: Write> JsonTraceWriter<W> {
         for &op in ops {
             self.item(!self.any_ops)?;
             self.any_ops = true;
-            let (tag, t, operand) = Tag::of(op);
-            let (head, mid) = tag.canonical();
+            let (kind, t, operand) = op.parts();
+            let (head, mid) = CANONICAL[kind as usize];
             self.buf.extend_from_slice(head);
             push_decimal(&mut self.buf, u64::from(t.raw()));
             if let Some(mid) = mid {
@@ -1108,23 +1017,18 @@ impl<R: Read> JsonParser<R> {
     }
 
     /// Parses one externally tagged operation: `{"Read":{"t":0,"x":1}}`.
+    /// Unknown fields of the body are skipped; a second entry of the
+    /// object, or a repeated `t` or operand field, is rejected at its key.
     fn parse_op(&mut self) -> Result<Op, TraceReadError> {
         self.expect(b'{', "an operation object")?;
         self.skip_ws()?;
         self.parse_string()?;
-        let tag = match self.scratch.as_slice() {
-            b"Read" => Tag::Read,
-            b"Write" => Tag::Write,
-            b"Acquire" => Tag::Acquire,
-            b"Release" => Tag::Release,
-            b"Begin" => Tag::Begin,
-            b"End" => Tag::End,
-            b"Fork" => Tag::Fork,
-            b"Join" => Tag::Join,
-            _ => {
-                let name = self.scratch_str().unwrap_or("<non-UTF-8>").to_owned();
-                return Err(self.fail(format!("unknown operation `{name}`")));
-            }
+        let Some(kind) = OpKind::ALL
+            .into_iter()
+            .find(|kind| kind.name().as_bytes() == self.scratch)
+        else {
+            let name = self.scratch_str().unwrap_or("<non-UTF-8>").to_owned();
+            return Err(self.fail(format!("unknown operation `{name}`")));
         };
         self.skip_ws()?;
         self.expect(b':', "`:`")?;
@@ -1138,27 +1042,28 @@ impl<R: Read> JsonParser<R> {
         } else {
             loop {
                 self.skip_ws()?;
+                let key_at = self.s.offset();
                 self.parse_string()?;
-                #[derive(PartialEq)]
-                enum Field {
-                    Thread,
-                    Operand,
-                    Unknown,
-                }
+                // The field's name, where its value goes and what it is.
                 let field = if self.scratch.as_slice() == b"t" {
-                    Field::Thread
-                } else if tag.operand().is_some_and(|f| f.as_bytes() == self.scratch) {
-                    Field::Operand
+                    Some(("t", &mut t, "thread id"))
                 } else {
-                    Field::Unknown
+                    kind.operand()
+                        .filter(|f| f.as_bytes() == self.scratch)
+                        .map(|f| (f, &mut operand, "identifier"))
                 };
+                if let Some((name, Some(_), _)) = &field {
+                    return Err(TraceReadError::malformed(
+                        key_at,
+                        format!("duplicate field `{name}` in {}", kind.name()),
+                    ));
+                }
                 self.skip_ws()?;
                 self.expect(b':', "`:`")?;
                 self.skip_ws()?;
                 match field {
-                    Field::Thread => t = Some(self.parse_u32("thread id")?),
-                    Field::Operand => operand = Some(self.parse_u32("identifier")?),
-                    Field::Unknown => self.skip_value(0)?,
+                    Some((_, value, what)) => *value = Some(self.parse_u32(what)?),
+                    None => self.skip_value(0)?,
                 }
                 self.skip_ws()?;
                 match self.s.next_byte()? {
@@ -1168,33 +1073,30 @@ impl<R: Read> JsonParser<R> {
                 }
             }
         }
-        // Any further entries in the operation object are ignored: the tag
-        // is the first entry.
         self.skip_ws()?;
-        loop {
-            match self.s.next_byte()? {
-                Some(b'}') => break,
-                Some(b',') => {
-                    self.skip_ws()?;
-                    self.parse_string()?;
-                    self.skip_ws()?;
-                    self.expect(b':', "`:`")?;
-                    self.skip_value(0)?;
-                    self.skip_ws()?;
-                }
-                _ => return Err(self.fail("expected `,` or `}` in operation object")),
+        match self.s.next_byte()? {
+            Some(b'}') => {}
+            Some(b',') => {
+                self.skip_ws()?;
+                let key_at = self.s.offset();
+                self.parse_string()?;
+                return Err(TraceReadError::malformed(
+                    key_at,
+                    "operation object has more than one entry",
+                ));
             }
+            _ => return Err(self.fail("expected `,` or `}` in operation object")),
         }
         let t = ThreadId::new(
-            t.ok_or_else(|| self.fail(format!("missing field `t` in {}", tag.name())))?,
+            t.ok_or_else(|| self.fail(format!("missing field `t` in {}", kind.name())))?,
         );
-        let operand = match (tag.operand(), operand) {
+        let operand = match (kind.operand(), operand) {
             (Some(field), None) => {
-                return Err(self.fail(format!("missing field `{field}` in {}", tag.name())))
+                return Err(self.fail(format!("missing field `{field}` in {}", kind.name())))
             }
             (_, operand) => operand.unwrap_or(0),
         };
-        Ok(tag.op(t, operand))
+        Ok(Op::from_parts(kind, t, operand))
     }
 
     /// Parses the `names` object: four id→name maps keyed by decimal
@@ -1302,6 +1204,7 @@ impl<R: Read> JsonParser<R> {
 mod tests {
     use super::*;
     use crate::trace::TraceBuilder;
+    use crate::{Label, LockId, VarId};
 
     fn sample_trace() -> Trace {
         let mut b = TraceBuilder::new();
@@ -1495,37 +1398,9 @@ mod tests {
     fn fast_path_matches_exactly_the_canonical_shape() {
         let max = u32::MAX;
         let t = ThreadId::new(max);
-        for op in [
-            Op::Read {
-                t,
-                x: VarId::new(0),
-            },
-            Op::Write {
-                t,
-                x: VarId::new(9),
-            },
-            Op::Acquire {
-                t,
-                m: LockId::new(10),
-            },
-            Op::Release {
-                t,
-                m: LockId::new(max),
-            },
-            Op::Begin {
-                t,
-                l: Label::new(max),
-            },
-            Op::End { t },
-            Op::Fork {
-                t,
-                child: ThreadId::new(max),
-            },
-            Op::Join {
-                t,
-                child: ThreadId::new(0),
-            },
-        ] {
+        let operands = [0, 9, 10, max, max, 0, max, 0];
+        for (kind, v) in OpKind::ALL.into_iter().zip(operands) {
+            let op = Op::from_parts(kind, t, v);
             let text = serde_json::to_string(&op).unwrap();
             assert_eq!(canonical(&text), Some((op, text.len())), "{text}");
         }

@@ -24,7 +24,7 @@
 //!
 //! Synthesized indices are strictly increasing, so they are delta-coded:
 //! `index = prev + delta` and `prev = index + 1` after each. Operation
-//! tags and operands:
+//! tags (an [`OpKind`] as `u8`) and operands:
 //!
 //! | tag | op      | operands     |
 //! |-----|---------|--------------|
@@ -48,10 +48,10 @@
 //! ([`crate::stream`]).
 
 use crate::ids::{NameError, SymbolTable, SymbolTableBuilder, KINDS};
-use crate::op::Op;
+use crate::op::{Op, OpKind};
 use crate::stream::{validate_synthesized, Blocks, ByteStream, TraceReadError, TraceSummary};
 use crate::trace::Trace;
-use crate::{Label, LockId, ThreadId, VarId};
+use crate::ThreadId;
 use std::io::{Read, Write};
 
 /// The four magic bytes opening every VBT stream.
@@ -81,20 +81,16 @@ fn push_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 fn push_op(out: &mut Vec<u8>, op: Op) {
-    let (tag, a, b) = match op {
-        Op::Read { t, x } => (0u8, t.raw(), Some(x.raw())),
-        Op::Write { t, x } => (1, t.raw(), Some(x.raw())),
-        Op::Acquire { t, m } => (2, t.raw(), Some(m.raw())),
-        Op::Release { t, m } => (3, t.raw(), Some(m.raw())),
-        Op::Begin { t, l } => (4, t.raw(), Some(l.raw())),
-        Op::End { t } => (5, t.raw(), None),
-        Op::Fork { t, child } => (6, t.raw(), Some(child.raw())),
-        Op::Join { t, child } => (7, t.raw(), Some(child.raw())),
-    };
-    out.push(tag);
-    push_varint(out, a as u64);
-    if let Some(b) = b {
-        push_varint(out, b as u64);
+    let (kind, t, v) = op.parts();
+    // Deciding whether there is an operand before the first push lets the
+    // compiler fold it into the dispatch on the op. Testing `kind` after
+    // the pushes kept a branch per op: perfbench's `fanin` `setup_s`, which
+    // times this writer, read ≈15% higher that way (2-vCPU x86-64 host).
+    let operand = (kind != OpKind::End).then_some(v);
+    out.push(kind as u8);
+    push_varint(out, u64::from(t.raw()));
+    if let Some(v) = operand {
+        push_varint(out, u64::from(v));
     }
 }
 
@@ -425,45 +421,22 @@ impl<R: Read> VbtReader<R> {
                 "truncated frame: operation tag missing",
             ));
         };
+        let Some(kind) = OpKind::from_tag(tag) else {
+            return Err(TraceReadError::malformed(
+                self.frame_offset(),
+                format!("unknown operation tag {tag}"),
+            ));
+        };
         self.frame_pos += 1;
         let t = ThreadId::new(self.frame_id("thread id")?);
-        Ok(match tag {
-            0 => Op::Read {
-                t,
-                x: VarId::new(self.frame_id("variable id")?),
-            },
-            1 => Op::Write {
-                t,
-                x: VarId::new(self.frame_id("variable id")?),
-            },
-            2 => Op::Acquire {
-                t,
-                m: LockId::new(self.frame_id("lock id")?),
-            },
-            3 => Op::Release {
-                t,
-                m: LockId::new(self.frame_id("lock id")?),
-            },
-            4 => Op::Begin {
-                t,
-                l: Label::new(self.frame_id("label id")?),
-            },
-            5 => Op::End { t },
-            6 => Op::Fork {
-                t,
-                child: ThreadId::new(self.frame_id("thread id")?),
-            },
-            7 => Op::Join {
-                t,
-                child: ThreadId::new(self.frame_id("thread id")?),
-            },
-            other => {
-                return Err(TraceReadError::malformed(
-                    self.frame_base + self.frame_pos as u64 - 1,
-                    format!("unknown operation tag {other}"),
-                ))
-            }
-        })
+        let what = match kind {
+            OpKind::End => return Ok(Op::End { t }),
+            OpKind::Read | OpKind::Write => "variable id",
+            OpKind::Acquire | OpKind::Release => "lock id",
+            OpKind::Begin => "label id",
+            OpKind::Fork | OpKind::Join => "thread id",
+        };
+        Ok(Op::from_parts(kind, t, self.frame_id(what)?))
     }
 
     /// Drains the remaining operations into `blocks`, then validates the
@@ -497,53 +470,20 @@ impl<R: Read> VbtReader<R> {
 /// an id [`fast_id`] does not accept.
 #[inline(always)]
 fn fast_op(body: &[u8], pos: usize) -> Option<(Op, usize)> {
-    let tag = *body.get(pos)?;
-    if tag > 7 {
-        return None;
-    }
+    let kind = OpKind::from_tag(*body.get(pos)?)?;
     let (t, pos) = fast_id(body, pos + 1)?;
-    // Every tag but `End` (5) has an operand. It is read for `End` too,
-    // where it is the next op's first byte and is not consumed. No branch
-    // depends on the tag: the end offset is picked with a mask, because an
-    // `if` compiles to a branch here (its result feeds the next op).
+    // Every kind but `End` has an operand. It is read for `End` too, where
+    // it is the next op's first byte and is not consumed. No branch
+    // depends on the kind: the end offset is picked with a mask, because
+    // an `if` compiles to a branch here (its result feeds the next op).
     let (v, after) = match fast_id(body, pos) {
         Some(operand) => operand,
-        None if tag == 5 => (0, pos),
+        None if kind == OpKind::End => (0, pos),
         None => return None,
     };
-    let end_mask = usize::from(tag == 5).wrapping_neg();
+    let end_mask = usize::from(kind == OpKind::End).wrapping_neg();
     let end = after ^ ((after ^ pos) & end_mask);
-    Some((op_of(tag, ThreadId::new(t), v), end))
-}
-
-/// The op with tag `tag` (0–7), thread `t` and operand `v`, which `End`
-/// ignores. It is built by selects on the tag's bits, which compile to
-/// conditional moves, not by a `match`, which compiles to a jump on the
-/// tag. Tags change from op to op in real traces, so that jump is often
-/// mispredicted: over the workload models' traces the frame loop took
-/// ≈8–10 ns/event with a `match` and ≈3.5–4.5 with the selects.
-#[inline(always)]
-fn op_of(tag: u8, t: ThreadId, v: u32) -> Op {
-    let pick = |bit: u8, clear: Op, set: Op| if tag & bit == 0 { clear } else { set };
-    let (x, m, l, child) = (
-        VarId::new(v),
-        LockId::new(v),
-        Label::new(v),
-        ThreadId::new(v),
-    );
-    pick(
-        4,
-        pick(
-            2,
-            pick(1, Op::Read { t, x }, Op::Write { t, x }),
-            pick(1, Op::Acquire { t, m }, Op::Release { t, m }),
-        ),
-        pick(
-            2,
-            pick(1, Op::Begin { t, l }, Op::End { t }),
-            pick(1, Op::Fork { t, child }, Op::Join { t, child }),
-        ),
-    )
+    Some((Op::from_parts(kind, ThreadId::new(t), v), end))
 }
 
 /// Decodes the varint at `body[pos..]` if it is 1 to 5 bytes long and fits
@@ -596,6 +536,7 @@ fn read_varint<R: Read>(s: &mut ByteStream<R>) -> Result<u64, TraceReadError> {
 mod tests {
     use super::*;
     use crate::trace::TraceBuilder;
+    use crate::{Label, LockId, VarId};
 
     fn sample_trace() -> Trace {
         let mut b = TraceBuilder::new();
@@ -776,7 +717,11 @@ mod tests {
             .expect("first op encoding present");
         bytes[pos] = 0xEE;
         let e = read_vbt(&bytes[..]).unwrap_err();
-        assert!(e.to_string().contains("unknown operation tag"), "{e}");
+        assert_eq!(
+            e.to_string(),
+            format!("byte {pos}: unknown operation tag 238"),
+            "the error names the tag's own byte"
+        );
     }
 
     #[test]

@@ -34,19 +34,29 @@ cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 echo "==> chaos suite (fault injection against the live runtime)"
 cargo test -q -p velodrome-monitor --test chaos
 
-echo "==> malformed trace input exits with code 4"
+echo "==> malformed trace input exits with code 4, naming the bad byte"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 printf '{"truncated' > "$tmp/bad.json"
-set +e
-cargo run --release -q -p velodrome-cli -- trace "$tmp/bad.json" >/dev/null 2>"$tmp/err"
-code=$?
-set -e
-if [[ "$code" -ne 4 ]]; then
-    echo "expected exit code 4 for malformed input, got $code" >&2
-    cat "$tmp/err" >&2
-    exit 1
-fi
+# An op object with a second entry, which must not be dropped silently.
+printf '%s' '{"ops":[{"Read":{"t":0,"x":1},"Write":{"t":0,"x":1}}],' \
+    '"names":{"threads":{},"vars":{},"locks":{},"labels":{}}}' > "$tmp/two-entries.json"
+# The corpus Figure 1 trace with its first op tag (byte 28) set to 0xEE.
+cp tests/corpus/figure1_rmw_violation.trace.vbt "$tmp/bad-tag.vbt"
+printf '\xee' | dd of="$tmp/bad-tag.vbt" bs=1 seek=28 conv=notrunc status=none
+for case in "bad.json:byte 11" "two-entries.json:byte 30" "bad-tag.vbt:byte 28"; do
+    file="$tmp/${case%%:*}"
+    want="$file: ${case#*:}: "
+    set +e
+    cargo run --release -q -p velodrome-cli -- trace "$file" >/dev/null 2>"$tmp/err"
+    code=$?
+    set -e
+    if [[ "$code" -ne 4 ]] || ! grep -qF "$want" "$tmp/err"; then
+        echo "expected exit code 4 and \`$want\` for malformed input, got $code:" >&2
+        cat "$tmp/err" >&2
+        exit 1
+    fi
+done
 
 echo "==> metrics smoke (fixed-seed workload, JSONL snapshot contract)"
 cargo run --release -q -p velodrome-cli -- check multiset --seed=1 --scale=4 \

@@ -219,19 +219,45 @@ fn a_bad_op_deep_in_a_canonical_document_fails_as_the_general_parser_says() {
     let dir = scratch_dir("deep-bad-op");
     let trace = long_trace();
     let at = FRAME_OPS + 100;
+    // Each bad op, the reason, and for the rejected keys the key the
+    // error's offset names.
     let cases = [
-        (r#"{"Reed":{"t":0,"x":0}}"#, "unknown operation `Reed`"),
+        (
+            r#"{"Reed":{"t":0,"x":0}}"#,
+            "unknown operation `Reed`",
+            None,
+        ),
         (
             r#"{"Read":{"t":4294967296,"x":0}}"#,
             "thread id 4294967296 out of range",
+            None,
         ),
-        (r#"{"Read":{"t":0,"x":1.5}}"#, "non-integer number"),
-        (r#"{"Read":{"t":-1,"x":0}}"#, "expected an unsigned integer"),
-        (r#"{"Read":{"t":0}}"#, "missing field `x` in Read"),
-        (r#"{"Read":{"t":0,"x":0}"#, "expected a string"),
+        (r#"{"Read":{"t":0,"x":1.5}}"#, "non-integer number", None),
+        (
+            r#"{"Read":{"t":-1,"x":0}}"#,
+            "expected an unsigned integer",
+            None,
+        ),
+        (r#"{"Read":{"t":0}}"#, "missing field `x` in Read", None),
+        (r#"{"Read":{"t":0,"x":0}"#, "expected a string", None),
+        (
+            r#"{"Read":{"t":0,"x":1},"Write":{"t":0,"x":1}}"#,
+            "operation object has more than one entry",
+            Some(r#""Write""#),
+        ),
+        (
+            r#"{"Read":{"t":0,"t":5,"x":1}}"#,
+            "duplicate field `t` in Read",
+            Some(r#""t":5"#),
+        ),
+        (
+            r#"{"Fork":{"child":1,"t":0,"child":2}}"#,
+            "duplicate field `child` in Fork",
+            Some(r#""child":2"#),
+        ),
     ];
     let mut ops = op_texts(&trace);
-    for (bad, reason) in cases {
+    for (bad, reason, key) in cases {
         ops[at] = bad.to_owned();
         let doc = json_with(&trace, &ops, false);
         let e = read_json_trace(doc.as_bytes()).unwrap_err();
@@ -239,6 +265,10 @@ fn a_bad_op_deep_in_a_canonical_document_fails_as_the_general_parser_says() {
             e.is_malformed() && e.to_string().contains(reason),
             "{bad}: {e}"
         );
+        if let Some(key) = key {
+            let offset = doc.find(bad).unwrap() + bad.find(key).unwrap();
+            assert_eq!(e.to_string(), format!("byte {offset}: {reason}"));
+        }
         let general = read_json_trace(OneByte(doc.as_bytes())).unwrap_err();
         assert_eq!(e.to_string(), general.to_string(), "{bad}");
         let path = dir.join("bad.json");
