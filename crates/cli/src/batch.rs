@@ -657,11 +657,11 @@ fn collect_paths(input: &str) -> Result<Vec<PathBuf>, CliError> {
 
 /// Streams the JSONL report into `out`: each trace's line as soon as it and
 /// every earlier trace are done, then the summary line.
-fn write_report(
+fn write_report<W: Write + Send + ?Sized>(
     cfg: &BatchConfig,
     backend: &Backend,
     run_cfg: &RunConfig,
-    out: &mut (impl Write + Send),
+    out: &mut W,
 ) -> io::Result<(BatchSummary, Option<Snapshot>)> {
     let (summary, merged) = run_pool(
         cfg,
@@ -676,10 +676,14 @@ fn write_report(
 }
 
 /// The `check-batch` subcommand: collect the work list, check the flags,
-/// create the output files, then run the pool, streaming the report (and
-/// writing the merged metrics at the end). If the run fails after the
-/// outputs were created, they are removed.
-pub(crate) fn check_batch_cmd(opts: &Options) -> Result<String, CliError> {
+/// create the output files, then run the pool, streaming the report to
+/// `--report` or, without it, to `out` (and writing the merged metrics at
+/// the end). Returns the text still due on stdout. If the run fails after
+/// the output files were created, they are removed.
+pub(crate) fn check_batch_cmd(
+    opts: &Options,
+    out: &mut (dyn Write + Send),
+) -> Result<String, CliError> {
     let input = opts.positional.first().ok_or_else(|| err(USAGE))?;
     let paths = collect_paths(input)?;
     if paths.is_empty() {
@@ -693,7 +697,7 @@ pub(crate) fn check_batch_cmd(opts: &Options) -> Result<String, CliError> {
     };
     let backend = validate(&cfg)?;
     let mut created = Vec::new();
-    let result = check_batch_into(&cfg, backend, opts, &mut created);
+    let result = check_batch_into(&cfg, backend, opts, out, &mut created);
     if result.is_err() {
         created.into_iter().for_each(remove_partial);
     }
@@ -701,12 +705,13 @@ pub(crate) fn check_batch_cmd(opts: &Options) -> Result<String, CliError> {
 }
 
 /// Creates `--report` and `--metrics-out` (noting each in `created`) and
-/// runs the batch into them. Without `--report` the JSONL goes to stdout,
-/// and is then built in memory whole, since the command returns it.
+/// runs the batch into them. Without `--report` the JSONL goes to `out`;
+/// with it, `out` gets the human summary, returned as text.
 fn check_batch_into<'a>(
     cfg: &BatchConfig,
     backend: &Backend,
     opts: &'a Options,
+    out: &mut (dyn Write + Send),
     created: &mut Vec<&'a str>,
 ) -> Result<String, CliError> {
     let mut create = |path: &'a str| {
@@ -717,19 +722,10 @@ fn check_batch_into<'a>(
     let report = opts.report.as_deref().map(&mut create).transpose()?;
     let metrics = opts.metrics_out.as_deref().map(&mut create).transpose()?;
     let run_cfg = crate::run_config(opts);
-    let (stdout, merged) = match report {
-        Some((path, file)) => {
-            let (summary, merged) = write_report(cfg, backend, &run_cfg, &mut BufWriter::new(file))
-                .map_err(|e| write_err(path, e))?;
-            (summary.text_line(), merged)
-        }
-        None => {
-            let mut out = Vec::new();
-            let (_, merged) = write_report(cfg, backend, &run_cfg, &mut out)
-                .expect("writing to memory cannot fail");
-            let out = String::from_utf8(out).expect("JSON lines are UTF-8");
-            (out, merged)
-        }
+    let (summary, merged) = match report {
+        Some((path, file)) => write_report(cfg, backend, &run_cfg, &mut BufWriter::new(file))
+            .map_err(|e| write_err(path, e))?,
+        None => write_report(cfg, backend, &run_cfg, out).map_err(|e| write_err("stdout", e))?,
     };
     if let Some((path, file)) = metrics {
         let snap = merged.expect("collect_metrics was set");
@@ -737,7 +733,10 @@ fn check_batch_into<'a>(
             .export(&snap)
             .map_err(|e| write_err(path, e))?;
     }
-    Ok(stdout)
+    Ok(match opts.report {
+        Some(_) => summary.text_line(),
+        None => String::new(),
+    })
 }
 
 #[cfg(test)]

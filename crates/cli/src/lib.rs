@@ -21,7 +21,7 @@ pub mod batch;
 
 use backend::{Analysis, Events, RunConfig, BACKENDS};
 use std::fmt::Write as _;
-use std::io::Write as _;
+use std::io::Write;
 use velodrome_events::{oracle, Trace, TraceStats};
 use velodrome_sim::{run_program, RandomScheduler, WatchdogStats};
 use velodrome_telemetry::Telemetry;
@@ -214,13 +214,26 @@ batch flags: --jobs=N (worker-pool size, default 4), --report=FILE (JSONL
   snapshot carrying batch.* gauges
 exit codes: 0 ok, 2 usage error, 3 I/O error, 4 malformed input file";
 
-/// Executes a CLI invocation, returning the text to print on stdout.
+/// Executes a CLI invocation, returning the text it writes to stdout: the
+/// output of [`execute_to`], collected.
 pub fn execute(args: &[String]) -> Result<String, CliError> {
+    let mut out = Vec::new();
+    execute_to(args, &mut out)?;
+    Ok(String::from_utf8_lossy(&out).into_owned())
+}
+
+/// Executes a CLI invocation, writing its stdout text to `out`, then
+/// flushing it. A command whose output is bounded builds its text and
+/// writes it once; `check-batch` without `--report` writes each JSONL line
+/// as it commits, from its worker threads, hence the `Send` bound. A failed
+/// write or flush is an I/O error (exit 3), `writing stdout: …`; what was
+/// written before an error stays written.
+pub fn execute_to(args: &[String], out: &mut (dyn Write + Send)) -> Result<(), CliError> {
     let Some((cmd, rest)) = args.split_first() else {
         return Err(err(USAGE));
     };
     let opts = parse(rest)?;
-    match cmd.as_str() {
+    let text = match cmd.as_str() {
         "list" => Ok(list()),
         "check" => check(&opts),
         "record" => record(&opts),
@@ -230,10 +243,13 @@ pub fn execute(args: &[String]) -> Result<String, CliError> {
         "replay" => replay(&opts),
         "compare" => compare(&opts),
         "convert" => convert(&opts),
-        "check-batch" => batch::check_batch_cmd(&opts),
+        "check-batch" => batch::check_batch_cmd(&opts, out),
         "metrics-verify" => metrics_verify(&opts),
         other => Err(err(format!("unknown command `{other}`\n{USAGE}"))),
-    }
+    }?;
+    out.write_all(text.as_bytes())
+        .and_then(|()| out.flush())
+        .map_err(|e| write_err("stdout", e))
 }
 
 fn list() -> String {
@@ -1001,6 +1017,41 @@ mod tests {
             let e = run(args).unwrap_err();
             assert_eq!(e.kind, CliErrorKind::Usage, "{args:?}: {e}");
             assert_eq!(e.exit_code(), 2, "{args:?}");
+        }
+    }
+
+    /// A stdout that takes `room` bytes, then fails as a closed pipe does.
+    struct ClosedAfter {
+        room: usize,
+    }
+
+    impl Write for ClosedAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.room == 0 {
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_stdout_write_is_an_io_error() {
+        let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus");
+        for (args, room) in [
+            (&["list"][..], 0),
+            (&["check-batch", corpus, "--jobs=2"], 1000),
+        ] {
+            let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let e = execute_to(&owned, &mut ClosedAfter { room }).unwrap_err();
+            assert_eq!(e.kind, CliErrorKind::Io, "{args:?}: {e}");
+            assert_eq!(e.exit_code(), 3);
+            assert!(e.message.contains("writing stdout"), "{args:?}: {e}");
         }
     }
 

@@ -12,11 +12,16 @@
 //! crate) filters redundant re-entrant acquires and releases before events
 //! reach a back-end analysis, so well-formed back-end traces never contain
 //! them.
+//!
+//! The rules are written once, in [`TraceChecker`], which checks one
+//! operation at a time and so needs no look-ahead: a join that comes before
+//! the child's last operation is reported at the child's first operation
+//! after it. [`validate`] runs the checker over a whole trace.
 
 use crate::ids::{LockId, ThreadId};
 use crate::op::Op;
 use crate::trace::Trace;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -70,13 +75,13 @@ pub enum ValidityError {
         /// The thread forking itself.
         t: ThreadId,
     },
-    /// `join(t, c)` but `c` performs an operation at or after the join.
+    /// `join(t, c)` but `c` performs an operation after the join.
     JoinBeforeChildFinished {
-        /// Index of the offending join.
+        /// Index of the offending join (the first, if `c` was joined twice).
         at: usize,
         /// The joined child.
         child: ThreadId,
-        /// Index of a child operation after the join.
+        /// Index of the child's first operation after the join.
         child_op: usize,
     },
     /// `join(t, t)`.
@@ -85,13 +90,6 @@ pub enum ValidityError {
         at: usize,
         /// The thread joining itself.
         t: ThreadId,
-    },
-    /// A lock is still held at the end of the trace.
-    LockHeldAtEnd {
-        /// The lock.
-        m: LockId,
-        /// Its holder.
-        holder: ThreadId,
     },
 }
 
@@ -125,38 +123,28 @@ impl fmt::Display for ValidityError {
                 )
             }
             ValidityError::SelfJoin { at, t } => write!(f, "op {at}: thread {t} joins itself"),
-            ValidityError::LockHeldAtEnd { m, holder } => {
-                write!(f, "trace end: lock {m} still held by {holder}")
-            }
         }
     }
 }
 
 impl Error for ValidityError {}
 
-/// Options controlling [`validate_with`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ValidateOptions {
-    /// Require every lock to be released by the end of the trace.
-    /// Defaults to `false`: monitors may observe truncated executions.
-    pub require_locks_released: bool,
-}
-
-/// Checks a whole trace against the Figure 1 semantics with default options.
+/// Checks a whole trace against the Figure 1 semantics: [`TraceChecker`]
+/// over its operations, stopping at the first violation.
 pub fn validate(trace: &Trace) -> Result<(), ValidityError> {
-    validate_with(trace, ValidateOptions::default())
+    let mut checker = TraceChecker::new();
+    trace.iter().try_for_each(|(_, op)| checker.check(op))
 }
 
 /// Incremental well-formedness checker for *online* monitoring: feed each
-/// operation as it is observed. Covers every rule of [`validate`] except
-/// the join-before-child-finished check, which requires knowing the future
-/// of the trace (an online monitor cannot); a stray operation by a joined
-/// thread is caught at that operation instead.
+/// operation as it is observed. A join is checked when the joined thread
+/// acts again, since whether the child had finished is only known then.
 #[derive(Debug, Default)]
 pub struct TraceChecker {
     holders: HashMap<LockId, ThreadId>,
     depth: HashMap<ThreadId, usize>,
-    seen: HashMap<ThreadId, usize>,
+    /// Threads that acted or were forked.
+    seen: HashSet<ThreadId>,
     joined: HashMap<ThreadId, usize>,
     index: usize,
 }
@@ -214,104 +202,22 @@ impl TraceChecker {
                 if child == t {
                     return Err(ValidityError::SelfFork { at: i, t });
                 }
-                if self.seen.contains_key(&child) {
+                if !self.seen.insert(child) {
                     return Err(ValidityError::ForkOfActiveThread { at: i, child });
                 }
-                self.seen.insert(child, i);
             }
             Join { child, .. } => {
                 if child == t {
                     return Err(ValidityError::SelfJoin { at: i, t });
                 }
-                self.joined.insert(child, i);
+                self.joined.entry(child).or_insert(i);
             }
             Read { .. } | Write { .. } => {}
         }
-        self.seen.entry(t).or_insert(i);
+        self.seen.insert(t);
         self.index += 1;
         Ok(())
     }
-}
-
-/// Checks a whole trace against the Figure 1 semantics.
-pub fn validate_with(trace: &Trace, opts: ValidateOptions) -> Result<(), ValidityError> {
-    // Last operation index per thread, for join validation.
-    let mut last_op: HashMap<ThreadId, usize> = HashMap::new();
-    for (i, op) in trace.iter() {
-        last_op.insert(op.tid(), i);
-        if let Op::Fork { child, .. } | Op::Join { child, .. } = op {
-            last_op.entry(child).or_insert(i);
-        }
-    }
-
-    let mut holders: HashMap<LockId, ThreadId> = HashMap::new();
-    let mut depth: HashMap<ThreadId, usize> = HashMap::new();
-    let mut seen: HashMap<ThreadId, usize> = HashMap::new(); // first op index
-
-    for (i, op) in trace.iter() {
-        let t = op.tid();
-        seen.entry(t).or_insert(i);
-        match op {
-            Op::Acquire { m, .. } => {
-                if let Some(&holder) = holders.get(&m) {
-                    return Err(ValidityError::LockNotFree { at: i, m, holder });
-                }
-                holders.insert(m, t);
-            }
-            Op::Release { m, .. } => match holders.get(&m) {
-                None => return Err(ValidityError::LockNotHeld { at: i, m }),
-                Some(&holder) if holder != t => {
-                    return Err(ValidityError::ReleaseByNonOwner { at: i, m, holder })
-                }
-                Some(_) => {
-                    holders.remove(&m);
-                }
-            },
-            Op::Begin { .. } => {
-                *depth.entry(t).or_insert(0) += 1;
-            }
-            Op::End { .. } => {
-                let d = depth.entry(t).or_insert(0);
-                if *d == 0 {
-                    return Err(ValidityError::EndWithoutBegin { at: i, t });
-                }
-                *d -= 1;
-            }
-            Op::Fork { child, .. } => {
-                if child == t {
-                    return Err(ValidityError::SelfFork { at: i, t });
-                }
-                if let Some(&first) = seen.get(&child) {
-                    if first < i {
-                        return Err(ValidityError::ForkOfActiveThread { at: i, child });
-                    }
-                }
-                seen.insert(child, i);
-            }
-            Op::Join { child, .. } => {
-                if child == t {
-                    return Err(ValidityError::SelfJoin { at: i, t });
-                }
-                if let Some(&last) = last_op.get(&child) {
-                    if last > i && trace.get(last).map(Op::tid) == Some(child) {
-                        return Err(ValidityError::JoinBeforeChildFinished {
-                            at: i,
-                            child,
-                            child_op: last,
-                        });
-                    }
-                }
-            }
-            Op::Read { .. } | Op::Write { .. } => {}
-        }
-    }
-
-    if opts.require_locks_released {
-        if let Some((&m, &holder)) = holders.iter().min_by_key(|(m, _)| m.index()) {
-            return Err(ValidityError::LockHeldAtEnd { m, holder });
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -373,10 +279,12 @@ mod tests {
         ));
     }
 
+    /// A trace may end inside a block and holding a lock: monitors may
+    /// observe truncated executions.
     #[test]
     fn unclosed_begin_is_valid() {
         let mut b = TraceBuilder::new();
-        b.begin("T1", "l").read("T1", "x");
+        b.begin("T1", "l").acquire("T1", "m").read("T1", "x");
         assert_eq!(validate(&b.finish()), Ok(()));
     }
 
@@ -428,22 +336,6 @@ mod tests {
             validate(&b.finish()).unwrap_err(),
             ValidityError::SelfJoin { .. }
         ));
-    }
-
-    #[test]
-    fn lock_held_at_end_only_with_option() {
-        let mut b = TraceBuilder::new();
-        b.acquire("T1", "m");
-        let trace = b.finish();
-        assert_eq!(validate(&trace), Ok(()));
-        let err = validate_with(
-            &trace,
-            ValidateOptions {
-                require_locks_released: true,
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, ValidityError::LockHeldAtEnd { .. }));
     }
 
     #[test]

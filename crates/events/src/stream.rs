@@ -918,6 +918,7 @@ impl<R: Read> JsonParser<R> {
         } else {
             loop {
                 self.skip_ws()?;
+                let key_at = self.s.offset();
                 self.parse_string()?;
                 let key = match self.scratch.as_slice() {
                     b"ops" => TopKey::Ops,
@@ -931,7 +932,10 @@ impl<R: Read> JsonParser<R> {
                     TopKey::Synthesized => synthesized.is_some(),
                     TopKey::Unknown => false,
                 } {
-                    return Err(self.fail("duplicate key in trace object"));
+                    return Err(TraceReadError::malformed(
+                        key_at,
+                        "duplicate key in trace object",
+                    ));
                 }
                 self.skip_ws()?;
                 self.expect(b':', "`:`")?;
@@ -1100,7 +1104,8 @@ impl<R: Read> JsonParser<R> {
     }
 
     /// Parses the `names` object: four id→name maps keyed by decimal
-    /// strings, in any order; unknown keys are skipped.
+    /// strings, in any order; unknown keys are skipped, and a repeated map
+    /// is rejected at its key.
     fn parse_names(&mut self) -> Result<SymbolTable, TraceReadError> {
         let mut table = SymbolTableBuilder::default();
         let mut seen = [false; 4];
@@ -1111,8 +1116,15 @@ impl<R: Read> JsonParser<R> {
         } else {
             loop {
                 self.skip_ws()?;
+                let key_at = self.s.offset();
                 self.parse_string()?;
                 let slot = KINDS.iter().position(|k| k.as_bytes() == self.scratch);
+                if let Some(kind) = slot.filter(|&kind| seen[kind]) {
+                    return Err(TraceReadError::malformed(
+                        key_at,
+                        format!("duplicate key `{}` in `names`", KINDS[kind]),
+                    ));
+                }
                 self.skip_ws()?;
                 self.expect(b':', "`:`")?;
                 self.skip_ws()?;
@@ -1297,6 +1309,26 @@ mod tests {
         let e = read_json_trace(&b"{\"ops\":[{\"Read\":{\"t\":0}}],\"names\":{\"threads\":{},\"vars\":{},\"locks\":{},\"labels\":{}}}"[..])
             .unwrap_err();
         assert!(e.to_string().contains("missing field `x`"), "{e}");
+    }
+
+    /// A repeated key of the trace object or of `names` is rejected at the
+    /// key's first byte.
+    #[test]
+    fn duplicate_keys_are_rejected_at_the_key() {
+        let names = r#""names":{"threads":{},"vars":{},"locks":{},"labels":{}}"#;
+        for (doc, want) in [
+            (
+                format!(r#"{{"ops":[],"ops":[],{names}}}"#),
+                "byte 10: duplicate key in trace object",
+            ),
+            (
+                r#"{"ops":[],"names":{"threads":{"0":"A"},"threads":{"0":"B"},"vars":{},"locks":{},"labels":{}}}"#.to_owned(),
+                "byte 39: duplicate key `threads` in `names`",
+            ),
+        ] {
+            let e = read_json_trace(doc.as_bytes()).unwrap_err();
+            assert_eq!(e.to_string(), want, "{doc}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::ids::{Label, LockId, SymbolTable, ThreadId, VarId};
 use crate::op::Op;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// An execution trace: the interleaved sequence of operations performed by
@@ -117,19 +117,18 @@ impl Trace {
 
     /// The set of distinct threads appearing in the trace, in first-seen order.
     pub fn threads(&self) -> Vec<ThreadId> {
-        let mut seen = Vec::new();
-        for op in &self.ops {
-            let t = op.tid();
-            if !seen.contains(&t) {
-                seen.push(t);
-            }
-            if let Op::Fork { child, .. } = *op {
-                if !seen.contains(&child) {
-                    seen.push(child);
-                }
-            }
-        }
-        seen
+        let mut seen = HashSet::new();
+        self.ops
+            .iter()
+            .flat_map(|op| {
+                let child = match *op {
+                    Op::Fork { child, .. } => Some(child),
+                    _ => None,
+                };
+                std::iter::once(op.tid()).chain(child)
+            })
+            .filter(|&t| seen.insert(t))
+            .collect()
     }
 
     /// Serializes the trace as JSON, with [`crate::write_json`].

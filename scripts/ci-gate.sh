@@ -44,7 +44,11 @@ printf '%s' '{"ops":[{"Read":{"t":0,"x":1},"Write":{"t":0,"x":1}}],' \
 # The corpus Figure 1 trace with its first op tag (byte 28) set to 0xEE.
 cp tests/corpus/figure1_rmw_violation.trace.vbt "$tmp/bad-tag.vbt"
 printf '\xee' | dd of="$tmp/bad-tag.vbt" bs=1 seek=28 conv=notrunc status=none
-for case in "bad.json:byte 11" "two-entries.json:byte 30" "bad-tag.vbt:byte 28"; do
+# A `names` object with `threads` twice, which must not be merged.
+printf '%s' '{"ops":[],"names":{"threads":{"0":"A"},"threads":{"0":"B"},' \
+    '"vars":{},"locks":{},"labels":{}}}' > "$tmp/two-threads.json"
+for case in "bad.json:byte 11" "two-entries.json:byte 30" "bad-tag.vbt:byte 28" \
+    "two-threads.json:byte 39"; do
     file="$tmp/${case%%:*}"
     want="$file: ${case#*:}: "
     set +e
@@ -57,6 +61,36 @@ for case in "bad.json:byte 11" "two-entries.json:byte 30" "bad-tag.vbt:byte 28";
         exit 1
     fi
 done
+
+echo "==> a failed stdout write exits with code 3, not a panic"
+for args in "trace tests/corpus/figure1_rmw_violation.trace.vbt" "check-batch tests/corpus"; do
+    set +e
+    target/release/velodrome $args >/dev/full 2>"$tmp/err"
+    code=$?
+    set -e
+    if [[ "$code" -ne 3 ]] || ! grep -q '^error: writing stdout: ' "$tmp/err" \
+        || grep -q panicked "$tmp/err"; then
+        echo "expected exit code 3 and \`error: writing stdout:\` for $args > /dev/full, got $code:" >&2
+        cat "$tmp/err" >&2
+        exit 1
+    fi
+done
+# 200 copies of Figure 1 report ≈110 KB of JSONL, more than a pipe holds,
+# so the reader closing the pipe early fails a later write.
+mkdir "$tmp/fig1"
+for i in $(seq 200); do
+    cp tests/corpus/figure1_rmw_violation.trace.vbt "$tmp/fig1/t$i.vbt"
+done
+set +e
+target/release/velodrome check-batch "$tmp/fig1" 2>"$tmp/err" | head -c 1 >/dev/null
+code=${PIPESTATUS[0]}
+set -e
+if [[ "$code" -ne 3 ]] || grep -q panicked "$tmp/err"; then
+    echo "expected exit code 3 for check-batch | head -c 1, got $code:" >&2
+    cat "$tmp/err" >&2
+    exit 1
+fi
+rm -r "$tmp/fig1"
 
 echo "==> metrics smoke (fixed-seed workload, JSONL snapshot contract)"
 cargo run --release -q -p velodrome-cli -- check multiset --seed=1 --scale=4 \
@@ -279,6 +313,14 @@ set -e
 if [[ "$code" -ne 0 ]] || ! grep -q "no warnings" "$tmp/churn.out"; then
     echo "thread-churn smoke: trace exited $code within 64 MiB and 10 s, want 0 and no warnings" >&2
     tail -c 2000 "$tmp/churn.out" >&2
+    exit 1
+fi
+# `info` counts the threads with a set, not a scan per op (0.72 s at 20,000
+# children).
+if ! (ulimit -v 1048576 && timeout 5 target/release/velodrome info "$tmp/churn.json") \
+    >"$tmp/churn.out" 2>&1 || ! grep -q "^400001 threads" "$tmp/churn.out"; then
+    echo "thread-churn smoke: info failed within 1 GiB and 5 s, or miscounted the threads" >&2
+    cat "$tmp/churn.out" >&2
     exit 1
 fi
 rm "$tmp/churn.json" "$tmp/churn.out"
